@@ -15,6 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .dichotomy import DichotomyCertificate, InapplicableError
 from .process import EvolutionProcess, GridSpec, TimeDomain, FULL_LINE
@@ -168,7 +170,12 @@ class CooperativeSpec:
             v = np.asarray(self.b_vector, dtype=float)
             self.b_vector = lambda t: v
         if self.field is None:
-            self.field = lambda t, x: self.a_matrix(t) @ x + self.b_vector(t)
+            self.field = self._affine_field
+
+    def _affine_field(self, t, x):
+        # A single state is an (n,) vector, a batch an (n, k) array.
+        b = np.asarray(self.b_vector(t), dtype=float)
+        return self.a_matrix(t) @ x + (b if np.ndim(x) == 1 else b[:, None])
 
     def certify(self, t_samples, x_radius=1.0, n_samples: int = 200, seed: int = 0):
         """Sampled checks of the structure: nonnegative off-diagonals,
@@ -321,25 +328,51 @@ class TrajectoryEscapeError(RuntimeError):
     pass
 
 
+_BATCH_CONTRACT = ("the field must accept an (n, k) array whose columns are k "
+                   "states and return an (n, k) array (or (k,) when n == 1), "
+                   "acting on each column as on a single state")
+
+
+def _check_batch_field(field, t0: float, points: np.ndarray) -> None:
+    """Evaluate the field once as a batch and once per seed on the
+    initial cloud; raise TypeError unless both agree to 1e-12 times the
+    largest per-seed entry (BLAS may sum a batch in another order)."""
+    k, n = points.shape
+    got = np.asarray(field(t0, points.T), dtype=float)
+    if got.shape != (n, k) and not (n == 1 and got.shape == (k,)):
+        raise TypeError("batched field returned shape %s for %d states of "
+                        "dimension %d; %s" % (got.shape, k, n, _BATCH_CONTRACT))
+    ref = np.stack([np.asarray(field(t0, p), dtype=float).reshape(n)
+                    for p in points], axis=1)
+    finite = np.abs(ref[np.isfinite(ref)])
+    tol = 1e-12 * float(np.max(finite, initial=0.0))
+    if not np.allclose(got.reshape(n, k), ref, rtol=0.0, atol=tol,
+                       equal_nan=True):
+        raise TypeError("batched field disagrees with per-state evaluation "
+                        "(does it reduce over x?); %s" % _BATCH_CONTRACT)
+
+
 def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
                         t_eval=None, rtol: float = 1e-10, atol: float = 1e-12,
                         guard: float = 1e8):
     """Integrate x' = f(t, x) for every row of `points` as one stacked
-    system.  Returns the final ensemble, or a list of ensembles when
-    t_eval is given."""
+    system with DOP853, calling the field once per right-hand-side
+    evaluation on the (n, k) array of all states (see _BATCH_CONTRACT).
+    Returns the final ensemble, or a list of ensembles when t_eval is
+    given."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k, n = points.shape
+    _check_batch_field(field, t0, points)
 
     def rhs(tau, y):
-        states = y.reshape(k, n)
-        return np.stack([np.asarray(field(tau, states[i]), dtype=float)
-                         for i in range(k)]).ravel()
+        out = np.asarray(field(tau, y.reshape(k, n).T), dtype=float)
+        return out.reshape(n, k).T.ravel()
 
     def escape(tau, y):
         return float(np.max(np.abs(y))) - guard
     escape.terminal = True
 
-    sol = solve_ivp(rhs, (t0, t1), points.ravel(), method="RK45",
+    sol = solve_ivp(rhs, (t0, t1), points.ravel(), method="DOP853",
                     rtol=rtol, atol=atol, t_eval=t_eval, events=escape)
     if sol.status == 1:
         raise TrajectoryEscapeError(
@@ -352,32 +385,15 @@ def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
 
 
 def _single_linkage(points: np.ndarray, eps: float):
-    """Cluster labels by single linkage at radius eps (union-find)."""
-    m = points.shape[0]
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    """Cluster labels by single linkage at radius eps: connected
+    components of the graph joining points at distance <= eps, numbered
+    in order of their first point."""
     d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-    close = d2 <= eps * eps
-    for i in range(m):
-        for j in range(i + 1, m):
-            if close[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    roots = {}
-    labels = np.empty(m, dtype=int)
-    for i in range(m):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels[i] = roots[r]
-    return labels
+    _, raw = connected_components(csr_matrix(d2 <= eps * eps), directed=False)
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 @dataclasses.dataclass

@@ -21,7 +21,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -89,22 +88,21 @@ def _grid_spec(text: str) -> GridSpec:
     return GridSpec(lo, hi, step)
 
 
-def _resolve_threads(args) -> int:
-    env = os.environ.get("NED_LAB_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    return os.cpu_count() or 1
-
-
-def _apply_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+def _strict(value):
+    """Copy of a JSON payload with every non-finite float replaced by
+    None, so the dump is strict JSON (no NaN/Infinity tokens)."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _write_json(path, payload, argv) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_strict(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -119,7 +117,7 @@ def _write_sidecar(path, argv) -> None:
         "argv": list(argv),
     }
     with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(meta, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -337,9 +335,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="nedlab", description=__doc__)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for any randomized sampling (default 0)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="internal parallelism cap (default: all cores; "
-                             "NED_LAB_THREADS overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gallery", help="list or evaluate fixture processes")
@@ -427,8 +422,6 @@ def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(_resolve_threads(args))
-    np.random.seed(args.seed)  # legacy consumers only; library code uses rngs
     try:
         return args.fn(args, argv)
     except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError,

@@ -488,8 +488,11 @@ def parabolic_attractor_demo(laplacian: DiscreteLaplacian,
     base_cloud = rng.uniform(-1.0, 1.0, size=(seeds_per_time, n))
 
     def field(t, u):
-        out = laplacian.matrix @ u + separable_g(t) * u \
-            + np.asarray(b(t), dtype=float)
+        # u is one state (n,) or a batch (n, k) with one state per column.
+        forcing = np.asarray(b(t), dtype=float)
+        if np.ndim(u) == 2 and forcing.ndim == 1:
+            forcing = forcing[:, None]
+        out = laplacian.matrix @ u + separable_g(t) * u + forcing
         if cubic:
             out = out - u ** 3
         return out

@@ -6,6 +6,7 @@ from scipy.integrate import quad, solve_ivp
 
 import nedlab as nl
 from nedlab import GridSpec, InapplicableError, WeightedFunction
+from nedlab.attractor import _integrate_ensemble, _single_linkage
 
 from conftest import constant_scalar, decay_cert
 
@@ -210,6 +211,86 @@ class TestPullbackSimulation:
         with pytest.raises(nl.TrajectoryEscapeError):
             nl.simulate_pullback_omega(spec, 0.0, np.array([[3.0]]),
                                        s_schedule=[-1.0, -2.0, -4.0])
+
+
+def _duffing(t, x):
+    # Component-indexed on purpose: x is one state (2,) or a batch (2, k).
+    return np.array([x[1], -x[0] - 0.5 * x[1] - x[0] ** 3 + math.cos(t)])
+
+
+class TestBatchedField:
+    SEEDS = np.array([[0.0, 0.0], [1.5, -1.0], [-2.0, 0.5], [0.3, 2.0]])
+
+    def _reference(self, x0, t0, t1, t_eval=None):
+        sol = solve_ivp(_duffing, (t0, t1), x0, rtol=1e-12, atol=1e-14,
+                        t_eval=t_eval)
+        return sol.y.T
+
+    def test_pullback_endpoints_match_per_seed_solves(self):
+        got = _integrate_ensemble(_duffing, -4.0, 0.0, self.SEEDS)
+        want = np.array([self._reference(x0, -4.0, 0.0)[-1]
+                         for x0 in self.SEEDS])
+        assert np.max(np.abs(got - want)) <= 1e-8
+
+    def test_forward_endpoints_match_per_seed_solves(self):
+        spec = nl.DissipativitySpec(field=_duffing, a=lambda t: 0.0,
+                                    b=lambda t: 1.0, dimension=2)
+        horizons = [0.5, 1.0, 2.0, 4.0]
+        cloud = nl.simulate_forward_omega(spec, self.SEEDS, 0.5,
+                                          horizon_schedule=horizons,
+                                          cluster_eps=1e-12)
+        late = [0.5 + h for h in horizons[2:]]
+        refs = [self._reference(x0, 0.5, late[-1], t_eval=late)
+                for x0 in self.SEEDS]
+        want = np.vstack([np.array([r[j] for r in refs])
+                          for j in range(len(late))])
+        assert np.max(np.abs(cloud.points - want)) <= 1e-8
+
+    @pytest.mark.parametrize("field", [
+        lambda t, x: -x * np.sum(x ** 2),   # reduces over the whole batch
+        lambda t, x: -x.T,                  # (k, n) instead of (n, k)
+    ], ids=["reducing", "transposed"])
+    def test_contract_violations_raise(self, field):
+        spec = nl.DissipativitySpec(field=field, a=lambda t: 0.0,
+                                    b=lambda t: 0.0, dimension=2)
+        with pytest.raises(TypeError, match=r"\(n, k\)"):
+            nl.simulate_pullback_omega(spec, 0.0, self.SEEDS[:3],
+                                       s_schedule=[-1.0, -2.0])
+
+
+def _closure_labels(points, eps):
+    """Brute-force single linkage: transitive closure of the eps-graph,
+    components numbered by their first point."""
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    reach = d2 <= eps * eps
+    while True:
+        grown = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    labels = -np.ones(len(points), dtype=int)
+    for i in range(len(points)):
+        if labels[i] < 0:
+            labels[reach[i]] = labels.max() + 1
+    return labels
+
+
+class TestSingleLinkage:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_transitive_closure(self, seed):
+        rng = np.random.default_rng(seed)
+        eps = 0.1
+        # Chains with links just under eps, whose ends are many eps apart,
+        # interleaved with scattered points.
+        chains = [start + np.outer(np.arange(8) * 0.09, direction)
+                  for start, direction in zip(
+                      rng.uniform(-3.0, 3.0, size=(3, 2)),
+                      [d / np.linalg.norm(d) for d in rng.normal(size=(3, 2))])]
+        points = np.vstack(chains + [rng.uniform(-3.0, 3.0, size=(30, 2))])
+        points = points[rng.permutation(len(points))]
+        labels = _single_linkage(points, eps)
+        assert np.array_equal(labels, _closure_labels(points, eps))
+        assert labels.max() + 1 < len(points)   # some links were found
 
 
 class TestForwardSimulation:

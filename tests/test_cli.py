@@ -39,6 +39,11 @@ class TestUsage:
             run(["gallery", "list", "--verbose"])
         assert exc.value.code == 64
 
+    def test_removed_threads_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["--threads", "2", "gallery", "list"])
+        assert exc.value.code == 64
+
 
 class TestGallery:
     def test_list(self, capsys):
@@ -190,6 +195,17 @@ class TestRobustness:
                                                        rel=1e-12)
         assert payload["admissible"] is True
 
+    def test_non_finite_constants_are_strict_null(self, capsys):
+        assert run(["robustness", "--M", "1", "--omega", "0.1",
+                    "--upsilon", "0.05", "--eps", "0.9"]) == 0
+
+        def reject(token):
+            raise ValueError("non-strict JSON token %s" % token)
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["M1"] is None
+        assert payload["admissible"] is False
+        assert math.isfinite(payload["rho"])
+
     def test_pipeline_mode(self, tmp_path):
         base = _write(tmp_path, "p.json",
                       {"backend": "numerically-integrated",
@@ -266,3 +282,4 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
         # Timestamps live only in the sidecars, never in the artifact.
         assert "created" not in a.read_text()
+
