@@ -186,6 +186,38 @@ class ParetoFrontier:
                                     unstable=pair, projection=projection)
 
 
+class _AnchorEnvelope:
+    """A norm grid sorted once by anchor and reduced to the highest point
+    at each distinct anchor.
+
+    Fitting and rejection both bound heights ``logNorm_i + rate * (t_i - s_i)``
+    by lines ``ln M + delta * anchor_i``, and only the highest point at each
+    anchor can bind: in ``max_i (y_i - delta * anchor_i)`` and on the upper
+    hull of the points (anchor_i, y_i).  The reduction is exact in floating
+    point: for a fixed anchor ``a``, ``fl(y - fl(delta * a))`` is monotone in
+    ``y``, so the maximum per anchor gives the bits of the maximum over all
+    samples.  An n-point mesh has at most n anchors against n (n + 1) / 2
+    stable pairs.
+    """
+
+    def __init__(self, grid: NormGrid, kind: str):
+        tv, sv, logn = grid.samples.T
+        anchors = np.abs(tv) if kind == "II" else np.abs(sv)
+        order = np.argsort(anchors, kind="stable")
+        anchors = anchors[order]
+        self._starts = np.flatnonzero(np.r_[True, anchors[1:] != anchors[:-1]])
+        #: distinct anchors, ascending
+        self.anchors = anchors[self._starts]
+        self._logn = logn[order]
+        self._dts = (tv - sv)[order]
+
+    def heights(self, rate: float) -> np.ndarray:
+        """Highest ``logNorm + rate * (t - s)`` at each of `anchors`."""
+        y = rate * self._dts
+        y += self._logn
+        return np.maximum.reduceat(y, self._starts)
+
+
 def _upper_hull(anchors: np.ndarray, heights: np.ndarray):
     """Vertices of the upper convex hull of the points (anchor, height).
 
@@ -231,22 +263,20 @@ def fit_bounds(grid: NormGrid, kind: str, part: str,
         raise ValueError("empty norm grid")
     if list(alpha_grid) != sorted(alpha_grid):
         raise ValueError("alpha grid must be sorted ascending")
-    tv = grid.samples[:, 0]
-    sv = grid.samples[:, 1]
-    logn = grid.samples[:, 2]
-    anchors = np.abs(tv) if kind == "II" else np.abs(sv)
-    dts = tv - sv
+    envelope = _AnchorEnvelope(grid, kind)
+    anchors = envelope.anchors
     sign = -1.0 if part == "stable" else 1.0
     # heights(alpha) = logn - sign * alpha * dts must lie below the line
     # ln M + delta * anchor.
     entries = []
     infeasible = []
-    zero_anchor = anchors == 0.0
+    zero_anchor = anchors[0] == 0.0
     for alpha in alpha_grid:
-        heights = logn - sign * alpha * dts
+        heights = envelope.heights(-sign * alpha)
         hull = _upper_hull(anchors, heights)
         ha, hy = anchors[hull], heights[hull]
-        floor = float(np.max(hy[ha == 0.0])) if np.any(zero_anchor) else -math.inf
+        # The zero anchor is the first hull vertex whenever it is sampled.
+        floor = float(hy[0]) if zero_anchor else -math.inf
         if floor > ln_m_max:
             infeasible.append(float(alpha))
             continue
@@ -416,13 +446,17 @@ class RejectionEvidence:
     minimum over an (alpha, delta) box of the smallest ln M making the
     kind-I inequalities hold on the window grid.  A sequence that grows
     without bound as the windows widen certifies that no kind-I
-    dichotomy exists (every fixed M is eventually defeated)."""
+    dichotomy exists (every fixed M is eventually defeated).
+
+    poisoned: per projection kind, the number of escaped pairs dropped
+    from each window's grid."""
 
     windows: list
     box: tuple
     resolution: float
     min_ln_m: dict
     argmin: dict
+    poisoned: dict = dataclasses.field(default_factory=dict)
 
     def growth_factors(self, projection_kind: str):
         vals = self.min_ln_m[projection_kind]
@@ -430,9 +464,33 @@ class RejectionEvidence:
 
     def rejected(self, factor: float = math.e) -> bool:
         """True when every projection choice is defeated: each minimal-M
-        sequence grows by at least `factor` between consecutive windows."""
+        sequence grows by at least `factor` between consecutive windows.
+
+        Never true when a window lost pairs to poisoning: a dropped
+        constraint lowers that window's minimal ln M, which can inflate
+        a growth factor."""
+        if any(any(counts) for counts in self.poisoned.values()):
+            return False
         return all(all(g >= factor for g in self.growth_factors(kind))
                    for kind in self.min_ln_m)
+
+
+def _kind_one_minimum(grid: NormGrid, alphas: np.ndarray, deltas: np.ndarray):
+    """Smallest ``max_i(y_i - delta * |s_i|)`` over the alpha x delta box,
+    with ``y_i = logNorm_i +/- alpha (t_i - s_i)`` (plus on the stable part),
+    and the (alpha, delta) attaining it: the first alpha, then the first
+    delta, in box order.
+
+    On a sampled grid ``+/- (t_i - s_i) >= 0`` (t >= s on the stable part,
+    t < s on the unstable one), so every ``y_i`` is non-decreasing in alpha,
+    and rounding keeps that order.  The first alpha therefore attains the
+    box minimum at every delta, and only its row is evaluated."""
+    envelope = _AnchorEnvelope(grid, "I")
+    rate_sign = 1.0 if grid.part == "stable" else -1.0
+    tops = envelope.heights(rate_sign * alphas[0])
+    ln_m = np.max(tops[None, :] - deltas[:, None] * envelope.anchors[None, :], axis=1)
+    j = int(np.argmin(ln_m))
+    return float(ln_m[j]), (float(alphas[0]), float(deltas[j]))
 
 
 def nedi_rejection_evidence(process: EvolutionProcess, windows,
@@ -441,45 +499,55 @@ def nedi_rejection_evidence(process: EvolutionProcess, windows,
                             resolution: float = 0.05,
                             step: float = 0.25,
                             extra_points=()) -> RejectionEvidence:
-    """Brute-force minimal kind-I constants over nested windows.
+    """Minimal kind-I constants over nested windows.
 
     windows: list of (lo, hi) intervals, strictly nested ascending.
-    box: ((alpha_lo, alpha_hi), (delta_lo, delta_hi)) search box,
-    scanned at the given resolution with exact vectorized minimax at
-    each box point.
+    box: ((alpha_lo, alpha_hi), (delta_lo, delta_hi)) search box, sampled
+    at the given resolution.  For each window and projection kind the
+    result is the smallest ``ln M = max_i(y_i - delta * |s_i|)`` over the
+    box points, clipped at 0, where ``y_i`` is the sampled log-norm
+    shifted by ``+/- alpha (t_i - s_i)``.
+
+    The maximum over pairs is taken per distinct anchor ``|s|``: only the
+    highest ``y`` at each anchor can attain it, and for a fixed anchor
+    ``a`` the rounded ``fl(y - fl(delta * a))`` is monotone in ``y``, so
+    the reduction gives the same bits as the maximum over every pair.  A
+    larger alpha only raises every ``y`` (a faster decay is a stronger
+    requirement), so the minimum lies at the smallest alpha of the box and
+    only that alpha is evaluated, again with the same bits as a scan of
+    the whole box.  Escaped pairs are dropped and counted in ``poisoned``;
+    a window with no pair left raises DataError.
     """
     if process.dimension != 1:
         raise InapplicableError("rejection evidence is defined for scalar processes")
     for (a_lo, a_hi), (b_lo, b_hi) in zip(windows, windows[1:]):
         if not (b_lo <= a_lo and a_hi <= b_hi and (b_hi - b_lo) > (a_hi - a_lo)):
             raise ValueError("windows must be strictly nested ascending")
+    if not (resolution > 0):
+        raise ValueError("resolution must be positive, got %r" % (resolution,))
     (alpha_lo, alpha_hi), (delta_lo, delta_hi) = box
+    if not (alpha_lo <= alpha_hi and delta_lo <= delta_hi):
+        raise ValueError("box ranges must have lo <= hi, got %r" % (box,))
     alphas = np.round(np.arange(alpha_lo, alpha_hi + resolution / 2, resolution), 12)
     deltas = np.round(np.arange(delta_lo, delta_hi + resolution / 2, resolution), 12)
     minima = {kind: [] for kind in projection_kinds}
     argmin = {kind: [] for kind in projection_kinds}
+    poisoned = {kind: [] for kind in projection_kinds}
     for lo, hi in windows:
         extras = tuple(p for p in extra_points if lo <= p <= hi)
         spec = GridSpec(lo, hi, step, extra_points=extras)
         for kind in projection_kinds:
             part = "stable" if kind == "zero" else "unstable"
             sampled = sample_norm_grid(process, None, spec, part=part)
-            tv, sv, logn = sampled.samples.T
-            dts = tv - sv
-            anch = np.abs(sv)  # kind-I anchor
-            best = math.inf
-            best_at = (math.nan, math.nan)
-            sign = 1.0 if part == "stable" else -1.0
-            for alpha in alphas:
-                y = logn + sign * alpha * dts
-                ln_m = np.max(y[None, :] - deltas[:, None] * anch[None, :], axis=1)
-                j = int(np.argmin(ln_m))
-                if ln_m[j] < best:
-                    best = float(ln_m[j])
-                    best_at = (float(alpha), float(deltas[j]))
+            if sampled.samples.shape[0] == 0:
+                raise DataError("every %s pair of window [%g, %g] is poisoned"
+                                % (part, lo, hi))
+            best, best_at = _kind_one_minimum(sampled, alphas, deltas)
             minima[kind].append(max(0.0, best))
             argmin[kind].append(best_at)
-    return RejectionEvidence(list(windows), box, resolution, minima, argmin)
+            poisoned[kind].append(len(sampled.poisoned))
+    return RejectionEvidence(list(windows), box, resolution, minima, argmin,
+                             poisoned)
 
 
 # CLASSIFICATION =======================================================================

@@ -183,6 +183,17 @@ class TestReject:
         assert run(["reject", "--process", cfg,
                     "--windows", "0:20,0:10"]) == 2  # not nested outward
 
+    @pytest.mark.parametrize("resolution", ["0", "-0.1"])
+    def test_bad_resolution_exit_2(self, tmp_path, capsys, resolution):
+        cfg = _write(tmp_path, "p.json",
+                     {"backend": "closed-form-exponent",
+                      "family": "sign-switch"})
+        out = tmp_path / "reject.json"
+        assert run(["reject", "--process", cfg, "--windows", "0:5,0:10",
+                    "--resolution=" + resolution, "--out", str(out)]) == 2
+        assert "resolution must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRobustness:
     def test_constants_json(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import nedlab as nl
@@ -13,6 +14,7 @@ from nedlab import (
     InapplicableError,
     ProjectionFamily,
 )
+from nedlab.dichotomy import _kind_one_minimum, _upper_hull
 
 from conftest import constant_scalar, decay_cert
 
@@ -65,6 +67,92 @@ def _lexicographic_lp(anchors, heights, delta_max=8.0, ln_m_max=8.0):
     return delta, second.x[1]
 
 
+def _reference_fit_bounds(grid, kind, part, alpha_grid, delta_max=8.0,
+                          ln_m_max=8.0):
+    """fit_bounds with the upper hull taken over every pair (no per-anchor
+    reduction): the reference the library must match bit for bit."""
+    tv, sv, logn = grid.samples.T
+    anchors = np.abs(tv) if kind == "II" else np.abs(sv)
+    dts = tv - sv
+    sign = -1.0 if part == "stable" else 1.0
+    entries, infeasible = [], []
+    zero_anchor = anchors == 0.0
+    for alpha in alpha_grid:
+        heights = logn - sign * alpha * dts
+        hull = _upper_hull(anchors, heights)
+        ha, hy = anchors[hull], heights[hull]
+        floor = float(np.max(hy[ha == 0.0])) if np.any(zero_anchor) else -math.inf
+        if floor > ln_m_max:
+            infeasible.append(float(alpha))
+            continue
+        pos = ha > 0.0
+        if np.any(pos):
+            delta_min = max(0.0, float(np.max((hy[pos] - ln_m_max) / ha[pos])))
+        else:
+            delta_min = 0.0
+        if delta_min > delta_max:
+            infeasible.append(float(alpha))
+            continue
+        ln_m = max(0.0, float(np.max(hy - delta_min * ha)))
+        entries.append((float(alpha), delta_min, ln_m))
+    return entries, infeasible
+
+
+def _reference_kind_one_minimum(grid, alphas, deltas):
+    """Per-alpha (delta x pair) minimax over every pair: the reference for
+    the per-anchor rejection scan, tie-breaking included."""
+    tv, sv, logn = grid.samples.T
+    dts = tv - sv
+    anch = np.abs(sv)
+    sign = 1.0 if grid.part == "stable" else -1.0
+    best, best_at = math.inf, (math.nan, math.nan)
+    for alpha in alphas:
+        y = logn + sign * alpha * dts
+        ln_m = np.max(y[None, :] - deltas[:, None] * anch[None, :], axis=1)
+        j = int(np.argmin(ln_m))
+        if ln_m[j] < best:
+            best = float(ln_m[j])
+            best_at = (float(alpha), float(deltas[j]))
+    return best, best_at
+
+
+def _box_axis(lo, hi, resolution):
+    # The box sampling of nedi_rejection_evidence.
+    return np.round(np.arange(lo, hi + resolution / 2, resolution), 12)
+
+
+# Few distinct times, symmetric about 0, so that anchors |t| and |s| repeat;
+# few distinct heights, so that maxima tie.
+_TIMES = st.sampled_from([-3.0, -2.0, -1.25, -0.5, 0.0, 0.5, 1.25, 2.0, 3.0])
+_HEIGHTS = st.one_of(st.sampled_from([-2.0, 0.0, 0.75, 3.0]),
+                     st.floats(-30.0, 30.0, allow_nan=False))
+
+
+@st.composite
+def _norm_grids(draw):
+    part = draw(st.sampled_from(["stable", "unstable"]))
+    rows = []
+    for a, b, y in draw(st.lists(st.tuples(_TIMES, _TIMES, _HEIGHTS),
+                                 min_size=1, max_size=40)):
+        if part == "unstable" and a == b:
+            continue
+        t, s = (max(a, b), min(a, b)) if part == "stable" else (min(a, b), max(a, b))
+        rows.append((t, s, y))
+    if not rows:  # keep a single-sample grid
+        rows = [(0.0, 0.0, 0.0)] if part == "stable" else [(0.0, 1.0, 0.0)]
+    return nl.NormGrid(np.asarray(rows, dtype=float), part=part)
+
+
+@st.composite
+def _box(draw):
+    resolution = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    a_lo = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    d_lo = draw(st.sampled_from([0.0, 0.25]))
+    a_hi = a_lo + draw(st.sampled_from([0.0, 0.5, 1.5, 3.0]))
+    d_hi = d_lo + draw(st.sampled_from([0.0, 0.5, 1.5, 3.0]))
+    return ((a_lo, a_hi), (d_lo, d_hi)), resolution
+
+
 class TestFitBounds:
     def test_constant_decay_exact(self):
         p = constant_scalar(-1.0)
@@ -91,6 +179,22 @@ class TestFitBounds:
                 assert ref is not None
                 assert delta == pytest.approx(ref[0], abs=1e-8)
                 assert ln_m == pytest.approx(max(ref[1], 0.0), abs=1e-8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid=_norm_grids(), kind=st.sampled_from(["I", "II"]),
+           alphas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]),
+                           min_size=1, max_size=5),
+           caps=st.sampled_from([(8.0, 8.0), (1.0, 2.0), (0.25, 0.5)]))
+    def test_per_anchor_reduction_is_bit_identical(self, grid, kind, alphas,
+                                                   caps):
+        alpha_grid = sorted(alphas)
+        delta_max, ln_m_max = caps
+        frontier = nl.fit_bounds(grid, kind, grid.part, alpha_grid,
+                                 delta_max=delta_max, ln_m_max=ln_m_max)
+        entries, infeasible = _reference_fit_bounds(
+            grid, kind, grid.part, alpha_grid, delta_max, ln_m_max)
+        assert frontier.entries == entries
+        assert frontier.infeasible == infeasible
 
     def test_feasibility_of_output(self):
         rng = np.random.default_rng(42)
@@ -263,6 +367,93 @@ class TestRejectionEvidence:
         p = constant_scalar(-1.0)
         with pytest.raises(ValueError):
             nl.nedi_rejection_evidence(p, [(-10.0, 10.0), (-5.0, 5.0)])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"resolution": 0.0},
+        {"resolution": -0.1},
+        {"box": ((1.0, 0.5), (0.0, 1.0))},
+        {"box": ((0.05, 1.0), (1.0, 0.0))},
+    ])
+    def test_bad_box_or_resolution_raises(self, kwargs):
+        p = constant_scalar(-1.0)
+        with pytest.raises(ValueError):
+            nl.nedi_rejection_evidence(p, [(-5.0, 5.0), (-10.0, 10.0)], **kwargs)
+
+    def test_poisoned_window_blocks_rejection(self):
+        # e^{20 (|t| - |s|)}: the sign-switch process sped up twentyfold.
+        # On [-20, 20] the pairs with 20 (|t| - |s|) above the escape guard
+        # (ln 1e150 ~ 345) are dropped; what is left still grows by more than e, but the
+        # growth is no longer evidence.
+        p = nl.ScalarExponentProcess(lambda t, s: 20.0 * (np.abs(t) - np.abs(s)))
+        windows = [(-5.0, 5.0), (-10.0, 10.0), (-20.0, 20.0)]
+        ev = nl.nedi_rejection_evidence(p, windows, box=((0.05, 2.0), (0.0, 2.0)),
+                                        resolution=0.25, step=0.5)
+        for kind, part in (("zero", "stable"), ("identity", "unstable")):
+            want = [len(nl.sample_norm_grid(p, None, GridSpec(lo, hi, 0.5),
+                                            part=part).poisoned)
+                    for lo, hi in windows]
+            assert ev.poisoned[kind] == want
+            assert want[:2] == [0, 0] and want[2] > 0
+            assert all(g >= math.e for g in ev.growth_factors(kind))
+        assert not ev.rejected()
+        clean = nl.nedi_rejection_evidence(p, windows[:2],
+                                           box=((0.05, 2.0), (0.0, 2.0)),
+                                           resolution=0.25, step=0.5)
+        assert clean.poisoned == {"zero": [0, 0], "identity": [0, 0]}
+        assert clean.rejected()
+
+    def test_fully_poisoned_window_raises(self):
+        # Every unstable pair of [0, 1] on a 0.5 mesh has s - t >= 0.5, so
+        # 1000 (s - t) passes the escape guard: no constraint is left.
+        p = nl.ScalarExponentProcess(lambda t, s: 1000.0 * (s - t))
+        with pytest.raises(nl.DataError, match="poisoned"):
+            nl.nedi_rejection_evidence(p, [(0.0, 1.0), (0.0, 2.0)], step=0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=_norm_grids(), box=_box())
+    def test_scan_matches_per_alpha_reference(self, grid, box):
+        ((a_lo, a_hi), (d_lo, d_hi)), resolution = box
+        alphas = _box_axis(a_lo, a_hi, resolution)
+        deltas = _box_axis(d_lo, d_hi, resolution)
+        assert (_kind_one_minimum(grid, alphas, deltas)
+                == _reference_kind_one_minimum(grid, alphas, deltas))
+
+    @settings(max_examples=60, deadline=None)
+    @given(knots=st.lists(st.floats(-4.0, 4.0, allow_nan=False),
+                          min_size=7, max_size=7),
+           inner=st.tuples(st.sampled_from([-1.0, -0.25, 0.0]),
+                           st.sampled_from([0.1, 0.5, 1.0])),
+           widen=st.lists(st.sampled_from([0.0, 0.5, 1.5]), min_size=2,
+                          max_size=4),
+           extra=st.lists(st.sampled_from([-2.6, -1.3, -0.2, 0.2, 1.3, 2.6]),
+                          max_size=4),
+           step=st.sampled_from([0.25, 0.5, 1.0]), box=_box())
+    def test_evidence_matches_per_alpha_reference(self, knots, inner, widen,
+                                                  extra, step, box):
+        # Piecewise-linear log-propagator F(t) - F(s) with random slopes.
+        xs = np.linspace(-6.0, 6.0, len(knots))
+        fs = np.cumsum(knots)
+        p = nl.ScalarExponentProcess(
+            lambda t, s: np.interp(t, xs, fs) - np.interp(s, xs, fs))
+        lo, hi = inner  # narrower than the step: one unstable pair
+        windows = [(lo, hi)]
+        for w in widen:  # w == 0 widens to the right only
+            lo, hi = lo - w, hi + (w or 0.5)
+            windows.append((lo, hi))
+        (a_box, d_box), resolution = box
+        ev = nl.nedi_rejection_evidence(p, windows, box=(a_box, d_box),
+                                        resolution=resolution, step=step,
+                                        extra_points=tuple(extra))
+        alphas = _box_axis(*a_box, resolution)
+        deltas = _box_axis(*d_box, resolution)
+        for w, (lo, hi) in enumerate(windows):
+            spec = GridSpec(lo, hi, step,
+                            extra_points=tuple(x for x in extra if lo <= x <= hi))
+            for kind, part in (("zero", "stable"), ("identity", "unstable")):
+                sampled = nl.sample_norm_grid(p, None, spec, part=part)
+                best, best_at = _reference_kind_one_minimum(sampled, alphas, deltas)
+                assert ev.min_ln_m[kind][w] == max(0.0, best)
+                assert ev.argmin[kind][w] == best_at
 
 
 class TestClassify:
