@@ -67,6 +67,7 @@ from .attractor import (
     forward_attractor_radius,
     forward_bound,
     hausdorff_semidistance,
+    make_linear_envelope,
     make_pullback_envelope,
     pullback_radius,
     simulate_forward_omega,

@@ -34,6 +34,7 @@ __all__ = [
     "comparison_bound",
     "pullback_radius",
     "make_pullback_envelope",
+    "make_linear_envelope",
     "forward_bound",
     "forward_attractor_radius",
     "simulate_pullback_omega",
@@ -263,6 +264,24 @@ def make_pullback_envelope(cert: DichotomyCertificate, lam: float,
         params={"M": cert.m, "alpha": alpha, "delta": delta,
                 "lambda": lam, "bnorm": bnorm},
         evaluator=lambda t: pullback_radius(cert, lam, bnorm, t))
+
+
+def make_linear_envelope(cert: DichotomyCertificate, lam: float,
+                         bnorm: float) -> RadiusEnvelope:
+    """Sup-norm radius of the linear (case-I) problem under a kind-II
+    dichotomy: R(t) = (M/(alpha - delta*lam)) * ||b|| * e^{(1+lam) delta |t|}."""
+    alpha, delta = cert.stable.rate, cert.stable.growth
+    if not (alpha - delta * lam > 0):
+        raise InapplicableError("envelope needs alpha > delta * lambda")
+
+    def radius(t):
+        return (cert.m / (alpha - delta * lam)) * bnorm \
+            * math.exp((1.0 + lam) * delta * abs(t))
+
+    return RadiusEnvelope(
+        params={"M": cert.m, "alpha": alpha, "delta": delta,
+                "lambda": lam, "bnorm": bnorm},
+        evaluator=radius, norm="max")
 
 
 def forward_bound(cert: DichotomyCertificate, eta: float, bnorm: float,

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import gallery
-from .attractor import make_pullback_envelope
+from .attractor import make_linear_envelope, make_pullback_envelope
 from .dichotomy import (
     DataError,
     DichotomyCertificate,
@@ -70,11 +70,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str, name: str):
-    """Parse 'start:stop:step' with inclusive endpoints (1e-12 slack)."""
+    """Parse 'start:stop:step' into the points of :func:`_range`."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("%s must look like start:stop:step" % name)
-    start, stop, step = (float(p) for p in parts)
+    return _range(*(float(p) for p in parts), name)
+
+
+def _range(start: float, stop: float, step: float, name: str):
+    """Points start + k*step up to stop inclusive (1e-12 slack)."""
     if step <= 0 or stop < start:
         raise ValueError("%s needs stop >= start and step > 0" % name)
     n = int(math.floor((stop - start) / step + 1e-12))
@@ -253,14 +257,14 @@ def _cmd_robustness(args, argv):
     return EXIT_OK
 
 
+def _radius_table(envelope, times) -> str:
+    return "".join(["t,R\n"] + ["%.17g,%.17g\n" % (t, envelope(t)) for t in times])
+
+
 def _cmd_attract(args, argv):
     cert = _load_cert(args.cert)
     times = _parse_range(args.t_grid, "--t-grid")
-    envelope = make_pullback_envelope(cert, args.lam, args.bnorm)
-    lines = ["t,R"]
-    for t in times:
-        lines.append("%.17g,%.17g" % (t, envelope(t)))
-    text = "\n".join(lines) + "\n"
+    text = _radius_table(make_pullback_envelope(cert, args.lam, args.bnorm), times)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -309,22 +313,12 @@ def _cmd_pde(args, argv):
                              "c1": bundle.c1, "c2": bundle.c2}
     _write_json(args.out, payload, argv)
     if args.radii_out:
-        lam = float(cfg.get("lambda", 0.0))
-        bnorm = float(cfg.get("bnorm", 1.0))
-        alpha = transferred.stable.rate
-        delta = transferred.stable.growth
-        if not (alpha - delta * lam > 0):
-            raise InapplicableError("envelope needs alpha > delta * lambda")
+        envelope = make_linear_envelope(transferred, float(cfg.get("lambda", 0.0)),
+                                        float(cfg.get("bnorm", 1.0)))
         t0, t1, step = (float(v) for v in cfg.get("t_grid", [-10.0, 0.0, 0.5]))
-        lines = ["t,R"]
-        t = t0
-        while t <= t1 + 1e-12:
-            r = (transferred.m / (alpha - delta * lam)) * bnorm \
-                * math.exp((1.0 + lam) * delta * abs(t))
-            lines.append("%.17g,%.17g" % (t, r))
-            t += step
+        text = _radius_table(envelope, _range(t0, t1, step, "t_grid"))
         with open(args.radii_out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
         _write_sidecar(args.radii_out, argv)
     return EXIT_OK
 

@@ -466,22 +466,11 @@ def parabolic_attractor_demo(laplacian: DiscreteLaplacian,
     from the transferred certificate; order preservation of the
     propagator justifies the componentwise comparison.
     """
-    from .attractor import (RadiusEnvelope, SetFamily, UniverseFamily,
+    from .attractor import (SetFamily, UniverseFamily, make_linear_envelope,
                             simulate_pullback_omega, verify_containment)
 
     cert = scalar_to_pde_transfer(scalar_cert, laplacian)
-    alpha, delta = cert.stable.rate, cert.stable.growth
-    if not (alpha - delta * lam > 0):
-        raise InapplicableError("envelope needs alpha > delta * lambda")
-
-    def radius(t):
-        return (cert.m / (alpha - delta * lam)) * bnorm \
-            * math.exp((1.0 + lam) * delta * abs(t))
-
-    envelope = RadiusEnvelope(
-        params={"M": cert.m, "alpha": alpha, "delta": delta,
-                "lambda": lam, "bnorm": bnorm},
-        evaluator=radius, norm="max")
+    envelope = make_linear_envelope(cert, lam, bnorm)
 
     n = laplacian.size
     rng = np.random.default_rng(seed)

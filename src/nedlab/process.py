@@ -96,10 +96,6 @@ class TimeDomain:
     def is_half_line(self) -> bool:
         return self.kind != "full"
 
-    @staticmethod
-    def from_string(label: str) -> "TimeDomain":
-        return TimeDomain(label)
-
     def __str__(self) -> str:
         return self.kind
 
@@ -166,59 +162,20 @@ class ProjectionFamily:
 
 # SPECTRAL NORM ========================================================================
 
-def _power_iteration_norm(m, tol=1e-12, max_iter=10000):
-    # Largest singular value via power iteration on m^T m.  Deterministic
-    # start vector; a second, tilted start guards against an unlucky
-    # orthogonal initialization.  The matrix is rescaled first so that
-    # squaring inside the Gram product cannot underflow for very small
-    # (or overflow for very large) propagators.
-    scale = float(np.max(np.abs(m)))
-    if scale == 0.0 or not math.isfinite(scale):
-        return scale
-    m = m / scale
-    g = m.T @ m
-    n = g.shape[0]
-    for trial in range(2):
-        v = np.ones(n) / math.sqrt(n)
-        if trial == 1:
-            v = v + 1e-3 * np.arange(1.0, n + 1.0)
-            v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = g @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            w /= nw
-            lam_new = float(w @ (g @ w)) / float(w @ w)
-            if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-                return scale * math.sqrt(max(lam_new, 0.0))
-            lam = lam_new
-            v = w
-    return scale * math.sqrt(max(lam, 0.0))
-
-
 def spectral_norm(m) -> float:
     """Largest singular value of a small dense matrix.
 
-    Dimensions <= 3 use direct formulas / LAPACK; larger matrices fall
-    back to power iteration on ``m^T m`` (tolerance 1e-12, at most 1e4
-    iterations).
+    A 1x1 input is exact.  Anything larger goes to LAPACK's SVD after
+    division by ``max |m_ij|``, so entries far below or above unit size
+    neither underflow nor overflow on the way.
     """
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if n == 1:
+    if m.shape == (1, 1):
         return abs(float(m[0, 0]))
-    if n == 2:
-        # Closed-form singular values of a 2x2 block from the Gram matrix.
-        g = m.T @ m
-        tr = g[0, 0] + g[1, 1]
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        disc = max(tr * tr - 4.0 * det, 0.0)
-        return math.sqrt(max(0.5 * (tr + math.sqrt(disc)), 0.0))
-    if n == 3:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    return _power_iteration_norm(m)
+    scale = float(np.max(np.abs(m)))
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * float(np.linalg.svd(m / scale, compute_uv=False)[0])
 
 
 # GRIDS ================================================================================
@@ -339,10 +296,6 @@ class EvolutionProcess:
                 % (x.shape[0], self.dimension)
             )
         return self.matrix(t, s) @ x
-
-    # Scalar closed-form backends override this with a vectorized version.
-    def log_norm(self, t: float, s: float, projection=None, part: str = "stable"):
-        return operator_norm(self, t, s, projection, part=part, log=True)
 
 
 class ScalarExponentProcess(EvolutionProcess):
@@ -516,26 +469,38 @@ def propagate(process: EvolutionProcess, t: float, s: float, x) -> np.ndarray:
     return process.propagate(t, s, x)
 
 
+def _projection_factor(projection: Optional[ProjectionFamily], part: str) -> str:
+    """Which map the factor P(s) of ``S(t, s) P(s)`` is: "identity" (the
+    full norm; ``projection=None`` means this for both parts), "zero", or
+    "explicit" when the family has to be evaluated."""
+    if part not in ("stable", "unstable"):
+        raise ValueError("part must be 'stable' or 'unstable'")
+    if projection is None:
+        return "identity"
+    if projection.descriptor == "explicit":
+        return "explicit"
+    # The unstable factor is Pi^u, the stable one Id - Pi^u.
+    if (projection.descriptor == "zero") == (part == "stable"):
+        return "identity"
+    return "zero"
+
+
 def operator_norm(process: EvolutionProcess, t: float, s: float,
                   projection: Optional[ProjectionFamily] = None,
                   part: str = "stable", log: bool = False):
     """Spectral norm of ``S(t, s) P(s)`` where P is the stable or
     unstable member of the projection family (full norm if None)."""
-    if projection is None or (part == "stable" and projection.descriptor == "zero") \
-            or (part == "unstable" and projection.descriptor == "identity"):
-        # Projection factor is the identity.
-        if process.dimension == 1 and isinstance(process, ScalarExponentProcess):
-            process._check_args(t, s)
-            e = float(process.exponent(t, s))
-            return e if log else math.exp(e)
-        val = spectral_norm(process.matrix(t, s))
-        return math.log(val) if log else val
-    if (part == "stable" and projection.descriptor == "identity") \
-            or (part == "unstable" and projection.descriptor == "zero"):
-        # Projection factor is the zero map.
+    factor = _projection_factor(projection, part)
+    if factor == "zero":
         return -math.inf if log else 0.0
-    p = projection.stable(s) if part == "stable" else projection.unstable(s)
-    val = spectral_norm(process.matrix(t, s) @ p)
+    if factor == "identity" and isinstance(process, ScalarExponentProcess):
+        process._check_args(t, s)
+        e = float(process.exponent(t, s))
+        return e if log else math.exp(e)
+    m = process.matrix(t, s)
+    if factor == "explicit":
+        m = m @ (projection.stable(s) if part == "stable" else projection.unstable(s))
+    val = spectral_norm(m)
     if log:
         return math.log(val) if val > 0 else -math.inf
     return val
@@ -567,13 +532,12 @@ def sample_norm_grid(process: EvolutionProcess,
     """Sample log ||S(t, s) P(s)|| over all grid pairs of the right
     orientation.  Escaped pairs are recorded as poisoned rather than
     aborting the sweep."""
+    factor = _projection_factor(projection, part)
+    if factor == "zero":
+        # Zero operator: satisfies every bound, so no pair carries a sample.
+        return NormGrid(np.empty((0, 3), dtype=float), part=part)
     tv, sv = grid.pairs(part)
-    full_norm = (
-        projection is None
-        or (part == "stable" and projection.descriptor == "zero")
-        or (part == "unstable" and projection.descriptor == "identity")
-    )
-    if full_norm and isinstance(process, ScalarExponentProcess):
+    if factor == "identity" and isinstance(process, ScalarExponentProcess):
         # Vectorized closed-form path: log norm is the log-propagator.
         for v in (grid.start, grid.stop):
             if not process.domain.contains(v):
@@ -594,8 +558,8 @@ def sample_norm_grid(process: EvolutionProcess,
             poisoned.append((float(t), float(s)))
             continue
         if v == -math.inf:
-            # Zero operator: satisfies every bound; skip rather than
-            # propagate -inf into the fitting arithmetic.
+            # S(t, s) P(s) vanished: skip rather than propagate -inf into
+            # the fitting arithmetic.
             continue
         rows.append((float(t), float(s), float(v)))
     samples = (np.asarray(rows, dtype=float) if rows

@@ -27,6 +27,7 @@ from .dichotomy import (
     ExponentPair,
     InapplicableError,
     check_certificate,
+    dual_certificate,
 )
 from .process import (
     EvolutionProcess,
@@ -300,19 +301,12 @@ def robust_nedii_pipeline(p: EvolutionProcess, cert: DichotomyCertificate,
         return PipelineResult(False, distance, report=report,
                               reason="no positive perturbed exponent")
     pair = ExponentPair(w_pos, 2.0 * upsilon)
-    projection = cert.projection
-    dual_proj = {"zero": "identity", "identity": "zero",
-                 "explicit": "explicit"}[projection]
-    dual_cert = DichotomyCertificate(
-        "I", cert.domain, max(big_m, 1.0), pair,
-        unstable=(pair if dual_proj != "zero" else None),
-        projection=dual_proj,
-        projection_family=None if dual_proj != "explicit" else cert.projection_family)
     primal_cert = DichotomyCertificate(
         "II", cert.domain, max(big_m, 1.0), pair,
-        unstable=(pair if projection != "zero" else None),
-        projection=projection,
+        unstable=(pair if cert.projection != "zero" else None),
+        projection=cert.projection,
         projection_family=cert.projection_family)
+    dual_cert = dual_certificate(primal_cert)
     dual_violation = check_certificate(dual_q, dual_cert, grid)
     primal_violation = check_certificate(q, primal_cert, grid)
     return PipelineResult(True, distance, report=report,

@@ -277,6 +277,22 @@ class TestPde:
         assert payload["bundle"]["nu_sep"] > 0.0
         assert radii.read_text().startswith("t,R")
 
+    def test_radii_table_is_the_linear_envelope(self, tmp_path):
+        cfg = self._config(tmp_path, t_grid=[-3.0, 0.0, 0.5], bnorm=0.5)
+        out, radii = tmp_path / "pde_out.json", tmp_path / "radii.csv"
+        assert run(["pde", "--config", cfg, "--out", str(out),
+                    "--radii-out", str(radii)]) == 0
+        cert = nl.DichotomyCertificate.from_dict(json.loads(out.read_text())["certificate"])
+        envelope = nl.make_linear_envelope(cert, 0.0, 0.5)
+        times = [-3.0 + 0.5 * k for k in range(7)]
+        assert radii.read_text() == "t,R\n" + "".join(
+            "%.17g,%.17g\n" % (t, envelope(t)) for t in times)
+
+    def test_bad_radii_grid_exits_2(self, tmp_path):
+        cfg = self._config(tmp_path, t_grid=[-2.0, 0.0, 0.0])
+        assert run(["pde", "--config", cfg, "--out", str(tmp_path / "o.json"),
+                    "--radii-out", str(tmp_path / "r.csv")]) == 2
+
     def test_unknown_coefficient_exits_2(self, tmp_path):
         cfg = self._config(tmp_path, g={"name": "chaotic"})
         assert run(["pde", "--config", cfg]) == 2

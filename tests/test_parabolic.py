@@ -181,6 +181,18 @@ class TestPrincipalBundle:
         assert bundle.c1 == pytest.approx(1.0, abs=1e-9)
         assert bundle.c2 == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bc", [BoundaryCondition("neumann"),
+                                    BoundaryCondition("robin", robin_alpha=0.7)])
+    def test_rank_one_projection_norms_agree(self, bc):
+        # For a rank-one projection Q, ||Q|| = ||I - Q||; an underestimated
+        # norm shows up as c2 < c1.
+        lap = nl.discretize(Grid1D(1.0, 15), bc)
+        p = nl.pde_process(lap, separable_g=lambda t: -1.0,
+                           g_antiderivative=lambda t: -t)
+        bundle = nl.principal_bundle(p)
+        assert bundle.c1 > 1.0
+        assert bundle.c2 == pytest.approx(bundle.c1, rel=1e-14)
+
 
 class TestTransfer:
     def test_rate_improves_by_leading_eigenvalue(self, dirichlet_31):
@@ -278,6 +290,19 @@ class TestAdjoint:
 
 
 class TestAttractorDemo:
+    def test_envelope_is_the_linear_envelope(self):
+        lap = _dirichlet(7)
+        scalar = nl.DichotomyCertificate("II", nl.FULL_LINE, 2.0,
+                                         nl.ExponentPair(1.0, 0.5),
+                                         projection="zero")
+        out = nl.parabolic_attractor_demo(
+            lap, lambda t: -1.0, lambda t: np.zeros(7), scalar, lam=0.5,
+            t_grid=[-1.0], bnorm=0.3, cubic=False, seeds_per_time=2)
+        ref = nl.make_linear_envelope(nl.scalar_to_pde_transfer(scalar, lap), 0.5, 0.3)
+        assert out["envelope"].params == ref.params
+        for t in (-3.0, -0.5, 0.0):
+            assert out["envelope"](t) == ref(t)
+
     def test_zero_forcing_gives_origin(self):
         lap = _dirichlet(7)
         scalar = nl.DichotomyCertificate("II", nl.FULL_LINE, math.e ** 2,

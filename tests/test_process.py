@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nedlab as nl
 from nedlab import (
@@ -77,6 +78,31 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert nl.spectral_norm(np.zeros((5, 5))) == 0.0
+
+    def test_top_singular_vector_orthogonal_to_ones(self):
+        # Right-singular vectors: the top one is orthogonal to ones, the
+        # second is ones/2, so an iteration started from ones stalls at 1.
+        v = np.array([[1.0, -1.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5],
+                      [0.5, 0.5, -0.5, -0.5], [0.0, 0.0, 1.0, -1.0]])
+        v[[0, 3]] /= math.sqrt(2.0)
+        m = np.diag([2.0, 1.0, 0.5, 0.25]) @ v
+        assert nl.spectral_norm(m) == pytest.approx(2.0, rel=1e-15)
+
+    def test_tiny_2x2_is_exact(self):
+        assert nl.spectral_norm(np.diag([1e-170, 5e-171])) == 1e-170
+        assert nl.spectral_norm(np.array([[0.0, 1e-170], [-1e-170, 0.0]])) \
+            == pytest.approx(1e-170, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+           log_scale=st.floats(-300.0, 150.0))
+    def test_planted_singular_values(self, n, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        sigma = 10.0 ** log_scale * rng.uniform(0.01, 1.0, size=n)
+        m = (u * sigma) @ v.T
+        assert nl.spectral_norm(m) == pytest.approx(float(np.max(sigma)), rel=1e-12)
 
 
 class TestProjectionFamily:

@@ -146,6 +146,30 @@ class TestPipeline:
         assert res.primal_cert_of_q.stable.rate == pytest.approx(
             nl.robustness_constants(1.0, 1.0, 0.0, 0.1).positive_exponent)
 
+    def test_explicit_projection_is_transposed_for_the_dual(self):
+        # S(t, s) = Q diag(e^{-(t-s)}, e^{t-s}) Q^{-1} with the non-normal
+        # unstable projection Q diag(0, 1) Q^{-1}.  The dual certificate
+        # needs the transposed family; with the primal one the dual check
+        # reports a violation that is not there.
+        q = np.array([[1.0, 2.0], [0.0, 1.0]])
+        q_inv = np.linalg.inv(q)
+
+        def matrix(t, s):
+            return q @ np.diag([math.exp(-(t - s)), math.exp(t - s)]) @ q_inv
+        p = nl.MatrixClosedFormProcess(matrix, 2)
+        pair = nl.ExponentPair(1.0, 0.0)
+        cert = nl.DichotomyCertificate(
+            "II", nl.FULL_LINE, 10.0, pair, unstable=pair, projection="explicit",
+            projection_family=nl.ProjectionFamily.constant(q @ np.diag([0.0, 1.0]) @ q_inv))
+        grid = GridSpec(-4.0, 4.0, 0.5)
+        res = nl.robust_nedii_pipeline(p, cert, p, 0.0, 0.1, grid)
+        assert res.applicable
+        assert res.primal_violation <= 0.0
+        assert res.dual_violation == pytest.approx(res.primal_violation, rel=1e-12)
+        expected = nl.dual_certificate(res.primal_cert_of_q)
+        assert nl.check_certificate(nl.dual_process(p), expected, grid) \
+            == res.dual_violation
+
     def test_distance_gate(self):
         p = constant_scalar(-1.0)
         q = constant_scalar(-2.0)  # far beyond eps
