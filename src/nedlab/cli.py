@@ -51,6 +51,7 @@ from .process import (
     GridSpec,
     ProjectionFamily,
     TimeDomain,
+    _write_text,
     load_process_config,
     sample_norm_grid,
 )
@@ -110,8 +111,7 @@ def _write_json(path, payload, argv) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_text(path, text)
     _write_sidecar(path, argv)
 
 
@@ -120,9 +120,7 @@ def _write_sidecar(path, argv) -> None:
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "argv": list(argv),
     }
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_text(str(path) + ".meta.json", json.dumps(meta, indent=2, allow_nan=False) + "\n")
 
 
 def _load_cert(path) -> DichotomyCertificate:
@@ -266,8 +264,7 @@ def _cmd_attract(args, argv):
     times = _parse_range(args.t_grid, "--t-grid")
     text = _radius_table(make_pullback_envelope(cert, args.lam, args.bnorm), times)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         _write_sidecar(args.out, argv)
     else:
         sys.stdout.write(text)
@@ -317,8 +314,7 @@ def _cmd_pde(args, argv):
                                         float(cfg.get("bnorm", 1.0)))
         t0, t1, step = (float(v) for v in cfg.get("t_grid", [-10.0, 0.0, 0.5]))
         text = _radius_table(envelope, _range(t0, t1, step, "t_grid"))
-        with open(args.radii_out, "w") as fh:
-            fh.write(text)
+        _write_text(args.radii_out, text)
         _write_sidecar(args.radii_out, argv)
     return EXIT_OK
 

@@ -29,6 +29,7 @@ from .process import (
     NormGrid,
     ProjectionFamily,
     TimeDomain,
+    _write_text,
     sample_norm_grid,
 )
 
@@ -119,8 +120,7 @@ class DichotomyCertificate:
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
         if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
+            _write_text(path, text + "\n")
         return text
 
     @staticmethod
@@ -158,10 +158,9 @@ class ParetoFrontier:
     ln_m_max: float = 8.0
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("alpha,delta,lnM\n")
-            for alpha, delta, ln_m in self.entries:
-                fh.write("%.17g,%.17g,%.17g\n" % (alpha, delta, ln_m))
+        _write_text(path, "".join(
+            ["alpha,delta,lnM\n"]
+            + ["%.17g,%.17g,%.17g\n" % (alpha, delta, ln_m) for alpha, delta, ln_m in self.entries]))
 
     def best(self):
         """Feasible entry with the largest decay rate."""

@@ -22,9 +22,11 @@ from scipy.integrate import quad, quad_vec, solve_ivp
 from .dichotomy import DichotomyCertificate, ExponentPair, InapplicableError
 from .process import (
     EvolutionProcess,
+    FiniteEscapeError,
     FULL_LINE,
     MatrixClosedFormProcess,
     TimeDomain,
+    _escaped,
     spectral_norm,
 )
 
@@ -211,13 +213,32 @@ class PDEProcess(EvolutionProcess):
             react = np.asarray(self.a(t, self.laplacian.nodes), dtype=float)
         return self.laplacian.matrix + np.diag(react)
 
+    @property
+    def _chains(self) -> bool:
+        # A Strang product restarts from s for every pair; chaining reuses
+        # one product per mesh interval.  The separable form is exact per pair.
+        return not self.separable
+
     def matrix(self, t: float, s: float) -> np.ndarray:
+        """S(t, s); raises FiniteEscapeError when an entry is not finite
+        or the (Frobenius) norm passes ``ESCAPE_GUARD``."""
         self._check_args(t, s)
         if t == s:
             return np.eye(self.dimension)
-        if self.separable:
-            factor = math.exp(self._g_cumulative(t) - self._g_cumulative(s))
-            return factor * self.laplacian.expm(t - s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.separable:
+                exponent = self._g_cumulative(t) - self._g_cumulative(s)
+                try:
+                    m = math.exp(exponent) * self.laplacian.expm(t - s)
+                except OverflowError:
+                    raise FiniteEscapeError(t, s, t) from None
+            else:
+                m = self._strang(t, s)
+        if _escaped(m):
+            raise FiniteEscapeError(t, s, t)
+        return m
+
+    def _strang(self, t: float, s: float) -> np.ndarray:
         n_steps = max(1, int(math.ceil((t - s) / self.dt)))
         tau = (t - s) / n_steps
         half = self.laplacian.expm(0.5 * tau)
@@ -228,6 +249,10 @@ class PDEProcess(EvolutionProcess):
             react = np.exp(tau * np.asarray(self.a(mid, xs), dtype=float))
             m = half @ (react[:, None] * (half @ m))
         return m
+
+    def _step(self, t: float, s: float):
+        m = self.matrix(t, s)
+        return m, float(np.linalg.norm(m))
 
 
 def pde_process(laplacian: DiscreteLaplacian, a: Optional[Callable] = None,

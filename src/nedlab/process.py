@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,6 +179,35 @@ def spectral_norm(m) -> float:
     return scale * float(np.linalg.svd(m / scale, compute_uv=False)[0])
 
 
+def _log(value: float) -> float:
+    """Natural log with an exact zero mapped to -inf; NaN stays NaN."""
+    return -math.inf if value == 0.0 else math.log(value)
+
+
+def _escaped(m: np.ndarray) -> bool:
+    """Whether a propagator has a non-finite entry or a Frobenius norm
+    above ``ESCAPE_GUARD``.  The Frobenius norm bounds the spectral norm
+    from above, so this poisons at least the pairs a spectral guard would."""
+    scale = float(np.max(np.abs(m)))
+    # sqrt(size) * max|m_ij| bounds the Frobenius norm; the test is False for NaN.
+    if scale * math.sqrt(m.size) <= ESCAPE_GUARD:
+        return False
+    return not math.isfinite(scale) or scale * float(np.linalg.norm(m / scale)) > ESCAPE_GUARD
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` over whatever the file held.
+
+    The file is opened without ``O_TRUNC`` and cut at the end of the new
+    text afterwards: truncating a non-empty file to zero length makes
+    some filesystems (ext4's ``auto_da_alloc``) flush it on close, which
+    costs tens of milliseconds per artifact.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 # GRIDS ================================================================================
 
 @dataclasses.dataclass(frozen=True)
@@ -241,10 +271,9 @@ class NormGrid:
     poisoned: list = dataclasses.field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,s,log_norm,part\n")
-            for t, s, v in self.samples:
-                fh.write("%.17g,%.17g,%.17g,%s\n" % (t, s, v, self.part))
+        _write_text(path, "".join(
+            ["t,s,log_norm,part\n"]
+            + ["%.17g,%.17g,%.17g,%s\n" % (t, s, v, self.part) for t, s, v in self.samples]))
 
     @staticmethod
     def from_csv(path) -> "NormGrid":
@@ -274,6 +303,9 @@ class EvolutionProcess:
     domain: TimeDomain = FULL_LINE
     invertible: bool = False
     backend: str = "closed-form-exponent"
+    #: Whether :func:`sample_norm_grid` chains :meth:`_step` propagators over
+    #: the mesh intervals instead of evaluating :meth:`matrix` once per pair.
+    _chains: bool = False
 
     def _check_args(self, t: float, s: float) -> None:
         if not (self.domain.contains(t) and self.domain.contains(s)):
@@ -286,6 +318,12 @@ class EvolutionProcess:
             )
 
     def matrix(self, t: float, s: float) -> np.ndarray:
+        raise NotImplementedError
+
+    def _step(self, t: float, s: float):
+        """``(S(t, s), the largest Frobenius norm of S(tau, s) the backend
+        saw for tau between s and t)`` for one mesh interval of a chained
+        sweep; raises :class:`FiniteEscapeError` like :meth:`matrix`."""
         raise NotImplementedError
 
     def propagate(self, t: float, s: float, x) -> np.ndarray:
@@ -399,7 +437,7 @@ class MatrixClosedFormProcess(EvolutionProcess):
     def matrix(self, t: float, s: float) -> np.ndarray:
         self._check_args(t, s)
         m = np.asarray(self._matrix_fn(t, s), dtype=float)
-        if not np.all(np.isfinite(m)) or spectral_norm(m) > ESCAPE_GUARD:
+        if _escaped(m):
             raise FiniteEscapeError(t, s, t)
         return m
 
@@ -411,10 +449,12 @@ class IntegratedLinearProcess(EvolutionProcess):
     ``matrix`` integrates the full matrix ODE from the identity;
     ``propagate`` integrates the vector directly.  Backward propagation
     (t < s) is available when ``invertible=True`` and simply integrates
-    the ODE backward in time.
+    the ODE backward in time.  Grid sampling integrates one step
+    propagator per mesh interval and chains them.
     """
 
     backend = "numerically-integrated"
+    _chains = True
 
     def __init__(self, coefficient_matrix: Callable, dimension: int,
                  domain: TimeDomain = FULL_LINE, invertible: bool = False,
@@ -427,6 +467,7 @@ class IntegratedLinearProcess(EvolutionProcess):
         self.atol = atol
 
     def _solve(self, t: float, s: float, y0: np.ndarray) -> np.ndarray:
+        """States from y0 at s to t, flattened, one column per RK step."""
         n = self.dimension
 
         def rhs(tau, y):
@@ -444,13 +485,19 @@ class IntegratedLinearProcess(EvolutionProcess):
             raise FiniteEscapeError(t, s, float(sol.t_events[0][0]))
         if not sol.success:
             raise RuntimeError("integration failed: %s" % sol.message)
-        return sol.y[:, -1].reshape(y0.shape)
+        return sol.y
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         self._check_args(t, s)
+        n = self.dimension
         if t == s:
-            return np.eye(self.dimension)
-        return self._solve(t, s, np.eye(self.dimension))
+            return np.eye(n)
+        return self._solve(t, s, np.eye(n))[:, -1].reshape(n, n)
+
+    def _step(self, t: float, s: float):
+        n = self.dimension
+        states = self._solve(t, s, np.eye(n))
+        return states[:, -1].reshape(n, n), float(np.max(np.linalg.norm(states, axis=0)))
 
     def propagate(self, t: float, s: float, x) -> np.ndarray:
         self._check_args(t, s)
@@ -459,7 +506,7 @@ class IntegratedLinearProcess(EvolutionProcess):
             raise DomainError("state dimension mismatch")
         if t == s:
             return x.copy()
-        return self._solve(t, s, x)
+        return self._solve(t, s, x)[:, -1].reshape(x.shape)
 
 
 # MODULE-LEVEL OPERATIONS ==============================================================
@@ -501,9 +548,7 @@ def operator_norm(process: EvolutionProcess, t: float, s: float,
     if factor == "explicit":
         m = m @ (projection.stable(s) if part == "stable" else projection.unstable(s))
     val = spectral_norm(m)
-    if log:
-        return math.log(val) if val > 0 else -math.inf
-    return val
+    return _log(val) if log else val
 
 
 def dual_process(process: EvolutionProcess) -> MatrixClosedFormProcess:
@@ -531,11 +576,14 @@ def sample_norm_grid(process: EvolutionProcess,
                      grid: GridSpec, part: str = "stable") -> NormGrid:
     """Sample log ||S(t, s) P(s)|| over all grid pairs of the right
     orientation.  Escaped pairs are recorded as poisoned rather than
-    aborting the sweep."""
+    aborting the sweep.  Backends that set ``_chains`` (integrated and
+    Strang processes) chain one step propagator per mesh interval."""
     factor = _projection_factor(projection, part)
     if factor == "zero":
         # Zero operator: satisfies every bound, so no pair carries a sample.
         return NormGrid(np.empty((0, 3), dtype=float), part=part)
+    if process._chains:
+        return _chained_norm_grid(process, projection, grid, part, factor)
     tv, sv = grid.pairs(part)
     if factor == "identity" and isinstance(process, ScalarExponentProcess):
         # Vectorized closed-form path: log norm is the log-propagator.
@@ -555,16 +603,93 @@ def sample_norm_grid(process: EvolutionProcess,
             v = operator_norm(process, float(t), float(s), projection,
                               part=part, log=True)
         except FiniteEscapeError:
-            poisoned.append((float(t), float(s)))
-            continue
+            v = math.nan
         if v == -math.inf:
             # S(t, s) P(s) vanished: skip rather than propagate -inf into
             # the fitting arithmetic.
+            continue
+        if not math.isfinite(v):
+            # Escaped, overflowed or NaN: surfaced, never dropped.
+            poisoned.append((float(t), float(s)))
             continue
         rows.append((float(t), float(s), float(v)))
     samples = (np.asarray(rows, dtype=float) if rows
                else np.empty((0, 3), dtype=float))
     return NormGrid(samples, part=part, poisoned=poisoned)
+
+
+def _chained_norm_grid(process: EvolutionProcess,
+                       projection: Optional[ProjectionFamily],
+                       grid: GridSpec, part: str, factor: str) -> NormGrid:
+    """:func:`sample_norm_grid` from one step propagator per mesh interval.
+
+    The stable part chains forward steps ``S(m_{k+1}, m_k)``, the unstable
+    part backward solves ``S(m_k, m_{k+1})``; by the cocycle identity each
+    ``S(t, s)`` is a running product over the intervals between s and t.
+    The product is kept as ``e^L N`` with ``max|N| = 1``, renormalised
+    after every step, so it neither overflows nor underflows.  P(s) is
+    applied only when the pair's norm is taken: a product started from
+    P(s) would not bound the full propagator the escape guard watches.
+
+    The per-pair solve of ``S(t, s)`` escapes when the Frobenius norm of
+    ``S(tau, s)`` passes ``ESCAPE_GUARD`` at some tau in between.  Over
+    one interval, ``||S(tau, s)||_F <= ||S(tau, m_k)||_F ||S(m_k, s)||_F``,
+    which is at most ``e^L ||N||_F`` times the step's peak Frobenius norm;
+    once that bound passes the guard (or a step escapes), the pair and
+    every later pair from the same s are poisoned.  Chaining can poison
+    more pairs than per-pair solves, never fewer.
+    """
+    mesh = grid.mesh()
+    count = len(mesh)
+    forward = part == "stable"
+    # Domains are intervals: checking the outermost pair checks them all.
+    if forward:
+        process._check_args(mesh[-1], mesh[0])
+    else:
+        process._check_args(mesh[0], mesh[-1])
+    steps = []
+    for k in range(count - 1):
+        end, start = (mesh[k + 1], mesh[k]) if forward else (mesh[k], mesh[k + 1])
+        try:
+            steps.append(process._step(float(end), float(start)))
+        except FiniteEscapeError:
+            steps.append(None)
+
+    logn = np.full((count, count), -np.inf)   # [t index, s index]
+    bad = np.zeros((count, count), dtype=bool)
+    eye = np.eye(process.dimension)
+    for j, s in enumerate(mesh):
+        proj = None
+        if factor == "explicit":
+            proj = projection.stable(s) if forward else projection.unstable(s)
+        if forward:
+            logn[j, j] = 0.0 if proj is None else _log(spectral_norm(proj))
+        prod, log_scale, guard = eye, 0.0, -math.inf
+        for k in (range(j, count - 1) if forward else range(j - 1, -1, -1)):
+            i = k + 1 if forward else k
+            if steps[k] is not None:
+                step, peak = steps[k]
+                guard = max(guard, log_scale + math.log(np.linalg.norm(prod)) + _log(peak))
+            if steps[k] is None or guard > _LOG_GUARD:
+                if forward:
+                    bad[i:, j] = True
+                else:
+                    bad[:i + 1, j] = True
+                break
+            prod = step @ prod
+            top = float(np.max(np.abs(prod)))
+            if top == 0.0:
+                break  # S(t, s) vanished, and with it every later pair
+            prod = prod / top
+            log_scale += math.log(top)
+            logn[i, j] = log_scale + _log(spectral_norm(prod if proj is None else prod @ proj))
+
+    ti, si = np.nonzero(np.greater_equal.outer(mesh, mesh) if forward
+                        else np.less.outer(mesh, mesh))   # grid.pairs(part) order
+    tv, sv, vals, poison = mesh[ti], mesh[si], logn[ti, si], bad[ti, si]
+    keep = ~poison & (vals > -np.inf)
+    return NormGrid(np.column_stack([tv[keep], sv[keep], vals[keep]]), part=part,
+                    poisoned=list(zip(tv[poison].tolist(), sv[poison].tolist())))
 
 
 # CONFIG LOADING =======================================================================

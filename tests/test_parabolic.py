@@ -127,6 +127,51 @@ class TestPDEProcess:
             p.matrix(0.0, 1.0)  # diffusion is not invertible
 
 
+class TestStrangChain:
+    # Every pair length is a multiple of dt = 1/64, so the chained steps use
+    # the per-pair substeps and midpoints exactly; only rounding differs.
+    @staticmethod
+    def _strang(a):
+        return nl.pde_process(_dirichlet(7), a=a, dt=1.0 / 64)
+
+    @pytest.mark.parametrize("grid", [GridSpec(0.0, 2.0, 0.5), GridSpec(-1.0, 1.5, 0.25)])
+    def test_chained_grid_matches_per_pair_products(self, grid):
+        p = self._strang(lambda t, x: -1.0 + 0.5 * math.sin(2.0 * t) * np.cos(np.pi * x))
+        sampled = nl.sample_norm_grid(p, None, grid)
+        tv, sv = grid.pairs("stable")
+        assert sampled.poisoned == []
+        assert np.array_equal(sampled.samples[:, 0], tv)
+        assert np.array_equal(sampled.samples[:, 1], sv)
+        want = [math.log(nl.spectral_norm(p.matrix(t, s))) for t, s in zip(tv, sv)]
+        assert np.max(np.abs(sampled.samples[:, 2] - want)) < 1e-12
+
+    def test_nan_propagator_escapes(self):
+        p = self._strang(lambda t, x: np.full(len(x), math.nan if t > 0.6 else -1.0))
+        with pytest.raises(nl.FiniteEscapeError):
+            nl.operator_norm(p, 1.0, 0.0, log=True)
+        grid = GridSpec(0.0, 1.0, 0.5)
+        sampled = nl.sample_norm_grid(p, None, grid)
+        assert sorted(sampled.poisoned) == [(1.0, 0.0), (1.0, 0.5)]
+        cert = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0, nl.ExponentPair(1.0, 0.0),
+                                       projection="zero")
+        assert nl.check_certificate(p, cert, grid) == math.inf
+
+    def test_overflowing_propagator_escapes(self):
+        # exp(tau * 1e6) overflows: an escape, not an inf sample or a warning.
+        p = self._strang(lambda t, x: np.full(len(x), 1e6 if t > 0.6 else -1.0))
+        with pytest.raises(nl.FiniteEscapeError):
+            p.matrix(1.0, 0.0)
+        sampled = nl.sample_norm_grid(p, None, GridSpec(0.0, 1.0, 0.5))
+        assert sorted(sampled.poisoned) == [(1.0, 0.0), (1.0, 0.5)]
+        assert np.all(np.isfinite(sampled.samples))
+
+    def test_separable_overflow_escapes(self):
+        p = nl.pde_process(_dirichlet(5), separable_g=lambda t: 1000.0,
+                           g_antiderivative=lambda t: 1000.0 * t)
+        with pytest.raises(nl.FiniteEscapeError):
+            p.matrix(1.0, 0.0)
+
+
 class TestVariationOfConstants:
     def test_residual_small(self):
         lap = _dirichlet(9)

@@ -237,3 +237,172 @@ class TestConfigLoading:
             nl.load_process_config({"backend": "quantum"})
         with pytest.raises(ValueError):
             nl.load_process_config({"backend": "closed-form-exponent"})
+
+
+class PlantedIntegrated:
+    """x' = Q diag(a_i(t)) Q^-1 x with a_i = r_i + e_i sin(t + p_i), so
+    S(t, s) = Q diag(exp(int_s^t a_i)) Q^-1 in closed form."""
+
+    rates = np.array([-1.0, 0.5])
+    eps = np.array([0.2, 0.15])
+    phase = np.array([0.3, 1.1])
+
+    def __init__(self, invertible):
+        c, s = math.cos(0.7), math.sin(0.7)
+        self.q = np.array([[c, -s], [s, c]]) @ np.diag([1.0, 1.4])
+        self.q_inv = np.linalg.inv(self.q)
+        self.unstable = self.q @ np.diag([0.0, 1.0]) @ self.q_inv
+        self.process = nl.IntegratedLinearProcess(
+            lambda t: self.q @ np.diag(self.rates + self.eps * np.sin(t + self.phase))
+            @ self.q_inv, 2, invertible=invertible)
+
+    def log_norm(self, t, s, proj):
+        e = self.rates * (t - s) - self.eps * (np.cos(t + self.phase) - np.cos(s + self.phase))
+        m = self.q @ np.diag(np.exp(e)) @ self.q_inv @ proj
+        return math.log(float(np.linalg.svd(m, compute_uv=False)[0]))
+
+
+def _per_pair_grid(process, projection, grid, part):
+    """Reference: one operator_norm per pair, escapes recorded as poisoned."""
+    rows, poisoned = {}, set()
+    for t, s in zip(*grid.pairs(part)):
+        try:
+            rows[(t, s)] = nl.operator_norm(process, float(t), float(s), projection,
+                                            part=part, log=True)
+        except FiniteEscapeError:
+            poisoned.add((float(t), float(s)))
+    return rows, poisoned
+
+
+class TestChainedNormGrid:
+    # Irregular mesh: pinned 0, two extra points and a short last step.
+    IRREGULAR = GridSpec(-1.3, 3.1, 0.5, extra_points=(0.45, 2.95))
+
+    @pytest.mark.parametrize("grid", [GridSpec(0.0, 5.0, 0.25), IRREGULAR])
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    @pytest.mark.parametrize("projection", ["none", "explicit", "zero"])
+    def test_planted_closed_form(self, grid, part, projection):
+        planted = PlantedIntegrated(invertible=True)
+        family = {"none": None, "zero": ProjectionFamily.zero(2),
+                  "explicit": ProjectionFamily.constant(planted.unstable)}[projection]
+        sampled = nl.sample_norm_grid(planted.process, family, grid, part=part)
+        tv, sv = grid.pairs(part)
+        assert sampled.poisoned == []
+        if projection == "zero" and part == "unstable":
+            assert sampled.samples.shape == (0, 3)
+            return
+        if family is None:
+            proj = np.eye(2)
+        else:
+            proj = family.stable(0.0) if part == "stable" else family.unstable(0.0)
+        # Rows come in grid.pairs(part) order, with the mesh times themselves.
+        assert np.array_equal(sampled.samples[:, 0], tv)
+        assert np.array_equal(sampled.samples[:, 1], sv)
+        want = [planted.log_norm(t, s, proj) for t, s in zip(tv, sv)]
+        assert np.max(np.abs(sampled.samples[:, 2] - want)) < 1e-9
+
+    def test_non_invertible_unstable_part_is_a_domain_error(self):
+        planted = PlantedIntegrated(invertible=False)
+        with pytest.raises(DomainError):
+            nl.sample_norm_grid(planted.process, None, GridSpec(0.0, 1.0, 0.5),
+                                part="unstable")
+
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    def test_one_solve_per_mesh_interval(self, monkeypatch, part):
+        calls = []
+        real = nl.process.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(nl.process, "solve_ivp", counting)
+        grid = self.IRREGULAR
+        nl.sample_norm_grid(PlantedIntegrated(invertible=True).process, None, grid,
+                            part=part)
+        assert len(calls) == len(grid.mesh()) - 1
+
+    @pytest.mark.parametrize("rate, explicit", [
+        (500.0, False),    # no step escapes; the running product passes the guard
+        (500.0, True),     # ... also where P(s) removes the growing direction
+        (1500.0, False),   # every step solve escapes by itself
+    ])
+    def test_escape_poisons_at_least_the_per_pair_set(self, rate, explicit):
+        grid = GridSpec(0.0, 1.0, 0.5)
+        # Rotating the growing direction makes the step products non-normal.
+        q = np.array([[1.0, 0.5], [0.0, 1.0]])
+        a = q @ np.diag([rate, -1.0]) @ np.linalg.inv(q)
+        process = nl.IntegratedLinearProcess(lambda t: a, 2)
+        family = (ProjectionFamily.constant(q @ np.diag([0.0, 1.0]) @ np.linalg.inv(q))
+                  if explicit else None)
+        chained = nl.sample_norm_grid(process, family, grid)
+        rows, poisoned = _per_pair_grid(process, family, grid, "stable")
+        assert poisoned and poisoned <= set(chained.poisoned)
+        # A poisoned pair poisons every later pair from the same s.
+        for t, s in chained.poisoned:
+            assert all((u, s) in chained.poisoned for u in grid.mesh() if u > t)
+        for t, s, v in chained.samples:
+            assert v == pytest.approx(rows[(t, s)], abs=1e-8)
+
+
+class TestEscapeGuards:
+    def test_closed_form_guard_takes_no_svd(self, monkeypatch):
+        # One SVD per pair, for the norm; the escape guard uses Frobenius.
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        q = np.array([[1.0, 0.3], [0.2, 1.0]])
+        q_inv = np.linalg.inv(q)
+        process = nl.MatrixClosedFormProcess(
+            lambda t, s: q @ np.diag([math.exp(-(t - s)), math.exp(t - s)]) @ q_inv, 2)
+        grid = GridSpec(0.0, 2.0, 0.5)
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for proc in (process, nl.dual_process(process)):
+            calls.clear()
+            sampled = nl.sample_norm_grid(proc, None, grid)
+            assert len(sampled.samples) == 15
+            assert len(calls) <= 15
+
+    def test_closed_form_escape_still_poisons(self):
+        process = nl.MatrixClosedFormProcess(
+            lambda t, s: np.diag([math.exp(300.0 * (t - s)), 1.0]), 2)
+        sampled = nl.sample_norm_grid(process, None, GridSpec(0.0, 2.0, 0.5))
+        assert sorted(sampled.poisoned) == [(1.5, 0.0), (2.0, 0.0), (2.0, 0.5)]
+
+    def test_nan_norm_is_poisoned_not_vanished(self):
+        process = ScalarExponentProcess(lambda t, s: math.nan if t > 0.6 else -(t - s))
+        family = ProjectionFamily.constant([[0.0]])  # explicit: one norm per pair
+        assert math.isnan(nl.operator_norm(process, 1.0, 0.0, family, log=True))
+        sampled = nl.sample_norm_grid(process, family, GridSpec(0.0, 1.0, 0.5))
+        assert sorted(sampled.poisoned) == [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
+        assert len(sampled.samples) == 3
+
+    def test_only_an_exact_zero_norm_is_minus_inf(self):
+        process = nl.MatrixClosedFormProcess(lambda t, s: np.zeros((2, 2)), 2)
+        assert nl.operator_norm(process, 1.0, 0.0, log=True) == -math.inf
+        tiny = nl.MatrixClosedFormProcess(lambda t, s: 1e-300 * np.eye(2), 2)
+        assert nl.operator_norm(tiny, 1.0, 0.0, log=True) == pytest.approx(
+            math.log(1e-300))
+
+
+class TestWriteText:
+    def test_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "artifact.txt"
+        nl.process._write_text(path, "x" * 5000 + "\n")
+        nl.process._write_text(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+        nl.process._write_text(tmp_path / "fresh.txt", "new\n")
+        assert (tmp_path / "fresh.txt").read_bytes() == b"new\n"
+
+    def test_artifact_writers_rewrite_in_place(self, tmp_path, barreira):
+        path = tmp_path / "grid.csv"
+        long_grid = nl.sample_norm_grid(barreira.process, None, GridSpec(0.0, 8.0, 0.25))
+        short_grid = nl.sample_norm_grid(barreira.process, None, GridSpec(0.0, 1.0, 0.5))
+        long_grid.to_csv(path)
+        short_grid.to_csv(path)
+        fresh = tmp_path / "fresh.csv"
+        short_grid.to_csv(fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert len(nl.NormGrid.from_csv(path).samples) == len(short_grid.samples)
