@@ -326,6 +326,12 @@ class EvolutionProcess:
         sweep; raises :class:`FiniteEscapeError` like :meth:`matrix`."""
         raise NotImplementedError
 
+    def matrix_path(self, s: float, t_end: float) -> Callable[[float], np.ndarray]:
+        """``tau -> S(tau, s)`` for tau between s and t_end, for callers
+        that evaluate many times from one anchor s.  Errors surface when a
+        point is evaluated, as they would from :meth:`matrix`."""
+        return lambda tau: self.matrix(tau, s)
+
     def propagate(self, t: float, s: float, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape[0] != self.dimension:
@@ -356,7 +362,7 @@ class ScalarExponentProcess(EvolutionProcess):
     def matrix(self, t: float, s: float) -> np.ndarray:
         self._check_args(t, s)
         e = float(self.exponent(t, s))
-        if e > _LOG_GUARD:
+        if not (e <= _LOG_GUARD):  # also a NaN exponent
             raise FiniteEscapeError(t, s, _escape_estimate(t, s, e))
         return np.array([[math.exp(e)]])
 
@@ -364,7 +370,7 @@ class ScalarExponentProcess(EvolutionProcess):
         self._check_args(t, s)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         e = float(self.exponent(t, s))
-        if e > _LOG_GUARD:
+        if not (e <= _LOG_GUARD):  # also a NaN exponent
             raise FiniteEscapeError(t, s, _escape_estimate(t, s, e))
         return math.exp(e) * x
 
@@ -443,14 +449,16 @@ class MatrixClosedFormProcess(EvolutionProcess):
 
 
 class IntegratedLinearProcess(EvolutionProcess):
-    """Process generated by x' = A(t) x with an adaptive explicit
-    Runge-Kutta 4(5) pair (relative tolerance 1e-10, absolute 1e-12).
+    """Process generated by x' = A(t) x with the adaptive explicit
+    Runge-Kutta 8(5,3) pair DOP853 (relative tolerance 1e-10, absolute
+    1e-12).
 
     ``matrix`` integrates the full matrix ODE from the identity;
     ``propagate`` integrates the vector directly.  Backward propagation
     (t < s) is available when ``invertible=True`` and simply integrates
     the ODE backward in time.  Grid sampling integrates one step
-    propagator per mesh interval and chains them.
+    propagator per mesh interval and chains them; ``matrix_path`` serves
+    every point of one anchor from a single dense-output solve.
     """
 
     backend = "numerically-integrated"
@@ -466,8 +474,9 @@ class IntegratedLinearProcess(EvolutionProcess):
         self.rtol = rtol
         self.atol = atol
 
-    def _solve(self, t: float, s: float, y0: np.ndarray) -> np.ndarray:
-        """States from y0 at s to t, flattened, one column per RK step."""
+    def _integrate(self, t: float, s: float, y0: np.ndarray, dense_output: bool = False):
+        """The ``solve_ivp`` result from y0 at s towards t; it stops early,
+        with status 1, where the escape event fires."""
         n = self.dimension
 
         def rhs(tau, y):
@@ -478,13 +487,18 @@ class IntegratedLinearProcess(EvolutionProcess):
             return float(np.linalg.norm(y)) - ESCAPE_GUARD
         escape.terminal = True
 
-        sol = solve_ivp(rhs, (s, t), y0.ravel(), method="RK45",
+        sol = solve_ivp(rhs, (s, t), y0.ravel(), method="DOP853",
                         rtol=self.rtol, atol=self.atol, events=escape,
-                        dense_output=False)
-        if sol.status == 1:  # escape event fired
-            raise FiniteEscapeError(t, s, float(sol.t_events[0][0]))
-        if not sol.success:
+                        dense_output=dense_output)
+        if sol.status == -1:
             raise RuntimeError("integration failed: %s" % sol.message)
+        return sol
+
+    def _solve(self, t: float, s: float, y0: np.ndarray) -> np.ndarray:
+        """States from y0 at s to t, flattened, one column per RK step."""
+        sol = self._integrate(t, s, y0)
+        if sol.status == 1:
+            raise FiniteEscapeError(t, s, float(sol.t_events[0][0]))
         return sol.y
 
     def matrix(self, t: float, s: float) -> np.ndarray:
@@ -493,6 +507,29 @@ class IntegratedLinearProcess(EvolutionProcess):
         if t == s:
             return np.eye(n)
         return self._solve(t, s, np.eye(n))[:, -1].reshape(n, n)
+
+    def matrix_path(self, s: float, t_end: float) -> Callable[[float], np.ndarray]:
+        """One dense-output solve of the matrix ODE from s towards t_end
+        (clipped to the time domain).  A point past the escape time raises
+        :class:`FiniteEscapeError`, a point outside the domain
+        :class:`DomainError`, as from :meth:`matrix`."""
+        if not self.domain.contains(t_end):
+            t_end = 0.0  # half-line domains end at 0
+        self._check_args(t_end, s)
+        if t_end == s:
+            return super().matrix_path(s, t_end)
+        n = self.dimension
+        sol = self._integrate(t_end, s, np.eye(n), dense_output=True)
+        reach = float(sol.t[-1])  # t_end, or the escape time
+
+        def path(tau):
+            self._check_args(tau, s)
+            if min(s, reach) <= tau <= max(s, reach):
+                return sol.sol(tau).reshape(n, n)
+            if sol.status == 1 and min(s, t_end) <= tau <= max(s, t_end):
+                raise FiniteEscapeError(tau, s, reach)
+            raise ValueError("tau=%g is outside the path from s=%g to %g" % (tau, s, t_end))
+        return path
 
     def _step(self, t: float, s: float):
         n = self.dimension
@@ -540,33 +577,47 @@ def operator_norm(process: EvolutionProcess, t: float, s: float,
     factor = _projection_factor(projection, part)
     if factor == "zero":
         return -math.inf if log else 0.0
-    if factor == "identity" and isinstance(process, ScalarExponentProcess):
+    if isinstance(process, ScalarExponentProcess):
+        # The norm is read off the exponent: a NaN exponent is a NaN norm
+        # here, which grids poison, where ``matrix`` raises an escape.
         process._check_args(t, s)
         e = float(process.exponent(t, s))
-        return e if log else math.exp(e)
-    m = process.matrix(t, s)
+        if factor == "identity":
+            return e if log else math.exp(e)
+        if e > _LOG_GUARD:
+            raise FiniteEscapeError(t, s, _escape_estimate(t, s, e))
+        m = np.array([[math.exp(e)]])
+    else:
+        m = process.matrix(t, s)
     if factor == "explicit":
         m = m @ (projection.stable(s) if part == "stable" else projection.unstable(s))
     val = spectral_norm(m)
     return _log(val) if log else val
 
 
-def dual_process(process: EvolutionProcess) -> MatrixClosedFormProcess:
+def dual_process(process: EvolutionProcess) -> EvolutionProcess:
     """Dual family T(t, s) = S(s, t)^*.
 
     Requires an invertible process; the dual of a process with a
     dichotomy of one kind admits a dichotomy of the other kind with the
-    same bound and exponents.
+    same bound and exponents.  The dual of an
+    :class:`IntegratedLinearProcess` is the integrated adjoint equation
+    ``dT/dt = -A(t)^T T``, so it solves forward and chains on grids like
+    its primal; every other backend gets a :class:`MatrixClosedFormProcess`
+    that transposes one primal ``matrix`` call per pair.
     """
     if not process.invertible:
         raise DomainError("dual process requires an invertible process")
     base = process
-
-    def matrix_fn(t, s):
-        return base.matrix(s, t).T
-
-    d = MatrixClosedFormProcess(matrix_fn, base.dimension, domain=base.domain,
-                                invertible=True, backend=base.backend)
+    if isinstance(base, IntegratedLinearProcess):
+        d = IntegratedLinearProcess(
+            lambda t: -np.asarray(base.coefficient_matrix(t), dtype=float).T,
+            base.dimension, domain=base.domain, invertible=True,
+            rtol=base.rtol, atol=base.atol)
+    else:
+        d = MatrixClosedFormProcess(lambda t, s: base.matrix(s, t).T, base.dimension,
+                                    domain=base.domain, invertible=True,
+                                    backend=base.backend)
     d.primal = base
     return d
 

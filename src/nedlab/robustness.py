@@ -182,34 +182,41 @@ def _golden_section_max(f, lo, hi, tol=1e-10, max_iter=200):
     return x, f(x)
 
 
-def _band_sup(value_fn, grid: GridSpec, band_step: float = 0.01,
+def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01,
               with_residual: bool = False):
-    """Maximize value_fn(t, s) over the band 0 <= t - s <= 1 with s in
+    """Maximize a value v(t, s) over the band 0 <= t - s <= 1 with s in
     the grid range: coarse scan at `band_step` in both s and t-s, then
     golden-section refinement in each coordinate around the maximizer.
+
+    ``anchor_fn(s, t_end)`` returns ``t -> v(t, s)`` for t from s to
+    t_end.  Each scanned anchor is built once, over its whole band, and
+    serves the coarse scan and the offset refinement; only the anchor
+    refinement builds one per point.
     """
     s_lo, s_hi = grid.start, grid.stop
     s_vals = np.arange(s_lo, s_hi + band_step / 2, max(band_step, grid.step))
     d_vals = np.arange(0.0, 1.0 + band_step / 2, band_step)
-    best, bs, bd = -math.inf, s_lo, 0.0
+    best, bs, bd, best_path = -math.inf, s_lo, 0.0, None
     for s in s_vals:
+        path = anchor_fn(s, s + 1.0)
         for d in d_vals:
             if not grid.stop >= s + d:
                 continue
-            v = value_fn(s + d, s)
+            v = path(s + d)
             if v > best:
-                best, bs, bd = v, float(s), float(d)
+                best, bs, bd, best_path = v, float(s), float(d), path
     coarse = best
     # Refine the offset at the best anchor, then the anchor at the best
     # offset; either refinement can only improve on the grid value.
     d_lo, d_hi = max(0.0, bd - band_step), min(1.0, bd + band_step)
     if d_hi > d_lo:
-        d_ref, v = _golden_section_max(lambda d: value_fn(bs + d, bs), d_lo, d_hi)
+        path = best_path or anchor_fn(bs, bs + 1.0)
+        d_ref, v = _golden_section_max(lambda d: path(bs + d), d_lo, d_hi)
         if v > best:
             best, bd = v, d_ref
     s_lo2, s_hi2 = max(s_lo, bs - band_step), min(s_hi - bd, bs + band_step)
     if s_hi2 > s_lo2:
-        s_ref, v = _golden_section_max(lambda s: value_fn(s + bd, s), s_lo2, s_hi2)
+        s_ref, v = _golden_section_max(lambda s: anchor_fn(s, s + bd)(s + bd), s_lo2, s_hi2)
         if v > best:
             best = v
     if with_residual:
@@ -226,24 +233,28 @@ def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
     Approximated on a (s, t-s) grid with the given step plus
     golden-section refinement around the grid maximizer; with
     ``with_residual=True`` also returns how much refinement added.
+    Both processes are evaluated along one ``matrix_path`` per anchor.
     """
     if p.dimension != q.dimension:
         raise ValueError("processes have different dimensions")
 
-    def value(t, s):
-        return math.exp(upsilon * abs(s)) * spectral_norm(p.matrix(t, s) - q.matrix(t, s))
+    def anchor(s, t_end):
+        p_path, q_path = p.matrix_path(s, t_end), q.matrix_path(s, t_end)
+        weight = math.exp(upsilon * abs(s))
+        return lambda t: weight * spectral_norm(p_path(t) - q_path(t))
 
-    return _band_sup(value, grid, band_step=band_step, with_residual=with_residual)
+    return _band_sup(anchor, grid, band_step=band_step, with_residual=with_residual)
 
 
 def growth_constant(p: EvolutionProcess, upsilon: float, grid: GridSpec,
                     band_step: float = 0.01) -> float:
     """sup of e^{-upsilon |t|} ||S(t,s)|| over 0 <= t-s <= 1."""
 
-    def value(t, s):
-        return math.exp(-upsilon * abs(t)) * spectral_norm(p.matrix(t, s))
+    def anchor(s, t_end):
+        path = p.matrix_path(s, t_end)
+        return lambda t: math.exp(-upsilon * abs(t)) * spectral_norm(path(t))
 
-    return _band_sup(value, grid, band_step=band_step)
+    return _band_sup(anchor, grid, band_step=band_step)
 
 
 # DUAL-ROUTE PIPELINE ==================================================================

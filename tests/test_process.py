@@ -344,6 +344,111 @@ class TestChainedNormGrid:
             assert v == pytest.approx(rows[(t, s)], abs=1e-8)
 
 
+class TestAdjointDual:
+    @staticmethod
+    def non_normal():
+        # PlantedIntegrated's basis R diag(1, 1.4) makes every S(t, s)
+        # symmetric, which would hide a missing transpose.
+        planted = PlantedIntegrated(invertible=True)
+        planted.q = np.array([[1.0, 0.6], [0.1, 1.3]])
+        planted.q_inv = np.linalg.inv(planted.q)
+        return planted
+
+    def closed_form(self, planted, t, s):
+        e = planted.rates * (t - s) - planted.eps * (np.cos(t + planted.phase)
+                                                     - np.cos(s + planted.phase))
+        return planted.q @ np.diag(np.exp(e)) @ planted.q_inv
+
+    def test_is_an_integrated_process(self):
+        planted = PlantedIntegrated(invertible=True)
+        dual = nl.dual_process(planted.process)
+        assert isinstance(dual, nl.IntegratedLinearProcess)
+        assert dual.primal is planted.process and dual.invertible
+
+    @pytest.mark.parametrize("t, s", [(2.0, 0.5), (3.1, -1.3), (4.0, 0.0),
+                                      (0.5, 2.0), (-1.3, 3.1), (0.0, 4.0)])
+    def test_matches_transposed_closed_form(self, t, s):
+        planted = self.non_normal()
+        got = nl.dual_process(planted.process).matrix(t, s)
+        want = self.closed_form(planted, s, t).T
+        assert abs(math.log(nl.spectral_norm(got))
+                   - math.log(float(np.linalg.svd(want, compute_uv=False)[0]))) < 1e-9
+        # The norm alone cannot tell T from T^T; the entries can.
+        assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    def test_grid_is_chained_and_matches_per_pair(self, monkeypatch, part):
+        dual = nl.dual_process(self.non_normal().process)
+        chained = []
+        real = nl.process._chained_norm_grid
+
+        def spy(*args, **kwargs):
+            chained.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(nl.process, "_chained_norm_grid", spy)
+        grid = TestChainedNormGrid.IRREGULAR
+        sampled = nl.sample_norm_grid(dual, None, grid, part=part)
+        assert chained == [1]
+        rows, poisoned = _per_pair_grid(dual, None, grid, part)
+        assert sampled.poisoned == [] and poisoned == set()
+        assert len(sampled.samples) == len(rows)
+        assert max(abs(v - rows[(t, s)]) for t, s, v in sampled.samples) < 1e-9
+
+
+class TestMatrixPath:
+    @pytest.mark.parametrize("s, t_end", [(0.3, 1.3), (1.3, 0.3)])
+    def test_integrated_path_matches_matrix(self, s, t_end):
+        process = PlantedIntegrated(invertible=True).process
+        path = process.matrix_path(s, t_end)
+        for tau in np.linspace(s, t_end, 9):
+            assert np.max(np.abs(path(tau) - process.matrix(tau, s))) < 1e-9
+
+    def test_one_solve_per_path(self, monkeypatch):
+        calls = []
+        real = nl.process.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(nl.process, "solve_ivp", counting)
+        path = PlantedIntegrated(invertible=True).process.matrix_path(0.0, 1.0)
+        for tau in np.linspace(0.0, 1.0, 11):
+            path(tau)
+        assert len(calls) == 1
+
+    def test_default_path_is_matrix(self, barreira):
+        path = barreira.process.matrix_path(0.5, 1.5)
+        for tau in (0.5, 0.9, 1.5):
+            assert np.array_equal(path(tau), barreira.process.matrix(tau, 0.5))
+
+    def test_escape_surfaces_past_the_escape_time(self):
+        # ||S(tau, 0)|| = e^{500 tau} passes the guard near tau = 0.69.
+        process = nl.IntegratedLinearProcess(lambda t: np.diag([500.0, -1.0]), 2)
+        path = process.matrix_path(0.0, 1.0)
+        assert path(0.5)[0, 0] == pytest.approx(math.exp(250.0), rel=1e-8)
+        with pytest.raises(FiniteEscapeError) as err:
+            path(0.8)
+        assert 0.6 < err.value.escape_time < 0.8
+        with pytest.raises(FiniteEscapeError):
+            process.matrix(0.8, 0.0)
+
+    def test_span_and_domain(self):
+        a = np.array([[-1.0]])
+        process = nl.IntegratedLinearProcess(lambda t: a, 1, domain=nl.HALF_LINE_MINUS)
+        path = process.matrix_path(-0.5, 0.5)  # clipped to the domain end 0
+        assert path(0.0)[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-9)
+        with pytest.raises(DomainError):
+            path(0.25)
+        with pytest.raises(DomainError):
+            process.matrix_path(-0.5, -1.0)  # backward, not invertible
+        process.invertible = True
+        short = process.matrix_path(-0.5, -0.25)
+        for tau in (-0.75, -0.1):  # before the anchor or past t_end
+            with pytest.raises(ValueError) as err:
+                short(tau)
+            assert type(err.value) is ValueError
+
+
 class TestEscapeGuards:
     def test_closed_form_guard_takes_no_svd(self, monkeypatch):
         # One SVD per pair, for the norm; the escape guard uses Frobenius.
@@ -378,6 +483,14 @@ class TestEscapeGuards:
         sampled = nl.sample_norm_grid(process, family, GridSpec(0.0, 1.0, 0.5))
         assert sorted(sampled.poisoned) == [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
         assert len(sampled.samples) == 3
+
+    def test_nan_exponent_is_an_escape(self):
+        # `e > guard` is False for NaN; the guard must not let it through.
+        process = ScalarExponentProcess(lambda t, s: math.nan)
+        with pytest.raises(FiniteEscapeError):
+            process.matrix(1.0, 0.0)
+        with pytest.raises(FiniteEscapeError):
+            process.propagate(1.0, 0.0, [1.0])
 
     def test_only_an_exact_zero_norm_is_minus_inf(self):
         process = nl.MatrixClosedFormProcess(lambda t, s: np.zeros((2, 2)), 2)

@@ -189,3 +189,122 @@ class TestPipeline:
         with pytest.raises(nl.InapplicableError):
             nl.robust_nedii_pipeline(p, decay_cert(1.0), p, 1.5, 0.1,
                                      GridSpec(-1.0, 1.0, 0.5))
+
+
+# BAND SUPS ALONG ANCHOR PATHS =========================================================
+
+def _per_point_band_sup(value_fn, grid, band_step):
+    """Reference band sup: the library's coarse scan and golden-section
+    refinements, with value_fn(t, s) evaluated afresh at every point."""
+    golden = nl.robustness._golden_section_max
+    s_vals = np.arange(grid.start, grid.stop + band_step / 2, max(band_step, grid.step))
+    d_vals = np.arange(0.0, 1.0 + band_step / 2, band_step)
+    best, bs, bd = -math.inf, grid.start, 0.0
+    for s in s_vals:
+        for d in d_vals:
+            if grid.stop >= s + d:
+                v = value_fn(s + d, s)
+                if v > best:
+                    best, bs, bd = v, float(s), float(d)
+    d_lo, d_hi = max(0.0, bd - band_step), min(1.0, bd + band_step)
+    if d_hi > d_lo:
+        d_ref, v = golden(lambda d: value_fn(bs + d, bs), d_lo, d_hi)
+        if v > best:
+            best, bd = v, d_ref
+    s_lo2, s_hi2 = max(grid.start, bs - band_step), min(grid.stop - bd, bs + band_step)
+    if s_hi2 > s_lo2:
+        best = max(best, golden(lambda s: value_fn(s + bd, s), s_lo2, s_hi2)[1])
+    return best
+
+
+def _reference_distance(p, q, upsilon, grid, band_step=0.01):
+    return _per_point_band_sup(
+        lambda t, s: math.exp(upsilon * abs(s)) * nl.spectral_norm(p.matrix(t, s) - q.matrix(t, s)),
+        grid, band_step)
+
+
+def _reference_growth(p, upsilon, grid, band_step=0.01):
+    return _per_point_band_sup(
+        lambda t, s: math.exp(-upsilon * abs(t)) * nl.spectral_norm(p.matrix(t, s)),
+        grid, band_step)
+
+
+def _integrated(shift, scale=1.0):
+    """x' = Q diag(scale * a_i(t) + shift) Q^-1 x with oscillating stable rates."""
+    q = np.array([[1.0, 0.4], [0.3, 1.2]])
+    q_inv = np.linalg.inv(q)
+    return nl.IntegratedLinearProcess(
+        lambda t: q @ np.diag([scale * (-1.0 + 0.2 * math.sin(t)) + shift,
+                               scale * (-1.5 + 0.1 * math.cos(t)) + shift]) @ q_inv,
+        2, invertible=True)
+
+
+def _closed_form_pair(rate):
+    q = np.array([[1.0, 2.0], [0.0, 1.0]])
+    q_inv = np.linalg.inv(q)
+    return nl.MatrixClosedFormProcess(
+        lambda t, s: q @ np.diag([math.exp(-(t - s)), math.exp(rate * (t - s))]) @ q_inv, 2)
+
+
+class TestBandPaths:
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_integrated_pair_matches_per_point(self, dual):
+        # The primal distance peaks inside the band (near t - s = 0.8), so
+        # the scan and the offset refinement read dense output there.
+        p, q = _integrated(0.0), _integrated(0.0, scale=1.5)
+        if dual:
+            p, q = nl.dual_process(p), nl.dual_process(q)
+        grid = GridSpec(-1.0, 1.0, 0.5)
+        got = nl.perturbation_distance(p, q, 0.3, grid)
+        assert abs(got - _reference_distance(p, q, 0.3, grid)) < 1e-10
+        got = nl.growth_constant(q, 0.3, grid)
+        assert abs(got - _reference_growth(q, 0.3, grid)) < 1e-10
+
+    @pytest.mark.parametrize("pair", ["scalar", "scalar-dual", "closed-form"])
+    def test_closed_forms_are_bit_identical(self, pair):
+        if pair == "closed-form":
+            p, q = _closed_form_pair(0.5), _closed_form_pair(0.45)
+        else:
+            p, q = constant_scalar(-1.0), constant_scalar(-1.1)
+            if pair == "scalar-dual":
+                p, q = nl.dual_process(p), nl.dual_process(q)
+        grid = GridSpec(-2.0, 2.0, 0.5)
+        for upsilon in (0.0, 0.4):
+            assert nl.perturbation_distance(p, q, upsilon, grid) \
+                == _reference_distance(p, q, upsilon, grid)
+            assert nl.growth_constant(q, upsilon, grid) == _reference_growth(q, upsilon, grid)
+
+    def test_pipeline_solves_each_anchor_once(self, monkeypatch):
+        calls = []
+        real = nl.process.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(nl.process, "solve_ivp", counting)
+        res = nl.robust_nedii_pipeline(_integrated(0.0), decay_cert(1.0, m=3.0),
+                                       _integrated(-0.02), 0.0, 0.3,
+                                       GridSpec(0.0, 0.5, 0.5))
+        assert res.applicable
+        assert res.primal_violation <= 0.0 and res.dual_violation <= 0.0
+        # One path per scanned anchor and process, plus the chained checks;
+        # a fresh solve per band point made 281.
+        assert len(calls) <= 12
+
+    def test_escape_inside_the_scanned_band_raises(self):
+        # ||S(tau, s)|| = e^{500 (tau - s)} passes the guard near tau - s = 0.69.
+        p = nl.IntegratedLinearProcess(lambda t: np.diag([500.0, -1.0]), 2)
+        q = nl.IntegratedLinearProcess(lambda t: np.diag([499.0, -1.0]), 2)
+        long_grid = GridSpec(0.0, 1.0, 0.5)   # the scan reaches t - s = 1
+        with pytest.raises(nl.FiniteEscapeError):
+            _reference_growth(p, 0.0, long_grid, band_step=0.1)
+        with pytest.raises(nl.FiniteEscapeError):
+            nl.growth_constant(p, 0.0, long_grid, band_step=0.1)
+        with pytest.raises(nl.FiniteEscapeError):
+            nl.perturbation_distance(p, q, 0.0, long_grid, band_step=0.1)
+        # Paths cover the whole band, but an escape past every visited
+        # point raises nothing, as with per-point solves: here the scan
+        # stops at t - s = 0.5 and the offset refinement at 0.6.
+        short_grid = GridSpec(0.0, 0.5, 0.5)
+        assert nl.growth_constant(p, 0.0, short_grid, band_step=0.1) == pytest.approx(
+            math.exp(500.0 * 0.6), rel=1e-6)
