@@ -4,17 +4,24 @@ Provides the weighted-function spaces C_eta, the tempered universes
 D_gamma, scalar comparison bounds under the dissipativity assumption
 2 <f(t,x), x> <= a(t)|x|^2 + b(t), closed-form radius envelopes for
 pullback and forward attractors, and Monte-Carlo simulation of pullback
-and forward omega-limit sets with single-linkage clustering.
+and forward omega-limit sets with single-linkage clustering.  The
+simulations integrate whole seed clouds with Hairer's compiled DOP853,
+one reused solver per thread (see _integrate_ensemble).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
+# Kept bound although unused: perfbench's tracer wraps
+# nedlab.attractor.solve_ivp by name.
+from scipy.integrate import solve_ivp  # noqa: F401
+from scipy.integrate._dop import dopri853 as _dopri853
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -371,36 +378,105 @@ def _check_batch_field(field, t0: float, points: np.ndarray) -> None:
                         "(does it reduce over x?); %s" % _BATCH_CONTRACT)
 
 
+_DOP853_FAILURES = {-1: "input is not consistent",
+                    -2: "larger nsteps is needed",
+                    -3: "step size becomes too small",
+                    -4: "problem is probably stiff"}
+
+
+class _Dop853(threading.local):
+    """One thread's driver of Hairer's compiled DOP853 (the code behind
+    ``scipy.integrate.ode("dop853")``) at rtol 1e-10, atol 1e-12.
+
+    The compiled wrapper keeps a reference to every callback it is
+    handed, so each thread hands it the same two bound methods on every
+    solve: a trampoline to the current field and a step callback.  The
+    wrapper also ignores exceptions raised in a callback, so the
+    trampoline records the field's exception and returns zeros until the
+    step callback stops the run; the exception is then raised again.
+    """
+
+    def __init__(self):
+        self.field = self.error = self.escaped = None
+        self.busy = False
+        self.fcn, self.solout = self._fcn, self._solout
+
+    def _fcn(self, tau, y):
+        if self.error is None:
+            try:
+                out = np.asarray(self.field(tau, y.reshape(self.shape)), dtype=float)
+                return out.reshape(y.size)
+            except BaseException as exc:
+                self.error = exc
+        return np.zeros(y.size)
+
+    def _solout(self, tau, y):
+        if self.error is not None:
+            return -1
+        if not (np.abs(y).max() < self.guard):
+            self.escaped = tau
+            return -1
+        return 0
+
+    def solve(self, field, t0: float, t1: float, y: np.ndarray, shape,
+              guard: float) -> np.ndarray:
+        """State at t1 of y' = field(t, y.reshape(shape)) from y at t0."""
+        if self.busy:
+            raise RuntimeError("the ensemble integrator was re-entered from "
+                               "inside a field")
+        work = np.zeros(11 * y.size + 21)
+        work[1:4] = 0.9, 0.3, 6.0  # ode("dop853") defaults: safety, step limits
+        iwork = np.zeros(21, dtype=np.int32)
+        iwork[3] = -1  # never run the stiffness test, which stops the solve
+        self.field, self.shape, self.guard, self.busy = field, shape, guard, True
+        try:
+            # Pass the trailing tuple of extra field arguments even though
+            # it is empty: left out, the wrapper can crash the interpreter.
+            _, y, idid = _dopri853(self.fcn, t0, y, t1, 1e-10, 1e-12,
+                                   self.solout, 1, work, iwork,
+                                   np.iinfo(np.int32).max, -1, ())
+        finally:
+            error, escaped = self.error, self.escaped
+            self.field = self.error = self.escaped = None
+            self.busy = False
+        if error is not None:
+            raise error
+        if escaped is not None:
+            raise TrajectoryEscapeError(
+                "ensemble escaped |x| >= %g at t=%r" % (guard, escaped))
+        if idid != 1:
+            raise RuntimeError("integration failed: %s"
+                               % _DOP853_FAILURES.get(idid, "code %d" % idid))
+        return y
+
+
+_SOLVER = _Dop853()
+
+
 def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
-                        t_eval=None, rtol: float = 1e-10, atol: float = 1e-12,
-                        guard: float = 1e8):
+                        t_eval=None, guard: float = 1e8):
     """Integrate x' = f(t, x) for every row of `points` as one stacked
-    system with DOP853, calling the field once per right-hand-side
-    evaluation on the (n, k) array of all states (see _BATCH_CONTRACT).
-    Returns the final ensemble, or a list of ensembles when t_eval is
-    given."""
+    system with compiled DOP853 at rtol 1e-10, atol 1e-12, calling the
+    field once per right-hand-side evaluation on the (n, k) array of all
+    states (see _BATCH_CONTRACT).  The ensemble escapes, raising
+    TrajectoryEscapeError, at the end of the first step where some
+    |x_i| >= guard (at once for a seed that starts there).
+
+    Returns the final ensemble, or, when t_eval is given, the list of
+    ensembles at the times t_eval, ordered from t0 toward t1 and ending
+    at t1, each reached by one solve from the previous one.  Not
+    re-entrant: a field that calls back into it raises RuntimeError.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k, n = points.shape
     _check_batch_field(field, t0, points)
-
-    def rhs(tau, y):
-        out = np.asarray(field(tau, y.reshape(k, n).T), dtype=float)
-        return out.reshape(n, k).T.ravel()
-
-    def escape(tau, y):
-        return float(np.max(np.abs(y))) - guard
-    escape.terminal = True
-
-    sol = solve_ivp(rhs, (t0, t1), points.ravel(), method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=t_eval, events=escape)
-    if sol.status == 1:
-        raise TrajectoryEscapeError(
-            "ensemble escaped |x| > %g near t=%g" % (guard, sol.t_events[0][0]))
-    if not sol.success:
-        raise RuntimeError("integration failed: %s" % sol.message)
-    if t_eval is None:
-        return sol.y[:, -1].reshape(k, n)
-    return [sol.y[:, j].reshape(k, n) for j in range(sol.y.shape[1])]
+    y, tau, states = points.T.ravel(), t0, []
+    for t in ([t1] if t_eval is None else t_eval):
+        if t != tau:
+            y = _SOLVER.solve(field, tau, t, y, (n, k), guard)
+        tau = t
+        states.append(y.reshape(n, k).T.copy())
+    return states[-1] if t_eval is None else states
 
 
 def _single_linkage(points: np.ndarray, eps: float):
@@ -461,10 +537,12 @@ def simulate_pullback_omega(spec, t: float, seeds, s_schedule=None,
     """Approximate the pullback omega-limit section at time t.
 
     Integrates seed clouds from ever-earlier start times s_k = t - 2^k
-    (or an explicit decreasing schedule) up to t.  Depth scanning stops
-    early once consecutive depth clouds agree within cluster_eps
-    (horizon-doubling convergence); the first half of the processed
-    schedule is discarded as burn-in before clustering.
+    (or an explicit decreasing schedule) up to t, each cloud as one
+    compiled DOP853 solve (_integrate_ensemble); a depth whose cloud
+    escapes |x| >= 1e8 is counted in ``poisoned`` and skipped.  Depth
+    scanning stops early once consecutive depth clouds agree within
+    cluster_eps (horizon-doubling convergence); the first half of the
+    processed schedule is discarded as burn-in before clustering.
     """
     field, _ = _field_of(spec)
     if s_schedule is None:

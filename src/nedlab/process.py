@@ -578,11 +578,14 @@ def operator_norm(process: EvolutionProcess, t: float, s: float,
     if factor == "zero":
         return -math.inf if log else 0.0
     if isinstance(process, ScalarExponentProcess):
-        # The norm is read off the exponent: a NaN exponent is a NaN norm
-        # here, which grids poison, where ``matrix`` raises an escape.
+        # The norm is read off the exponent.  With the identity factor it
+        # escapes like ``matrix`` (a NaN exponent too); under an explicit
+        # family a NaN exponent is a NaN norm, which grids poison.
         process._check_args(t, s)
         e = float(process.exponent(t, s))
         if factor == "identity":
+            if not (e <= _LOG_GUARD):
+                raise FiniteEscapeError(t, s, _escape_estimate(t, s, e))
             return e if log else math.exp(e)
         if e > _LOG_GUARD:
             raise FiniteEscapeError(t, s, _escape_estimate(t, s, e))

@@ -1,4 +1,12 @@
+import concurrent.futures
+import gc
+import importlib.util
 import math
+import sys
+import tracemalloc
+import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +264,137 @@ class TestBatchedField:
         with pytest.raises(TypeError, match=r"\(n, k\)"):
             nl.simulate_pullback_omega(spec, 0.0, self.SEEDS[:3],
                                        s_schedule=[-1.0, -2.0])
+
+
+class _FieldFailure(Exception):
+    pass
+
+
+def _decay(rate):
+    return lambda t, x: -rate * x
+
+
+class TestCompiledEnsemble:
+    SEEDS = np.array([[1.0], [-2.0], [0.5]])
+
+    def test_raising_field_stops_the_run_with_its_own_exception(self):
+        calls = [0]
+        failure = _FieldFailure("50th call")
+
+        def field(t, x):
+            calls[0] += 1
+            if calls[0] == 50:
+                raise failure
+            if calls[0] > 200:
+                return x * math.nan   # ends a run that ignored the failure
+            return -x
+        with pytest.raises(_FieldFailure) as err:
+            _integrate_ensemble(field, 0.0, 100.0, self.SEEDS)
+        assert err.value is failure
+        assert calls[0] == 50   # never called again once it raised
+        got = _integrate_ensemble(_decay(1.0), 0.0, 1.0, self.SEEDS)
+        assert np.max(np.abs(got - math.exp(-1.0) * self.SEEDS)) <= 1e-10
+
+    def test_nan_field_fails_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="integration failed"):
+                _integrate_ensemble(lambda t, x: x * math.nan, 0.0, 1.0, self.SEEDS)
+
+    def test_stiff_field_is_not_interrupted(self, dirichlet_31):
+        # Hairer's stiffness test, which solve_ivp does not have, stops
+        # this run about two time units in unless it is switched off.
+        lap = dirichlet_31.matrix
+
+        def field(t, u):
+            return lap @ u - u ** 3 + math.exp(-abs(t))
+        seeds = np.stack([np.ones(31), -np.ones(31)])
+        got = _integrate_ensemble(field, -64.0, -60.0, seeds)
+        for x0, x in zip(seeds, got):
+            ref = solve_ivp(field, (-64.0, -60.0), x0, method="DOP853",
+                            rtol=1e-10, atol=1e-12).y[:, -1]
+            assert np.max(np.abs(x - ref)) <= 1e-8
+
+    def test_escape_is_the_end_of_the_first_step_past_the_guard(self):
+        with pytest.raises(nl.TrajectoryEscapeError, match="at t=0.0$"):
+            _integrate_ensemble(_decay(1.0), 0.0, 1.0, np.array([[0.0], [1e8]]))
+        with pytest.raises(nl.TrajectoryEscapeError) as err:
+            _integrate_ensemble(lambda t, x: x ** 2, 0.0, 2.0, np.array([[1.0]]))
+        # x = 1 / (1 - t) reaches 1e8 at t = 1 - 1e-8.
+        escape = float(str(err.value).rsplit("=", 1)[1])
+        assert 1.0 - 1e-8 <= escape < 1.0
+
+    def test_reentry_raises(self):
+        def field(t, x):
+            _integrate_ensemble(_decay(1.0), 0.0, 1.0, self.SEEDS)
+            return -x
+        with pytest.raises(RuntimeError, match="re-entered"):
+            _integrate_ensemble(field, 0.0, 1.0, self.SEEDS)
+        got = _integrate_ensemble(_decay(2.0), 0.0, 1.0, self.SEEDS)
+        assert np.max(np.abs(got - math.exp(-2.0) * self.SEEDS)) <= 1e-10
+
+    def test_threads_match_serial_solves(self):
+        # Each thread drives its own solver; a field or state shared across
+        # threads would mix the runs below.
+        jobs = [(lambda t, x, a=1.0 + 0.1 * i: -a * x - x ** 3 + math.cos(3.0 * t),
+                 -2.0 - i % 3) for i in range(12)]
+        serial = [_integrate_ensemble(f, s, 0.0, self.SEEDS) for f, s in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda job: _integrate_ensemble(
+                    job[0], job[1], 0.0, self.SEEDS), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+    def test_fields_are_released(self):
+        # The compiled wrapper keeps every callback it is handed; fields
+        # must never be handed to it directly.
+        for _ in range(5):
+            _integrate_ensemble(_decay(1.0), 0.0, 1.0, self.SEEDS)
+        gc.collect()
+        refs = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(2000):
+                field = _decay(1.0 + i * 1e-4)
+                refs.append(weakref.ref(field))
+                _integrate_ensemble(field, 0.0, 0.25, self.SEEDS)
+                del field
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(ref() is None for ref in refs)
+        assert growth < 512 * 1024
+
+    def test_tracer_counts_field_calls(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_nedlab_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        ensemble = nl.attractor._integrate_ensemble
+        calls = [0]
+
+        def field(t, x):
+            calls[0] += 1
+            return -x
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        try:
+            tracer.enabled = True
+            nl.attractor._integrate_ensemble(field, 0.0, 1.0, self.SEEDS)
+        finally:
+            tracer.uninstall()
+        assert nl.attractor._integrate_ensemble is ensemble
+        assert calls[0] > len(self.SEEDS) + 1
+        assert tracer.counters["attractor.field_calls"] == calls[0]
+        _, span_calls, _ = tracer.totals()
+        assert span_calls["attractor.integrate_ensemble"] == 1
 
 
 def _closure_labels(points, eps):

@@ -484,6 +484,22 @@ class TestEscapeGuards:
         assert sorted(sampled.poisoned) == [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
         assert len(sampled.samples) == 3
 
+    def test_identity_factor_norm_escapes_like_matrix(self):
+        # The identity-factor branch reads the norm off the exponent; it
+        # must escape wherever ``matrix`` does.
+        for exponent in (lambda t, s: 800.0 * (t - s), lambda t, s: math.nan):
+            process = ScalarExponentProcess(exponent)
+            for log in (False, True):
+                with pytest.raises(FiniteEscapeError):
+                    nl.operator_norm(process, 1.0, 0.0, log=log)
+            with pytest.raises(FiniteEscapeError):
+                process.matrix(1.0, 0.0)
+        sampled = nl.sample_norm_grid(ScalarExponentProcess(lambda t, s: 800.0 * (t - s)),
+                                      None, GridSpec(0.0, 1.0, 1.0))
+        assert sampled.poisoned == [(1.0, 0.0)]
+        within = ScalarExponentProcess(lambda t, s: 300.0 * (t - s))
+        assert nl.operator_norm(within, 1.0, 0.0, log=True) == 300.0
+
     def test_nan_exponent_is_an_escape(self):
         # `e > guard` is False for NaN; the guard must not let it through.
         process = ScalarExponentProcess(lambda t, s: math.nan)
