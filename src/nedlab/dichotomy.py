@@ -191,15 +191,21 @@ class _AnchorEnvelope:
 
     Fitting and rejection both bound heights ``logNorm_i + rate * (t_i - s_i)``
     by lines ``ln M + delta * anchor_i``, and only the highest point at each
-    anchor can bind: in ``max_i (y_i - delta * anchor_i)`` and on the upper
-    hull of the points (anchor_i, y_i).  The reduction is exact in floating
-    point: for a fixed anchor ``a``, ``fl(y - fl(delta * a))`` is monotone in
-    ``y``, so the maximum per anchor gives the bits of the maximum over all
-    samples.  An n-point mesh has at most n anchors against n (n + 1) / 2
-    stable pairs.
+    anchor can bind in ``max_i (y_i - delta * anchor_i)``.  The reduction is
+    exact in floating point: for a fixed anchor ``a``, ``fl(y - fl(delta * a))``
+    is monotone in ``y``, so the maximum per anchor gives the bits of the
+    maximum over all samples.  An n-point mesh has at most n anchors against
+    n (n + 1) / 2 stable pairs.
+
+    Raises DataError when a sample has a non-finite t, s or log-norm: a NaN
+    would drop out of every maximum and certify a bound it never met.
     """
 
     def __init__(self, grid: NormGrid, kind: str):
+        bad = int(np.count_nonzero(~np.isfinite(grid.samples).all(axis=1)))
+        if bad:
+            raise DataError("%d of %d norm samples have a non-finite t, s or "
+                            "log-norm" % (bad, grid.samples.shape[0]))
         tv, sv, logn = grid.samples.T
         anchors = np.abs(tv) if kind == "II" else np.abs(sv)
         order = np.argsort(anchors, kind="stable")
@@ -217,30 +223,6 @@ class _AnchorEnvelope:
         return np.maximum.reduceat(y, self._starts)
 
 
-def _upper_hull(anchors: np.ndarray, heights: np.ndarray):
-    """Vertices of the upper convex hull of the points (anchor, height).
-
-    Only these vertices can bind in the linear minimax over lines
-    ln M + delta * anchor lying above all points; pruning to them makes
-    the per-alpha solve O(hull size)."""
-    order = np.lexsort((-heights, anchors))
-    hull = []  # indices into the original arrays
-    for idx in order:
-        x, y = anchors[idx], heights[idx]
-        if hull and anchors[hull[-1]] == x:
-            continue  # same abscissa: the first (highest) point wins
-        while len(hull) >= 2:
-            x1, y1 = anchors[hull[-2]], heights[hull[-2]]
-            x2, y2 = anchors[hull[-1]], heights[hull[-1]]
-            # Drop the middle point if it lies on or below chord (p1, p).
-            if (y2 - y1) * (x - x1) <= (y - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(idx)
-    return np.asarray(hull, dtype=int)
-
-
 def fit_bounds(grid: NormGrid, kind: str, part: str,
                alpha_grid: Sequence[float], delta_max: float = 8.0,
                ln_m_max: float = 8.0) -> ParetoFrontier:
@@ -255,41 +237,48 @@ def fit_bounds(grid: NormGrid, kind: str, part: str,
     anchor_i = |t_i| for kind II and |s_i| for kind I, M >= 1,
     0 <= delta <= delta_max and 0 <= ln M <= ln_m_max.  Alphas for which
     no admissible pair exists within the caps are reported infeasible.
+
+    Every alpha is solved at once from one (alpha x distinct anchor)
+    table of the highest shifted log-norm per anchor, in O(pairs + alphas
+    x anchors) time and memory.  Both maxima, the least delta
+    ``max_a (h_a - ln_m_max) / a`` over positive anchors and the least
+    ln M ``max_a (h_a - delta * a)``, run over every distinct anchor: the
+    upper hull of the points (a, h_a) attains them in exact arithmetic,
+    but a point on a hull edge can round one ulp above it, and the full
+    maximum keeps that larger, safe value.
     """
+    if kind not in ("I", "II"):
+        raise ValueError("kind must be 'I' or 'II', got %r" % (kind,))
+    if part not in ("stable", "unstable"):
+        raise ValueError("part must be 'stable' or 'unstable', got %r" % (part,))
+    alphas = np.asarray(alpha_grid, dtype=float)
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("alpha grid must be finite, got %r" % (list(alpha_grid),))
+    if np.any(np.diff(alphas) < 0):
+        raise ValueError("alpha grid must be sorted ascending")
     if grid.samples.shape[0] == 0:
         if grid.poisoned:
             raise DataError("all samples poisoned; nothing to fit")
         raise ValueError("empty norm grid")
-    if list(alpha_grid) != sorted(alpha_grid):
-        raise ValueError("alpha grid must be sorted ascending")
     envelope = _AnchorEnvelope(grid, kind)
     anchors = envelope.anchors
     sign = -1.0 if part == "stable" else 1.0
-    # heights(alpha) = logn - sign * alpha * dts must lie below the line
-    # ln M + delta * anchor.
-    entries = []
-    infeasible = []
-    zero_anchor = anchors[0] == 0.0
-    for alpha in alpha_grid:
-        heights = envelope.heights(-sign * alpha)
-        hull = _upper_hull(anchors, heights)
-        ha, hy = anchors[hull], heights[hull]
-        # The zero anchor is the first hull vertex whenever it is sampled.
-        floor = float(hy[0]) if zero_anchor else -math.inf
-        if floor > ln_m_max:
-            infeasible.append(float(alpha))
-            continue
-        pos = ha > 0.0
-        if np.any(pos):
-            delta_min = max(0.0, float(np.max((hy[pos] - ln_m_max) / ha[pos])))
-        else:
-            delta_min = 0.0
-        if delta_min > delta_max:
-            infeasible.append(float(alpha))
-            continue
-        ln_m = max(0.0, float(np.max(hy - delta_min * ha)))
-        entries.append((float(alpha), delta_min, ln_m))
-    return ParetoFrontier(kind, part, entries, infeasible,
+    # heights[i, k] = max logn - sign * alpha_i * dts at anchor k must lie
+    # below the line ln M + delta * anchors[k].
+    heights = np.array([envelope.heights(-sign * alpha) for alpha in alphas])
+    heights = heights.reshape(alphas.size, anchors.size)
+    # ln M >= the height at a sampled zero anchor, whatever delta is.
+    floor = heights[:, 0] if anchors[0] == 0.0 else np.full(alphas.size, -np.inf)
+    pos = anchors > 0.0
+    delta_min = np.max((heights[:, pos] - ln_m_max) / anchors[pos], axis=1,
+                       initial=-np.inf)
+    delta_min = np.where(delta_min > 0.0, delta_min, 0.0)
+    ln_m = np.max(heights - delta_min[:, None] * anchors, axis=1)
+    ln_m = np.where(ln_m > 0.0, ln_m, 0.0)
+    infeasible = (floor > ln_m_max) | (delta_min > delta_max)
+    ok = ~infeasible
+    entries = list(zip(alphas[ok].tolist(), delta_min[ok].tolist(), ln_m[ok].tolist()))
+    return ParetoFrontier(kind, part, entries, alphas[infeasible].tolist(),
                           delta_max=delta_max, ln_m_max=ln_m_max)
 
 

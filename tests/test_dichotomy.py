@@ -14,7 +14,7 @@ from nedlab import (
     InapplicableError,
     ProjectionFamily,
 )
-from nedlab.dichotomy import _kind_one_minimum, _upper_hull
+from nedlab.dichotomy import DataError, _kind_one_minimum
 
 from conftest import constant_scalar, decay_cert
 
@@ -67,21 +67,46 @@ def _lexicographic_lp(anchors, heights, delta_max=8.0, ln_m_max=8.0):
     return delta, second.x[1]
 
 
+def _upper_hull(anchors, heights):
+    """Vertices of the upper convex hull of the points (anchor, height), by
+    the monotone chain that fit_bounds once pruned its maxima to."""
+    order = np.lexsort((-heights, anchors))
+    hull = []  # indices into the original arrays
+    for idx in order:
+        x, y = anchors[idx], heights[idx]
+        if hull and anchors[hull[-1]] == x:
+            continue  # same abscissa: the first (highest) point wins
+        while len(hull) >= 2:
+            x1, y1 = anchors[hull[-2]], heights[hull[-2]]
+            x2, y2 = anchors[hull[-1]], heights[hull[-1]]
+            # Drop the middle point if it lies on or below chord (p1, p).
+            if (y2 - y1) * (x - x1) <= (y - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(idx)
+    return np.asarray(hull, dtype=int)
+
+
 def _reference_fit_bounds(grid, kind, part, alpha_grid, delta_max=8.0,
-                          ln_m_max=8.0):
-    """fit_bounds with the upper hull taken over every pair (no per-anchor
-    reduction): the reference the library must match bit for bit."""
+                          ln_m_max=8.0, hull=False):
+    """fit_bounds by its literal definition: every maximum taken over every
+    pair, with no per-anchor reduction.  The library must match it bit for
+    bit.  With ``hull=True`` the maxima run over the vertices of the upper
+    hull of the pairs instead, as fit_bounds once did."""
     tv, sv, logn = grid.samples.T
     anchors = np.abs(tv) if kind == "II" else np.abs(sv)
     dts = tv - sv
     sign = -1.0 if part == "stable" else 1.0
     entries, infeasible = [], []
-    zero_anchor = anchors == 0.0
     for alpha in alpha_grid:
         heights = logn - sign * alpha * dts
-        hull = _upper_hull(anchors, heights)
-        ha, hy = anchors[hull], heights[hull]
-        floor = float(np.max(hy[ha == 0.0])) if np.any(zero_anchor) else -math.inf
+        ha, hy = anchors, heights
+        if hull:
+            keep = _upper_hull(anchors, heights)
+            ha, hy = anchors[keep], heights[keep]
+        zero = ha == 0.0
+        floor = float(np.max(hy[zero])) if np.any(zero) else -math.inf
         if floor > ln_m_max:
             infeasible.append(float(alpha))
             continue
@@ -96,6 +121,17 @@ def _reference_fit_bounds(grid, kind, part, alpha_grid, delta_max=8.0,
         ln_m = max(0.0, float(np.max(hy - delta_min * ha)))
         entries.append((float(alpha), delta_min, ln_m))
     return entries, infeasible
+
+
+def _assert_no_less_conservative(frontier, hull_entries, hull_infeasible):
+    """The fit is never below the hull-pruned fit in its own order: delta
+    first, then ln M.  A delta one ulp higher can round the least ln M one
+    ulp lower, so ln M alone is compared only at equal delta."""
+    assert set(hull_infeasible) <= set(frontier.infeasible)
+    fitted = {alpha: (delta, ln_m) for alpha, delta, ln_m in frontier.entries}
+    for alpha, delta, ln_m in hull_entries:
+        if alpha in fitted:
+            assert (delta, ln_m) <= fitted[alpha]
 
 
 def _reference_kind_one_minimum(grid, alphas, deltas):
@@ -195,6 +231,39 @@ class TestFitBounds:
             grid, kind, grid.part, alpha_grid, delta_max, ln_m_max)
         assert frontier.entries == entries
         assert frontier.infeasible == infeasible
+        _assert_no_less_conservative(frontier, *_reference_fit_bounds(
+            grid, kind, grid.part, alpha_grid, delta_max, ln_m_max, hull=True))
+
+    # Linear heights c + slope * anchor with ln_m_max = c, the height at the
+    # zero anchor: every point lies on one line up to rounding, the hull
+    # keeps only its ends, and a middle point can round above the hull edge.
+    @pytest.mark.parametrize("n, step, slope, c, delta_max, expect", [
+        # delta_min passes delta_max = slope by one ulp: alpha infeasible.
+        (3, 0.3, 0.7, 0.3, 0.7, ([], [0.5])),
+        (4, 0.1, 0.1, 0.0, 0.1, ([], [0.5])),
+        # ln M rises one ulp over the hull's value at the same delta.
+        (3, 1.0, 1.1, 0.3, 8.0, ([(0.5, 1.1, 0.30000000000000004)], [])),
+        # delta rises one ulp over the hull's.
+        (3, 0.3, 0.7, 0.3, 8.0, ([(0.5, 0.7000000000000001, 0.3)], [])),
+        # The hull's delta is lower and its ln M higher.
+        (3, 0.7, 0.7, 0.3, 8.0, ([(0.5, 0.7, 0.3)], [])),
+    ])
+    def test_collinear_ties(self, n, step, slope, c, delta_max, expect):
+        anchors = step * np.arange(n)
+        grid = nl.NormGrid(np.column_stack([anchors, anchors, c + slope * anchors]),
+                           part="stable")
+        frontier = nl.fit_bounds(grid, "II", "stable", [0.5],
+                                 delta_max=delta_max, ln_m_max=c)
+        assert (frontier.entries, frontier.infeasible) == expect
+        assert expect == _reference_fit_bounds(grid, "II", "stable", [0.5],
+                                               delta_max, c)
+        hull = _reference_fit_bounds(grid, "II", "stable", [0.5], delta_max, c,
+                                     hull=True)
+        assert hull != expect
+        _assert_no_less_conservative(frontier, *hull)
+        for alpha, delta, ln_m in frontier.entries:
+            # Every sample lies on or below the fitted line, as rounded.
+            assert np.max(grid.samples[:, 2] - delta * anchors) <= ln_m
 
     def test_feasibility_of_output(self):
         rng = np.random.default_rng(42)
@@ -217,6 +286,39 @@ class TestFitBounds:
         grid = nl.NormGrid(np.array([[1.0, 0.0, 0.0]]), part="stable")
         with pytest.raises(ValueError):
             nl.fit_bounds(grid, "II", "stable", [2.0, 1.0])
+
+    @pytest.mark.parametrize("kind, part, alphas", [
+        ("II", "stable", [math.nan]),
+        ("II", "stable", [0.5, math.inf]),
+        ("III", "stable", [0.5]),
+        ("ii", "stable", [0.5]),
+        ("II", "stabel", [0.5]),
+        ("I", None, [0.5]),
+    ])
+    def test_bad_arguments_rejected(self, kind, part, alphas):
+        grid = nl.NormGrid(np.array([[1.0, 0.0, 0.0]]), part="stable")
+        with pytest.raises(ValueError):
+            nl.fit_bounds(grid, kind, part, alphas)
+
+    def test_zero_and_negative_alphas_allowed(self):
+        grid = nl.NormGrid(np.array([[1.0, 0.0, 0.0]]), part="stable")
+        frontier = nl.fit_bounds(grid, "II", "stable", [-1.0, 0.0])
+        assert frontier.entries == [(-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("row, column, value", [
+        (4, 2, math.nan), (0, 2, math.inf), (8, 0, math.nan), (3, 1, -math.inf)])
+    def test_non_finite_sample_rejected(self, row, column, value):
+        # -(t - s) + 0.5 |t| on the diagonal of 0:4:0.5.
+        mesh = np.arange(0.0, 4.25, 0.5)
+        samples = np.column_stack([mesh, mesh, 0.5 * mesh])
+        grid = nl.NormGrid(samples.copy(), part="stable")
+        assert nl.fit_bounds(grid, "II", "stable", [0.5]).entries == [(0.5, 0.0, 2.0)]
+        samples[row, column] = value
+        grid = nl.NormGrid(samples, part="stable")
+        with pytest.raises(DataError, match="1 of 9"):
+            nl.fit_bounds(grid, "II", "stable", [0.5])
+        with pytest.raises(DataError, match="1 of 9"):
+            _kind_one_minimum(grid, np.array([0.5]), np.array([0.0, 1.0]))
 
 
 class TestCheckCertificate:

@@ -181,16 +181,19 @@ class TestVariationOfConstants:
             p, lambda t: math.exp(-t) * np.ones(9), (0.0, 1.0), n_check=3)
         assert res < 1e-8
 
-    def test_detects_wrong_forcing(self):
-        # Feeding the formula a different forcing than the integrator
-        # must produce a visible residual: the check is not a tautology.
+    def test_detects_wrong_propagator(self):
+        # A formula built from a propagator 1% off must leave a visible
+        # residual: the check is not a tautology.
         lap = _dirichlet(5)
         p = nl.pde_process(lap, separable_g=lambda t: -1.0,
                            g_antiderivative=lambda t: -t)
-        wrong = nl.variation_of_constants_check(
-            p, lambda t: np.ones(5), (0.0, 1.0), n_check=2)
-        right_field_wrong_formula_b = wrong  # b = 1 in both -> small
-        assert right_field_wrong_formula_b < 1e-8
+        forcing = lambda t: np.ones(5)
+        assert nl.variation_of_constants_check(
+            p, forcing, (0.0, 1.0), n_check=2) < 1e-8
+        exact = p.matrix
+        p.matrix = lambda t, s: 1.01 * exact(t, s)
+        wrong = nl.variation_of_constants_check(p, forcing, (0.0, 1.0), n_check=2)
+        assert wrong > 1e-6
 
 
 class TestPrincipalBundle:
