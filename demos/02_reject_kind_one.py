@@ -16,8 +16,7 @@ BOX = ((0.05, 4.0), (0.0, 4.0))
 
 
 def show(label, process, windows):
-    evidence = nl.nedi_rejection_evidence(process, windows, box=BOX,
-                                          resolution=0.1, step=0.25)
+    evidence = nl.nedi_rejection_evidence(process, windows, box=BOX, step=0.25)
     print(label)
     for window, ln_m in zip(evidence.windows, evidence.min_ln_m["zero"]):
         print("  window %-12s min ln M = %8.3f" % (window, ln_m))

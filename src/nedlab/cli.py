@@ -9,7 +9,7 @@ dichotomy), ``robustness`` (perturbation constants and the transport
 pipeline), ``attract`` (attractor radius envelopes), and ``pde``
 (discretized parabolic demo).
 
-Artifacts are deterministic byte-for-byte for a fixed config and seed;
+Artifacts are deterministic byte-for-byte for a fixed config;
 wall-clock metadata goes to a ``<out>.meta.json`` sidecar only.  Exit
 codes: 0 success, 2 validation failure, 3 numeric failure, 64 usage
 error.
@@ -123,11 +123,6 @@ def _write_sidecar(path, argv) -> None:
     _write_text(str(path) + ".meta.json", json.dumps(meta, indent=2, allow_nan=False) + "\n")
 
 
-def _load_cert(path) -> DichotomyCertificate:
-    with open(path) as fh:
-        return DichotomyCertificate.from_dict(json.load(fh))
-
-
 def _projection(name: str, dimension: int):
     if name == "zero":
         return ProjectionFamily.zero(dimension)
@@ -190,7 +185,7 @@ def _cmd_classify(args, argv):
 
 def _cmd_check(args, argv):
     process = load_process_config(args.process)
-    cert = _load_cert(args.cert)
+    cert = DichotomyCertificate.from_json(args.cert)
     grid = _grid_spec(args.grid)
     violation = check_certificate(process, cert, grid)
     payload = {"violation": violation, "tolerance": args.tol,
@@ -201,7 +196,7 @@ def _cmd_check(args, argv):
 
 
 def _cmd_convert(args, argv):
-    cert = _load_cert(args.cert)
+    cert = DichotomyCertificate.from_json(args.cert)
     out = unify_exponents(cert) if args.unify else convert_halfline(cert)
     _write_json(args.out, out.to_dict(), argv)
     return EXIT_OK
@@ -236,7 +231,7 @@ def _cmd_robustness(args, argv):
     if args.process and args.perturbed:
         p = load_process_config(args.process)
         q = load_process_config(args.perturbed)
-        cert = _load_cert(args.cert)
+        cert = DichotomyCertificate.from_json(args.cert)
         grid = _grid_spec(args.grid)
         result = robust_nedii_pipeline(p, cert, q, args.upsilon, args.eps,
                                        grid)
@@ -260,7 +255,7 @@ def _radius_table(envelope, times) -> str:
 
 
 def _cmd_attract(args, argv):
-    cert = _load_cert(args.cert)
+    cert = DichotomyCertificate.from_json(args.cert)
     times = _parse_range(args.t_grid, "--t-grid")
     text = _radius_table(make_pullback_envelope(cert, args.lam, args.bnorm), times)
     if args.out:
@@ -323,8 +318,6 @@ def _cmd_pde(args, argv):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nedlab", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized sampling (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gallery", help="list or evaluate fixture processes")
@@ -372,7 +365,8 @@ def build_parser() -> _Parser:
     p.add_argument("--process", required=True)
     p.add_argument("--windows", required=True,
                    help="comma-separated lo:hi windows, strictly nested")
-    p.add_argument("--resolution", type=float, default=0.05)
+    p.add_argument("--resolution", type=float, default=0.05,
+                   help="must be positive; no effect, the box corner gives the minimum")
     p.add_argument("--step", type=float, default=0.25)
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.set_defaults(fn=_cmd_reject)

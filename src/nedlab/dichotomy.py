@@ -185,28 +185,51 @@ class ParetoFrontier:
                                     unstable=pair, projection=projection)
 
 
-class _AnchorEnvelope:
-    """A norm grid sorted once by anchor and reduced to the highest point
-    at each distinct anchor.
-
-    Fitting and rejection both bound heights ``logNorm_i + rate * (t_i - s_i)``
-    by lines ``ln M + delta * anchor_i``, and only the highest point at each
-    anchor can bind in ``max_i (y_i - delta * anchor_i)``.  The reduction is
-    exact in floating point: for a fixed anchor ``a``, ``fl(y - fl(delta * a))``
-    is monotone in ``y``, so the maximum per anchor gives the bits of the
-    maximum over all samples.  An n-point mesh has at most n anchors against
-    n (n + 1) / 2 stable pairs.
+def _sample_columns(grid: NormGrid):
+    """The t, s and log-norm columns of a norm grid.
 
     Raises DataError when a sample has a non-finite t, s or log-norm: a NaN
     would drop out of every maximum and certify a bound it never met.
     """
+    finite = np.isfinite(grid.samples)
+    if not finite.all():
+        bad = int(np.count_nonzero(~finite.all(axis=1)))
+        raise DataError("%d of %d norm samples have a non-finite t, s or "
+                        "log-norm" % (bad, grid.samples.shape[0]))
+    return grid.samples.T
+
+
+def _least_ln_m(grid: NormGrid, kind: str, rate: float, delta: float) -> float:
+    """Least ``ln M`` with ``logNorm_i + rate * (t_i - s_i) <= ln M + delta *
+    anchor_i`` on every sample, unclipped (-inf on an empty grid).
+
+    Rounds as ``max_i(fl(fl(rate * dt_i) + logNorm_i) - fl(delta * anchor_i))``,
+    the expression :class:`_AnchorEnvelope` reduces, so the value equals
+    ``max(envelope.heights(rate) - delta * envelope.anchors)`` bit for bit.
+    """
+    tv, sv, logn = _sample_columns(grid)
+    anchors = np.abs(tv) if kind == "II" else np.abs(sv)
+    y = rate * (tv - sv)
+    y += logn
+    y -= delta * anchors
+    return float(np.max(y, initial=-np.inf))
+
+
+class _AnchorEnvelope:
+    """A norm grid sorted once by anchor and reduced to the highest point
+    at each distinct anchor.
+
+    Fitting bounds heights ``logNorm_i + rate * (t_i - s_i)`` by lines
+    ``ln M + delta * anchor_i``, and only the highest point at each anchor
+    can bind in ``max_i (y_i - delta * anchor_i)``.  The reduction is
+    exact in floating point: for a fixed anchor ``a``, ``fl(y - fl(delta * a))``
+    is monotone in ``y``, so the maximum per anchor gives the bits of the
+    maximum over all samples.  An n-point mesh has at most n anchors against
+    n (n + 1) / 2 stable pairs.  Non-finite samples raise DataError.
+    """
 
     def __init__(self, grid: NormGrid, kind: str):
-        bad = int(np.count_nonzero(~np.isfinite(grid.samples).all(axis=1)))
-        if bad:
-            raise DataError("%d of %d norm samples have a non-finite t, s or "
-                            "log-norm" % (bad, grid.samples.shape[0]))
-        tv, sv, logn = grid.samples.T
+        tv, sv, logn = _sample_columns(grid)
         anchors = np.abs(tv) if kind == "II" else np.abs(sv)
         order = np.argsort(anchors, kind="stable")
         anchors = anchors[order]
@@ -302,8 +325,9 @@ def check_certificate(process: EvolutionProcess, cert: DichotomyCertificate,
     Returns max over sampled pairs of
     ``log||S(t,s) P|| - (ln M + growth * anchor -/+ rate * (t-s))``
     across the stable part (t >= s) and, when the certificate carries
-    one, the unstable part (t < s).  A nonpositive value means the
-    certificate holds on the grid; poisoned samples count as +inf.
+    one, the unstable part (t < s), each read as the least ln M of the
+    part's samples minus the certificate's.  A nonpositive value means
+    the certificate holds on the grid; poisoned samples count as +inf.
     """
     grid = _clip_grid(grid, cert.domain)
     ln_m = math.log(cert.m)
@@ -318,13 +342,8 @@ def check_certificate(process: EvolutionProcess, cert: DichotomyCertificate,
         sampled = sample_norm_grid(process, family, grid, part=part)
         if sampled.poisoned:
             return math.inf
-        if sampled.samples.shape[0] == 0:
-            return -math.inf
-        tv, sv, logn = sampled.samples.T
-        anchors = np.abs(tv) if cert.kind == "II" else np.abs(sv)
-        sign = -1.0 if part == "stable" else 1.0
-        bound = ln_m + pair.growth * anchors + sign * pair.rate * (tv - sv)
-        return float(np.max(logn - bound))
+        rate = pair.rate if part == "stable" else -pair.rate
+        return _least_ln_m(sampled, cert.kind, rate, pair.growth) - ln_m
 
     if cert.projection != "identity":
         worst = max(worst, part_violation("stable", cert.stable))
@@ -432,10 +451,12 @@ class RejectionEvidence:
 
     For each nested window and each trivial projection family, the
     minimum over an (alpha, delta) box of the smallest ln M making the
-    kind-I inequalities hold on the window grid.  A sequence that grows
-    without bound as the windows widen certifies that no kind-I
-    dichotomy exists (every fixed M is eventually defeated).
+    kind-I inequalities hold on the window grid; the box corner
+    (alpha_lo, delta_hi) attains it.  A sequence that grows without bound
+    as the windows widen certifies that no kind-I dichotomy exists
+    (every fixed M is eventually defeated).
 
+    resolution: recorded as passed; it has no effect on the minima.
     poisoned: per projection kind, the number of escaped pairs dropped
     from each window's grid."""
 
@@ -443,7 +464,6 @@ class RejectionEvidence:
     box: tuple
     resolution: float
     min_ln_m: dict
-    argmin: dict
     poisoned: dict = dataclasses.field(default_factory=dict)
 
     def growth_factors(self, projection_kind: str):
@@ -463,24 +483,6 @@ class RejectionEvidence:
                    for kind in self.min_ln_m)
 
 
-def _kind_one_minimum(grid: NormGrid, alphas: np.ndarray, deltas: np.ndarray):
-    """Smallest ``max_i(y_i - delta * |s_i|)`` over the alpha x delta box,
-    with ``y_i = logNorm_i +/- alpha (t_i - s_i)`` (plus on the stable part),
-    and the (alpha, delta) attaining it: the first alpha, then the first
-    delta, in box order.
-
-    On a sampled grid ``+/- (t_i - s_i) >= 0`` (t >= s on the stable part,
-    t < s on the unstable one), so every ``y_i`` is non-decreasing in alpha,
-    and rounding keeps that order.  The first alpha therefore attains the
-    box minimum at every delta, and only its row is evaluated."""
-    envelope = _AnchorEnvelope(grid, "I")
-    rate_sign = 1.0 if grid.part == "stable" else -1.0
-    tops = envelope.heights(rate_sign * alphas[0])
-    ln_m = np.max(tops[None, :] - deltas[:, None] * envelope.anchors[None, :], axis=1)
-    j = int(np.argmin(ln_m))
-    return float(ln_m[j]), (float(alphas[0]), float(deltas[j]))
-
-
 def nedi_rejection_evidence(process: EvolutionProcess, windows,
                             projection_kinds=("zero", "identity"),
                             box=((0.05, 8.0), (0.0, 8.0)),
@@ -490,21 +492,19 @@ def nedi_rejection_evidence(process: EvolutionProcess, windows,
     """Minimal kind-I constants over nested windows.
 
     windows: list of (lo, hi) intervals, strictly nested ascending.
-    box: ((alpha_lo, alpha_hi), (delta_lo, delta_hi)) search box, sampled
-    at the given resolution.  For each window and projection kind the
-    result is the smallest ``ln M = max_i(y_i - delta * |s_i|)`` over the
-    box points, clipped at 0, where ``y_i`` is the sampled log-norm
-    shifted by ``+/- alpha (t_i - s_i)``.
+    box: ((alpha_lo, alpha_hi), (delta_lo, delta_hi)) search box.  For
+    each window and projection kind the result is the smallest
+    ``ln M = max_i(y_i - delta * |s_i|)`` over the box, clipped at 0,
+    where ``y_i`` is the sampled log-norm shifted by ``+/- alpha (t_i - s_i)``.
 
-    The maximum over pairs is taken per distinct anchor ``|s|``: only the
-    highest ``y`` at each anchor can attain it, and for a fixed anchor
-    ``a`` the rounded ``fl(y - fl(delta * a))`` is monotone in ``y``, so
-    the reduction gives the same bits as the maximum over every pair.  A
-    larger alpha only raises every ``y`` (a faster decay is a stronger
-    requirement), so the minimum lies at the smallest alpha of the box and
-    only that alpha is evaluated, again with the same bits as a scan of
-    the whole box.  Escaped pairs are dropped and counted in ``poisoned``;
-    a window with no pair left raises DataError.
+    The minimum is one evaluation at the corner (alpha_lo, delta_hi), and
+    it is exact in floating point: anchors are nonnegative, so every
+    ``fl(y_i - fl(delta * |s_i|))`` is non-increasing in delta, and
+    ``+/- (t_i - s_i) >= 0`` on a sampled part (t >= s on the stable part,
+    t < s on the unstable one), so every ``y_i`` is non-decreasing in
+    alpha.  resolution must be positive but has no effect: no grid is
+    scanned.  Escaped pairs are dropped and counted in ``poisoned``; a
+    window with no pair left raises DataError.
     """
     if process.dimension != 1:
         raise InapplicableError("rejection evidence is defined for scalar processes")
@@ -516,10 +516,7 @@ def nedi_rejection_evidence(process: EvolutionProcess, windows,
     (alpha_lo, alpha_hi), (delta_lo, delta_hi) = box
     if not (alpha_lo <= alpha_hi and delta_lo <= delta_hi):
         raise ValueError("box ranges must have lo <= hi, got %r" % (box,))
-    alphas = np.round(np.arange(alpha_lo, alpha_hi + resolution / 2, resolution), 12)
-    deltas = np.round(np.arange(delta_lo, delta_hi + resolution / 2, resolution), 12)
     minima = {kind: [] for kind in projection_kinds}
-    argmin = {kind: [] for kind in projection_kinds}
     poisoned = {kind: [] for kind in projection_kinds}
     for lo, hi in windows:
         extras = tuple(p for p in extra_points if lo <= p <= hi)
@@ -530,12 +527,10 @@ def nedi_rejection_evidence(process: EvolutionProcess, windows,
             if sampled.samples.shape[0] == 0:
                 raise DataError("every %s pair of window [%g, %g] is poisoned"
                                 % (part, lo, hi))
-            best, best_at = _kind_one_minimum(sampled, alphas, deltas)
-            minima[kind].append(max(0.0, best))
-            argmin[kind].append(best_at)
+            rate = alpha_lo if part == "stable" else -alpha_lo
+            minima[kind].append(max(0.0, _least_ln_m(sampled, "I", rate, delta_hi)))
             poisoned[kind].append(len(sampled.poisoned))
-    return RejectionEvidence(list(windows), box, resolution, minima, argmin,
-                             poisoned)
+    return RejectionEvidence(list(windows), box, resolution, minima, poisoned)
 
 
 # CLASSIFICATION =======================================================================

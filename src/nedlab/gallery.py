@@ -23,12 +23,13 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .dichotomy import DichotomyCertificate, ExponentPair
+from .dichotomy import DichotomyCertificate, ExponentPair, _least_ln_m
 from .process import (
     FULL_LINE,
     HALF_LINE_MINUS,
     HALF_LINE_PLUS,
     GridSpec,
+    NormGrid,
     ScalarCoefficientProcess,
     ScalarExponentProcess,
     TimeDomain,
@@ -91,9 +92,8 @@ def _canonical_logmax(process, domain: TimeDomain, alpha: float, delta: float,
     spec = GridSpec(lo, hi, CANONICAL_STEP, extra_points=tuple(extra_points))
     tv, sv = spec.pairs("stable")
     logn = np.asarray(process.log_propagator(tv, sv), dtype=float)
-    anchor = np.abs(tv) if kind == "II" else np.abs(sv)
-    need = logn - delta * anchor + alpha * (tv - sv)
-    return max(0.0, float(np.max(need)))
+    grid = NormGrid(np.column_stack([tv, sv, logn]), part="stable")
+    return max(0.0, _least_ln_m(grid, kind, alpha, delta))
 
 
 # FIXTURES =============================================================================
@@ -168,8 +168,8 @@ def make_smooth_limits(transition_scale: float, eps: float = 0.1) -> GalleryEntr
     A smooth realization of the sign coefficient: same dichotomy
     pattern as the sign-switch process up to an exponent loss
     eps and a multiplicative constant M_eps that absorbs the transition
-    region.  M_eps is computed by brute-force maximization of
-    int_s^t |f - f0| - eps (t - s) over the canonical grid.
+    region.  ln M_eps is the maximum of int_s^t |f - f0| - eps (t - s)
+    over the canonical grid's pairs t >= s, clipped at 0.
     """
     if not (transition_scale > 0):
         raise ValueError("transition scale must be positive")
@@ -190,8 +190,10 @@ def make_smooth_limits(transition_scale: float, eps: float = 0.1) -> GalleryEntr
     hh_t, hh_s = np.meshgrid(cumulative, cumulative, indexing="ij")
     tt, ss = np.meshgrid(mesh, mesh, indexing="ij")
     keep = tt >= ss
-    k_eps = float(np.max((hh_t - hh_s - eps * (tt - ss))[keep]))
-    m_eps = math.exp(max(k_eps, 0.0))
+    # The maximum is the least ln M of the samples H(t) - H(s) at rate -eps
+    # with no anchor growth.
+    deviation = NormGrid(np.column_stack([tt[keep], ss[keep], (hh_t - hh_s)[keep]]))
+    m_eps = math.exp(max(_least_ln_m(deviation, "II", -eps, 0.0), 0.0))
 
     stable = ExponentPair(1.0 - eps, 2.0)
     claims = [

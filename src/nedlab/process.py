@@ -647,7 +647,9 @@ def sample_norm_grid(process: EvolutionProcess,
                                   % (grid.start, grid.stop, process.domain))
         vals = np.asarray(process.log_propagator(tv, sv), dtype=float)
         ok = vals <= _LOG_GUARD
-        samples = np.column_stack([tv[ok], sv[ok], vals[ok]])
+        # A vanished propagator (exponent -inf) carries no sample, as below.
+        keep = ok & (vals > -np.inf)
+        samples = np.column_stack([tv[keep], sv[keep], vals[keep]])
         poisoned = list(zip(tv[~ok].tolist(), sv[~ok].tolist()))
         return NormGrid(samples, part=part, poisoned=poisoned)
     rows = []

@@ -44,6 +44,11 @@ class TestUsage:
             run(["--threads", "2", "gallery", "list"])
         assert exc.value.code == 64
 
+    def test_removed_seed_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["--seed", "1", "gallery", "list"])
+        assert exc.value.code == 64
+
 
 class TestGallery:
     def test_list(self, capsys):
@@ -193,6 +198,21 @@ class TestReject:
                     "--resolution=" + resolution, "--out", str(out)]) == 2
         assert "resolution must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_resolution_has_no_effect(self, tmp_path):
+        cfg = _write(tmp_path, "p.json",
+                     {"backend": "closed-form-exponent",
+                      "family": "sign-switch"})
+        texts = []
+        for resolution in ("0.05", "0.3"):
+            out = tmp_path / ("reject-%s.json" % resolution)
+            assert run(["reject", "--process", cfg, "--windows", "0:5,0:10",
+                        "--resolution", resolution, "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert payload["resolution"] == float(resolution)
+            del payload["resolution"]
+            texts.append(payload)
+        assert texts[0] == texts[1]
 
 
 class TestRobustness:

@@ -14,7 +14,7 @@ from nedlab import (
     InapplicableError,
     ProjectionFamily,
 )
-from nedlab.dichotomy import DataError, _kind_one_minimum
+from nedlab.dichotomy import DataError, _AnchorEnvelope, _least_ln_m
 
 from conftest import constant_scalar, decay_cert
 
@@ -135,26 +135,39 @@ def _assert_no_less_conservative(frontier, hull_entries, hull_infeasible):
 
 
 def _reference_kind_one_minimum(grid, alphas, deltas):
-    """Per-alpha (delta x pair) minimax over every pair: the reference for
-    the per-anchor rejection scan, tie-breaking included."""
+    """Brute-force kind-I minimax over every pair: the least over the
+    (alpha x delta) points of max_i(logNorm_i +/- alpha dt_i - delta |s_i|)."""
     tv, sv, logn = grid.samples.T
     dts = tv - sv
     anch = np.abs(sv)
     sign = 1.0 if grid.part == "stable" else -1.0
-    best, best_at = math.inf, (math.nan, math.nan)
+    best = math.inf
     for alpha in alphas:
         y = logn + sign * alpha * dts
         ln_m = np.max(y[None, :] - deltas[:, None] * anch[None, :], axis=1)
-        j = int(np.argmin(ln_m))
-        if ln_m[j] < best:
-            best = float(ln_m[j])
-            best_at = (float(alpha), float(deltas[j]))
-    return best, best_at
+        best = min(best, float(np.min(ln_m)))
+    return best
 
 
-def _box_axis(lo, hi, resolution):
-    # The box sampling of nedi_rejection_evidence.
-    return np.round(np.arange(lo, hi + resolution / 2, resolution), 12)
+def _box_axes(box):
+    """Brute-force axes over a box: 7 alphas and 41 deltas, ends included."""
+    (a_lo, a_hi), (d_lo, d_hi) = box
+    return np.linspace(a_lo, a_hi, 7), np.linspace(d_lo, d_hi, 41)
+
+
+def _lp_kind_one_minimum(grid, box):
+    """The same minimum as one linear program in (alpha, delta, ln M):
+    minimize ln M subject to logNorm_i +/- alpha dt_i - delta |s_i| <= ln M."""
+    tv, sv, logn = grid.samples.T
+    sign = 1.0 if grid.part == "stable" else -1.0
+    a_ub = np.column_stack([sign * (tv - sv), -np.abs(sv), -np.ones(len(tv))])
+    # HiGHS's default feasibility tolerance (1e-7) is above the 1e-9 asked of it.
+    res = linprog([0.0, 0.0, 1.0], A_ub=a_ub, b_ub=-logn,
+                  bounds=[box[0], box[1], (None, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return res.fun
 
 
 # Few distinct times, symmetric about 0, so that anchors |t| and |s| repeat;
@@ -318,7 +331,7 @@ class TestFitBounds:
         with pytest.raises(DataError, match="1 of 9"):
             nl.fit_bounds(grid, "II", "stable", [0.5])
         with pytest.raises(DataError, match="1 of 9"):
-            _kind_one_minimum(grid, np.array([0.5]), np.array([0.0, 1.0]))
+            _least_ln_m(grid, "I", 0.5, 1.0)
 
 
 class TestCheckCertificate:
@@ -511,14 +524,29 @@ class TestRejectionEvidence:
         with pytest.raises(nl.DataError, match="poisoned"):
             nl.nedi_rejection_evidence(p, [(0.0, 1.0), (0.0, 2.0)], step=0.5)
 
+    @pytest.mark.parametrize("resolution", [0.05, 0.1, 0.25, 0.3, 1.0])
+    def test_minimum_is_the_box_corner_at_any_resolution(self, resolution):
+        # A delta grid from 0.05 in steps of 0.25 passed the box end (2.05,
+        # min ln M 6.15) and in steps of 0.1 stopped short of it (1.95, 6.25).
+        p = nl.ScalarExponentProcess(lambda t, s: 2.0 * (t - s))
+        ev = nl.nedi_rejection_evidence(p, [(1.0, 5.0), (1.0, 9.0)],
+                                        box=((0.05, 2.0), (0.05, 2.0)),
+                                        resolution=resolution)
+        # Binding pair (t, s) = (5, 1): (2 + 0.05) * 4 - 2.0 * 1.
+        assert ev.min_ln_m["zero"][0] == pytest.approx(6.2, abs=1e-12)
+        sampled = nl.sample_norm_grid(p, None, GridSpec(1.0, 5.0, 0.25))
+        assert ev.min_ln_m["zero"][0] == _least_ln_m(sampled, "I", 0.05, 2.0)
+        assert ev.min_ln_m["identity"] == [0.0, 0.0]
+
     @settings(max_examples=200, deadline=None)
     @given(grid=_norm_grids(), box=_box())
     def test_scan_matches_per_alpha_reference(self, grid, box):
-        ((a_lo, a_hi), (d_lo, d_hi)), resolution = box
-        alphas = _box_axis(a_lo, a_hi, resolution)
-        deltas = _box_axis(d_lo, d_hi, resolution)
-        assert (_kind_one_minimum(grid, alphas, deltas)
-                == _reference_kind_one_minimum(grid, alphas, deltas))
+        (a_box, d_box), _ = box
+        rate = a_box[0] if grid.part == "stable" else -a_box[0]
+        corner = _least_ln_m(grid, "I", rate, d_box[1])
+        assert corner == _reference_kind_one_minimum(grid, *_box_axes((a_box, d_box)))
+        assert corner == pytest.approx(_lp_kind_one_minimum(grid, (a_box, d_box)),
+                                       abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(knots=st.lists(st.floats(-4.0, 4.0, allow_nan=False),
@@ -546,16 +574,31 @@ class TestRejectionEvidence:
         ev = nl.nedi_rejection_evidence(p, windows, box=(a_box, d_box),
                                         resolution=resolution, step=step,
                                         extra_points=tuple(extra))
-        alphas = _box_axis(*a_box, resolution)
-        deltas = _box_axis(*d_box, resolution)
+        alphas, deltas = _box_axes((a_box, d_box))
         for w, (lo, hi) in enumerate(windows):
             spec = GridSpec(lo, hi, step,
                             extra_points=tuple(x for x in extra if lo <= x <= hi))
             for kind, part in (("zero", "stable"), ("identity", "unstable")):
                 sampled = nl.sample_norm_grid(p, None, spec, part=part)
-                best, best_at = _reference_kind_one_minimum(sampled, alphas, deltas)
+                best = _reference_kind_one_minimum(sampled, alphas, deltas)
                 assert ev.min_ln_m[kind][w] == max(0.0, best)
-                assert ev.argmin[kind][w] == best_at
+                assert ev.min_ln_m[kind][w] == pytest.approx(
+                    max(0.0, _lp_kind_one_minimum(sampled, (a_box, d_box))), abs=1e-9)
+
+
+class TestLeastLnM:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=_norm_grids(), kind=st.sampled_from(["I", "II"]),
+           rate=st.floats(-5.0, 5.0, allow_nan=False),
+           delta=st.floats(-8.0, 8.0, allow_nan=False))
+    def test_matches_the_anchor_envelope_bitwise(self, grid, kind, rate, delta):
+        envelope = _AnchorEnvelope(grid, kind)
+        want = float(np.max(envelope.heights(rate) - delta * envelope.anchors))
+        assert _least_ln_m(grid, kind, rate, delta) == want
+
+    def test_empty_grid_is_minus_inf(self):
+        grid = nl.NormGrid(np.empty((0, 3)), part="stable")
+        assert _least_ln_m(grid, "II", 1.0, 0.5) == -math.inf
 
 
 class TestClassify:

@@ -484,6 +484,22 @@ class TestEscapeGuards:
         assert sorted(sampled.poisoned) == [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
         assert len(sampled.samples) == 3
 
+    def test_vanished_pairs_are_skipped_on_every_path(self):
+        # S(t, s) = 0 once t - s > 0.75: the vectorized identity-factor path
+        # must drop those pairs as the per-pair explicit path does.
+        process = ScalarExponentProcess(
+            lambda t, s: np.where(np.asarray(t) - np.asarray(s) > 0.75, -np.inf,
+                                  -(np.asarray(t) - np.asarray(s))))
+        grid = GridSpec(0.0, 2.0, 0.5)
+        fast = nl.sample_norm_grid(process, None, grid)
+        slow = nl.sample_norm_grid(process, ProjectionFamily.constant([[0.0]]), grid)
+        assert len(fast.samples) == 9 and fast.poisoned == []
+        assert np.array_equal(fast.samples, slow.samples)
+        for sampled in (fast, slow):
+            assert nl.fit_bounds(sampled, "II", "stable", [0.5]).entries == [(0.5, 0.0, 0.0)]
+        cert = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0, nl.ExponentPair(1.0, 0.0))
+        assert nl.check_certificate(process, cert, grid) == 0.0
+
     def test_identity_factor_norm_escapes_like_matrix(self):
         # The identity-factor branch reads the norm off the exponent; it
         # must escape wherever ``matrix`` does.
