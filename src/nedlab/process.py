@@ -17,10 +17,12 @@ import dataclasses
 import json
 import math
 import os
+import threading
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.integrate._dop import dopri853 as _dopri853
 
 __all__ = [
     "DomainError",
@@ -72,6 +74,98 @@ class FiniteEscapeError(RuntimeError):
             "propagation from s=%g escaped beyond %.3g near t=%g "
             "(requested t=%g)" % (s, ESCAPE_GUARD, escape_time, t)
         )
+
+
+# COMPILED DOP853 ======================================================================
+
+_DOP853_FAILURES = {-1: "input is not consistent",
+                    -2: "larger nsteps is needed",
+                    -3: "step size becomes too small",
+                    -4: "problem is probably stiff"}
+
+
+class _Dop853(threading.local):
+    """One thread's driver of Hairer's compiled DOP853 (the code behind
+    ``scipy.integrate.ode("dop853")``) with the stiffness test off.  It
+    serves the integrated linear processes and the attractor ensembles.
+
+    The compiled wrapper keeps a reference to every callback it is
+    handed, so each thread hands it the same two bound methods on every
+    solve: a trampoline to the current field and a step callback.  The
+    wrapper also ignores exceptions raised in a callback, so the
+    trampoline records the field's exception and returns zeros until the
+    step callback stops the run; the exception is then raised again.
+
+    ``solves`` counts this thread's solves; ``stats`` sums their
+    right-hand-side evaluations, steps, accepted and rejected steps.
+    """
+
+    def __init__(self):
+        self.field = self.norm = self.error = None
+        self.busy = False
+        self.solves = 0
+        self.stats = np.zeros(4, dtype=np.int64)
+        self.fcn, self.solout = self._fcn, self._solout
+
+    def _fcn(self, tau, y):
+        if self.error is None:
+            try:
+                out = np.asarray(self.field(tau, y.reshape(self.shape)), dtype=float)
+                return out.reshape(y.size)
+            except BaseException as exc:
+                self.error = exc
+        return np.zeros(y.size)
+
+    def _solout(self, tau, y):
+        if self.error is not None:
+            return -1
+        value = self.norm(y)
+        if not (value <= self.peak):   # a NaN norm is a new peak, and stops
+            self.peak = value
+            if not (value < self.guard):
+                return -1
+        return 0
+
+    def solve(self, field, t0: float, t1: float, y: np.ndarray, shape,
+              rtol: float, atol: float, norm, guard: float):
+        """``(tau, state at tau, peak)`` for y' = field(t, y.reshape(shape))
+        from y at t0, where peak is the largest ``norm`` of the flat state
+        over the step ends, t0 included.  tau is t1 unless the run stopped
+        at the end of the first step where the peak reached ``guard``;
+        callers map that stop to their own error.  Not re-entrant: a field
+        that starts another solve on the same thread raises RuntimeError."""
+        if self.busy:
+            raise RuntimeError("the compiled DOP853 driver was re-entered from "
+                               "inside a right-hand side")
+        work = np.zeros(11 * y.size + 21)
+        work[1:4] = 0.9, 0.3, 6.0  # ode("dop853") defaults: safety, step limits
+        iwork = np.zeros(21, dtype=np.int32)
+        iwork[3] = -1  # never run the stiffness test, which stops the solve
+        self.field, self.shape, self.norm, self.guard = field, shape, norm, guard
+        self.peak, self.busy = -math.inf, True
+        try:
+            # Pass the trailing tuple of extra field arguments even though
+            # it is empty: left out, the wrapper can crash the interpreter.
+            tau, y, idid = _dopri853(self.fcn, t0, y, t1, rtol, atol,
+                                     self.solout, 1, work, iwork,
+                                     np.iinfo(np.int32).max, -1, ())
+        finally:
+            error = self.error
+            self.field = self.norm = self.error = None
+            self.busy = False
+            self.solves += 1
+            self.stats += iwork[16:20]  # nfev, steps, accepted, rejected
+        if error is not None:
+            raise error
+        # A stop at t0 reports idid -3, so a run that reached the guard
+        # never counts as failed.
+        if idid < 0 and self.peak < guard:
+            raise RuntimeError("integration failed: %s"
+                               % _DOP853_FAILURES.get(idid, "code %d" % idid))
+        return tau, y, self.peak
+
+
+_SOLVER = _Dop853()
 
 
 # TIME DOMAINS =========================================================================
@@ -457,8 +551,11 @@ class IntegratedLinearProcess(EvolutionProcess):
     ``propagate`` integrates the vector directly.  Backward propagation
     (t < s) is available when ``invertible=True`` and simply integrates
     the ODE backward in time.  Grid sampling integrates one step
-    propagator per mesh interval and chains them; ``matrix_path`` serves
-    every point of one anchor from a single dense-output solve.
+    propagator per mesh interval and chains them.  These solves run on
+    the compiled DOP853 driver shared with the attractor ensembles, so a
+    coefficient must not start another such solve.  Only ``matrix_path``
+    runs ``solve_ivp``, whose dense output serves every point of one
+    anchor from a single solve.
     """
 
     backend = "numerically-integrated"
@@ -474,44 +571,33 @@ class IntegratedLinearProcess(EvolutionProcess):
         self.rtol = rtol
         self.atol = atol
 
-    def _integrate(self, t: float, s: float, y0: np.ndarray, dense_output: bool = False):
-        """The ``solve_ivp`` result from y0 at s towards t; it stops early,
-        with status 1, where the escape event fires."""
-        n = self.dimension
+    def _field(self, tau, y):
+        return np.asarray(self.coefficient_matrix(tau), dtype=float) @ y
 
-        def rhs(tau, y):
-            return (np.asarray(self.coefficient_matrix(tau), dtype=float)
-                    @ y.reshape(n, -1)).ravel()
-
-        def escape(tau, y):
-            return float(np.linalg.norm(y)) - ESCAPE_GUARD
-        escape.terminal = True
-
-        sol = solve_ivp(rhs, (s, t), y0.ravel(), method="DOP853",
-                        rtol=self.rtol, atol=self.atol, events=escape,
-                        dense_output=dense_output)
-        if sol.status == -1:
-            raise RuntimeError("integration failed: %s" % sol.message)
-        return sol
-
-    def _solve(self, t: float, s: float, y0: np.ndarray) -> np.ndarray:
-        """States from y0 at s to t, flattened, one column per RK step."""
-        sol = self._integrate(t, s, y0)
-        if sol.status == 1:
-            raise FiniteEscapeError(t, s, float(sol.t_events[0][0]))
-        return sol.y
+    def _solve(self, t: float, s: float, y0: np.ndarray):
+        """``(state at t from y0 at s, the largest Frobenius norm of the
+        state at the step ends)`` from one compiled solve, which raises
+        :class:`FiniteEscapeError` at the end of the first step where that
+        norm reaches ``ESCAPE_GUARD``."""
+        reach, y, peak = _SOLVER.solve(self._field, s, t, y0.ravel(), y0.shape,
+                                       self.rtol, self.atol, np.linalg.norm,
+                                       ESCAPE_GUARD)
+        if not (peak < ESCAPE_GUARD):
+            raise FiniteEscapeError(t, s, reach)
+        return y.reshape(y0.shape), peak
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         self._check_args(t, s)
         n = self.dimension
         if t == s:
             return np.eye(n)
-        return self._solve(t, s, np.eye(n))[:, -1].reshape(n, n)
+        return self._solve(t, s, np.eye(n))[0]
 
     def matrix_path(self, s: float, t_end: float) -> Callable[[float], np.ndarray]:
-        """One dense-output solve of the matrix ODE from s towards t_end
-        (clipped to the time domain).  A point past the escape time raises
-        :class:`FiniteEscapeError`, a point outside the domain
+        """One dense-output ``solve_ivp`` solve of the matrix ODE from s
+        towards t_end (clipped to the time domain), which stops where the
+        Frobenius norm reaches ``ESCAPE_GUARD``.  A point past that escape
+        time raises :class:`FiniteEscapeError`, a point outside the domain
         :class:`DomainError`, as from :meth:`matrix`."""
         if not self.domain.contains(t_end):
             t_end = 0.0  # half-line domains end at 0
@@ -519,7 +605,17 @@ class IntegratedLinearProcess(EvolutionProcess):
         if t_end == s:
             return super().matrix_path(s, t_end)
         n = self.dimension
-        sol = self._integrate(t_end, s, np.eye(n), dense_output=True)
+
+        def escape(tau, y):
+            return float(np.linalg.norm(y)) - ESCAPE_GUARD
+        escape.terminal = True
+
+        sol = solve_ivp(lambda tau, y: self._field(tau, y.reshape(n, n)).ravel(),
+                        (s, t_end), np.eye(n).ravel(), method="DOP853",
+                        rtol=self.rtol, atol=self.atol, events=escape,
+                        dense_output=True)
+        if sol.status == -1:
+            raise RuntimeError("integration failed: %s" % sol.message)
         reach = float(sol.t[-1])  # t_end, or the escape time
 
         def path(tau):
@@ -532,9 +628,7 @@ class IntegratedLinearProcess(EvolutionProcess):
         return path
 
     def _step(self, t: float, s: float):
-        n = self.dimension
-        states = self._solve(t, s, np.eye(n))
-        return states[:, -1].reshape(n, n), float(np.max(np.linalg.norm(states, axis=0)))
+        return self._solve(t, s, np.eye(self.dimension))
 
     def propagate(self, t: float, s: float, x) -> np.ndarray:
         self._check_args(t, s)
@@ -543,7 +637,7 @@ class IntegratedLinearProcess(EvolutionProcess):
             raise DomainError("state dimension mismatch")
         if t == s:
             return x.copy()
-        return self._solve(t, s, x)[:, -1].reshape(x.shape)
+        return self._solve(t, s, x)[0]
 
 
 # MODULE-LEVEL OPERATIONS ==============================================================

@@ -27,6 +27,22 @@ def dirichlet_31():
 
 
 @pytest.fixture
+def ode_solves(monkeypatch):
+    """A function that returns how many ODE solves nedlab.process has made
+    since the fixture was set up: solves of the compiled DOP853 driver on
+    this thread plus ``solve_ivp`` calls (the dense paths)."""
+    dense = []
+    real = nl.process.solve_ivp
+
+    def counting(*args, **kwargs):
+        dense.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(nl.process, "solve_ivp", counting)
+    start = nl.process._SOLVER.solves
+    return lambda: nl.process._SOLVER.solves - start + len(dense)
+
+
+@pytest.fixture
 def constant_process():
     """x' = -x with exact antiderivative."""
     return nl.ScalarCoefficientProcess(lambda t: -1.0,

@@ -333,6 +333,19 @@ class TestCompiledEnsemble:
         got = _integrate_ensemble(_decay(2.0), 0.0, 1.0, self.SEEDS)
         assert np.max(np.abs(got - math.exp(-2.0) * self.SEEDS)) <= 1e-10
 
+    def test_linear_solve_inside_a_field_raises(self):
+        # The integrated linear processes share the driver, so this call,
+        # which used to run through solve_ivp, now re-enters it.
+        process = nl.IntegratedLinearProcess(lambda t: np.array([[-1.0]]), 1)
+
+        def field(t, x):
+            return process.matrix(t + 1.0, t)[0, 0] * x
+        with pytest.raises(RuntimeError, match="re-entered"):
+            _integrate_ensemble(field, 0.0, 1.0, self.SEEDS)
+        got = _integrate_ensemble(_decay(2.0), 0.0, 1.0, self.SEEDS)
+        assert np.max(np.abs(got - math.exp(-2.0) * self.SEEDS)) <= 1e-10
+        assert process.matrix(1.0, 0.0)[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-10)
+
     def test_threads_match_serial_solves(self):
         # Each thread drives its own solver; a field or state shared across
         # threads would mix the runs below.

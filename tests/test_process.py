@@ -1,5 +1,9 @@
+import concurrent.futures
+import gc
 import json
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -256,9 +260,12 @@ class PlantedIntegrated:
             lambda t: self.q @ np.diag(self.rates + self.eps * np.sin(t + self.phase))
             @ self.q_inv, 2, invertible=invertible)
 
-    def log_norm(self, t, s, proj):
+    def matrix(self, t, s):
         e = self.rates * (t - s) - self.eps * (np.cos(t + self.phase) - np.cos(s + self.phase))
-        m = self.q @ np.diag(np.exp(e)) @ self.q_inv @ proj
+        return self.q @ np.diag(np.exp(e)) @ self.q_inv
+
+    def log_norm(self, t, s, proj):
+        m = self.matrix(t, s) @ proj
         return math.log(float(np.linalg.svd(m, compute_uv=False)[0]))
 
 
@@ -308,18 +315,11 @@ class TestChainedNormGrid:
                                 part="unstable")
 
     @pytest.mark.parametrize("part", ["stable", "unstable"])
-    def test_one_solve_per_mesh_interval(self, monkeypatch, part):
-        calls = []
-        real = nl.process.solve_ivp
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-        monkeypatch.setattr(nl.process, "solve_ivp", counting)
+    def test_one_solve_per_mesh_interval(self, ode_solves, part):
         grid = self.IRREGULAR
         nl.sample_norm_grid(PlantedIntegrated(invertible=True).process, None, grid,
                             part=part)
-        assert len(calls) == len(grid.mesh()) - 1
+        assert ode_solves() == len(grid.mesh()) - 1
 
     @pytest.mark.parametrize("rate, explicit", [
         (500.0, False),    # no step escapes; the running product passes the guard
@@ -403,18 +403,11 @@ class TestMatrixPath:
         for tau in np.linspace(s, t_end, 9):
             assert np.max(np.abs(path(tau) - process.matrix(tau, s))) < 1e-9
 
-    def test_one_solve_per_path(self, monkeypatch):
-        calls = []
-        real = nl.process.solve_ivp
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(nl.process, "solve_ivp", counting)
+    def test_one_solve_per_path(self, ode_solves):
         path = PlantedIntegrated(invertible=True).process.matrix_path(0.0, 1.0)
         for tau in np.linspace(0.0, 1.0, 11):
             path(tau)
-        assert len(calls) == 1
+        assert ode_solves() == 1
 
     def test_default_path_is_matrix(self, barreira):
         path = barreira.process.matrix_path(0.5, 1.5)
@@ -447,6 +440,117 @@ class TestMatrixPath:
             with pytest.raises(ValueError) as err:
                 short(tau)
             assert type(err.value) is ValueError
+
+
+class _CoefficientFailure(Exception):
+    pass
+
+
+class TestCompiledSolves:
+    """``matrix``, ``propagate`` and ``_step`` of an integrated process run
+    on the compiled DOP853 driver of nedlab.process."""
+
+    PAIRS = [(2.0, 0.5), (0.5, 2.0), (3.1, -1.3), (-1.3, 3.1)]
+
+    @pytest.mark.parametrize("t, s", PAIRS)
+    def test_planted_closed_form(self, t, s):
+        planted = PlantedIntegrated(invertible=True)
+        want = planted.matrix(t, s)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(planted.process.matrix(t, s) - want)) <= 1e-9 * scale
+        step, peak = planted.process._step(t, s)
+        assert np.max(np.abs(step - want)) <= 1e-9 * scale
+        x = np.array([0.3, -1.2])
+        assert np.max(np.abs(planted.process.propagate(t, s, x) - want @ x)) <= 1e-9 * scale
+        # The peak is the largest Frobenius norm at the step ends, S(s, s) = Id
+        # and S(t, s) among them.
+        taus = np.linspace(s, t, 4001)
+        top = max(np.linalg.norm(planted.matrix(tau, s)) for tau in taus)
+        assert max(math.sqrt(2.0), np.linalg.norm(want)) <= peak * (1 + 1e-9)
+        assert peak <= top * (1 + 1e-6)
+
+    def test_counts_solves_and_evaluations(self):
+        calls = [0]
+
+        def coefficient(t):
+            calls[0] += 1
+            return np.array([[-1.0, 0.3], [0.0, -2.0]])
+        process = nl.IntegratedLinearProcess(coefficient, 2)
+        solver = nl.process._SOLVER
+        solves, stats = solver.solves, solver.stats.copy()
+        process.matrix(1.5, 0.0)
+        process.propagate(0.0, -1.0, np.ones(2))
+        nfev, steps, accepted, rejected = solver.stats - stats
+        assert solver.solves - solves == 2
+        assert nfev == calls[0]
+        assert 2 <= accepted and accepted + rejected <= steps
+
+    def test_coefficient_is_released(self):
+        def coefficient(t):
+            return np.array([[-1.0]])
+        ref = weakref.ref(coefficient)
+        process = nl.IntegratedLinearProcess(coefficient, 1)
+        process.matrix(1.0, 0.0)
+        process._step(2.0, 1.0)
+        del coefficient, process
+        gc.collect()
+        assert ref() is None
+
+    def test_raising_coefficient_is_reraised(self):
+        calls = [0]
+        failure = _CoefficientFailure("30th call")
+
+        def coefficient(t):
+            calls[0] += 1
+            if calls[0] == 30:
+                raise failure
+            return np.array([[-1.0]])
+        with pytest.raises(_CoefficientFailure) as err:
+            nl.IntegratedLinearProcess(coefficient, 1).matrix(5.0, 0.0)
+        assert err.value is failure and calls[0] == 30
+        planted = PlantedIntegrated(invertible=True)
+        want = planted.matrix(2.0, 0.5)
+        assert np.max(np.abs(planted.process.matrix(2.0, 0.5) - want)) <= 1e-9 * np.max(want)
+
+    def test_nan_coefficient_fails(self):
+        process = nl.IntegratedLinearProcess(lambda t: np.array([[math.nan]]), 1)
+        with pytest.raises(RuntimeError, match="^integration failed: "):
+            process.matrix(1.0, 0.0)
+
+    def test_escape_is_the_end_of_the_first_step_past_the_guard(self):
+        # ||S(tau, 0)||_F = e^{500 tau} passes the guard near tau = 0.69.
+        process = nl.IntegratedLinearProcess(lambda t: np.diag([500.0, -1.0]), 2)
+        for solve in (lambda: process.matrix(0.8, 0.0),
+                      lambda: process.propagate(0.8, 0.0, np.array([1.0, 0.0])),
+                      lambda: process._step(0.8, 0.0)):
+            with pytest.raises(FiniteEscapeError) as err:
+                solve()
+            assert 0.6 < err.value.escape_time < 0.8
+
+    def test_reentry_raises(self):
+        inner = nl.IntegratedLinearProcess(lambda t: np.array([[-1.0]]), 1)
+        outer = nl.IntegratedLinearProcess(lambda t: inner.matrix(t + 1.0, t), 1)
+        with pytest.raises(RuntimeError, match="re-entered"):
+            outer.matrix(1.0, 0.0)
+        assert inner.matrix(1.0, 0.0)[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-10)
+
+    def test_threads_match_serial_solves(self):
+        # Each thread drives its own solver; state shared across threads
+        # would mix the solves below.
+        processes = [PlantedIntegrated(invertible=True).process for _ in range(3)]
+        jobs = [(processes[i % 3], t + 0.1 * i, s)
+                for i, (t, s) in enumerate(self.PAIRS * 3)]
+        serial = [p.matrix(t, s) for p, t, s in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda job: job[0].matrix(job[1], job[2]),
+                                         jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
 
 
 class TestEscapeGuards:

@@ -274,14 +274,7 @@ class TestBandPaths:
                 == _reference_distance(p, q, upsilon, grid)
             assert nl.growth_constant(q, upsilon, grid) == _reference_growth(q, upsilon, grid)
 
-    def test_pipeline_solves_each_anchor_once(self, monkeypatch):
-        calls = []
-        real = nl.process.solve_ivp
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(nl.process, "solve_ivp", counting)
+    def test_pipeline_solves_each_anchor_once(self, ode_solves):
         res = nl.robust_nedii_pipeline(_integrated(0.0), decay_cert(1.0, m=3.0),
                                        _integrated(-0.02), 0.0, 0.3,
                                        GridSpec(0.0, 0.5, 0.5))
@@ -289,7 +282,7 @@ class TestBandPaths:
         assert res.primal_violation <= 0.0 and res.dual_violation <= 0.0
         # One path per scanned anchor and process, plus the chained checks;
         # a fresh solve per band point made 281.
-        assert len(calls) <= 12
+        assert ode_solves() <= 12
 
     def test_escape_inside_the_scanned_band_raises(self):
         # ||S(tau, s)|| = e^{500 (tau - s)} passes the guard near tau - s = 0.69.
