@@ -21,7 +21,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dichotomy import DichotomyCertificate, ExponentPair, _least_ln_m
 from .process import (
@@ -29,10 +28,10 @@ from .process import (
     HALF_LINE_MINUS,
     HALF_LINE_PLUS,
     GridSpec,
-    NormGrid,
     ScalarCoefficientProcess,
     ScalarExponentProcess,
     TimeDomain,
+    sample_norm_grid,
 )
 
 __all__ = [
@@ -86,13 +85,14 @@ class GalleryEntry:
 def _canonical_logmax(process, domain: TimeDomain, alpha: float, delta: float,
                       kind: str, extra_points=()) -> float:
     """Minimal feasible ln M for the stable bound of the given kind on
-    the canonical grid (clamped at 0 so M >= 1)."""
+    the canonical grid (clamped at 0 so M >= 1); inf when a canonical
+    pair escapes."""
     lo = 0.0 if domain.kind == "plus" else -CANONICAL_HORIZON
     hi = 0.0 if domain.kind == "minus" else CANONICAL_HORIZON
     spec = GridSpec(lo, hi, CANONICAL_STEP, extra_points=tuple(extra_points))
-    tv, sv = spec.pairs("stable")
-    logn = np.asarray(process.log_propagator(tv, sv), dtype=float)
-    grid = NormGrid(np.column_stack([tv, sv, logn]), part="stable")
+    grid = sample_norm_grid(process, None, spec)
+    if grid.poisoned:
+        return math.inf
     return max(0.0, _least_ln_m(grid, kind, alpha, delta))
 
 
@@ -182,17 +182,13 @@ def make_smooth_limits(transition_scale: float, eps: float = 0.1) -> GalleryEntr
 
     # Deviation from the sign coefficient: |f - f0|(r) = 1 - |tanh(r/sigma)|,
     # an even, integrable bump around the origin.  Its odd cumulative
-    # H(t) = int_0^t (1 - |tanh|) gives int_s^t |f - f0| = H(t) - H(s).
-    mesh = GridSpec(-CANONICAL_HORIZON, CANONICAL_HORIZON, CANONICAL_STEP).mesh()
-    bump = lambda r: 1.0 - abs(math.tanh(r / sigma))
-    cumulative = np.array([quad(bump, 0.0, t, epsabs=1e-13, epsrel=1e-12,
-                                limit=400)[0] for t in mesh])
-    hh_t, hh_s = np.meshgrid(cumulative, cumulative, indexing="ij")
-    tt, ss = np.meshgrid(mesh, mesh, indexing="ij")
-    keep = tt >= ss
-    # The maximum is the least ln M of the samples H(t) - H(s) at rate -eps
-    # with no anchor growth.
-    deviation = NormGrid(np.column_stack([tt[keep], ss[keep], (hh_t - hh_s)[keep]]))
+    # H(t) = int_0^t (1 - |tanh|) gives int_s^t |f - f0| = H(t) - H(s), the
+    # log-propagator of the scalar process with that coefficient.  The
+    # maximum is the least ln M of its canonical samples at rate -eps with
+    # no anchor growth.
+    bump = ScalarCoefficientProcess(lambda r: 1.0 - abs(math.tanh(r / sigma)))
+    deviation = sample_norm_grid(
+        bump, None, GridSpec(-CANONICAL_HORIZON, CANONICAL_HORIZON, CANONICAL_STEP))
     m_eps = math.exp(max(_least_ln_m(deviation, "II", -eps, 0.0), 0.0))
 
     stable = ExponentPair(1.0 - eps, 2.0)

@@ -26,6 +26,8 @@ from .process import (
     FULL_LINE,
     MatrixClosedFormProcess,
     TimeDomain,
+    _QUAD_KWARGS,
+    _chained_log_norms,
     _escaped,
     spectral_norm,
 )
@@ -200,24 +202,26 @@ class PDEProcess(EvolutionProcess):
             return float(self._g_anti(t))
         t = float(t)
         if t not in self._g_cache:
-            val, _ = quad(self.separable_g, 0.0, t, epsabs=1e-13,
-                          epsrel=1e-12, limit=400)
+            val, _ = quad(self.separable_g, 0.0, t, **_QUAD_KWARGS)
             self._g_cache[t] = val
         return self._g_cache[t]
 
+    def _reaction(self, t: float) -> np.ndarray:
+        """The nodal reaction coefficients a(t, x) at time t."""
+        if self.separable:
+            return np.full(self.dimension, float(self.separable_g(t)))
+        return np.asarray(self.a(t, self.laplacian.nodes), dtype=float)
+
     def generator(self, t: float) -> np.ndarray:
         """A_h + diag(a(t, x)) at time t."""
-        if self.separable:
-            react = np.full(self.dimension, float(self.separable_g(t)))
-        else:
-            react = np.asarray(self.a(t, self.laplacian.nodes), dtype=float)
-        return self.laplacian.matrix + np.diag(react)
+        return self.laplacian.matrix + np.diag(self._reaction(t))
 
-    @property
-    def _chains(self) -> bool:
+    def _log_norms(self, grid, tv, sv, projection, part):
         # A Strang product restarts from s for every pair; chaining reuses
         # one product per mesh interval.  The separable form is exact per pair.
-        return not self.separable
+        if self.separable:
+            return super()._log_norms(grid, tv, sv, projection, part)
+        return _chained_log_norms(self, grid, projection, part)
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         """S(t, s); raises FiniteEscapeError when an entry is not finite
@@ -242,11 +246,9 @@ class PDEProcess(EvolutionProcess):
         n_steps = max(1, int(math.ceil((t - s) / self.dt)))
         tau = (t - s) / n_steps
         half = self.laplacian.expm(0.5 * tau)
-        xs = self.laplacian.nodes
         m = np.eye(self.dimension)
         for j in range(n_steps):
-            mid = s + (j + 0.5) * tau
-            react = np.exp(tau * np.asarray(self.a(mid, xs), dtype=float))
+            react = np.exp(tau * self._reaction(s + (j + 0.5) * tau))
             m = half @ (react[:, None] * (half @ m))
         return m
 
@@ -290,7 +292,8 @@ def variation_of_constants_check(process: PDEProcess, b: Callable,
     times = np.linspace(s, t_end, n_check + 1)[1:]
 
     def rhs(tau, u):
-        return process.generator(tau) @ u + np.asarray(b(tau), dtype=float)
+        return (process.laplacian.matrix @ u + process._reaction(tau) * u
+                + np.asarray(b(tau), dtype=float))
 
     sol = solve_ivp(rhs, (s, t_end), u0, method="LSODA", rtol=rtol, atol=atol,
                     t_eval=times, jac=lambda tau, u: process.generator(tau))

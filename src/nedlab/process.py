@@ -49,6 +49,10 @@ __all__ = [
 #: Norm threshold beyond which propagation is treated as finite-time escape.
 ESCAPE_GUARD = 1e150
 _LOG_GUARD = math.log(ESCAPE_GUARD)
+#: Tolerances of the coefficient quadratures ``int_0^t f``.
+_QUAD_KWARGS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+#: Tolerances of the integrated linear solves.
+_RTOL, _ATOL = 1e-10, 1e-12
 
 
 class DomainError(ValueError):
@@ -390,16 +394,15 @@ class EvolutionProcess:
 
     Subclasses implement :meth:`matrix`.  ``propagate`` applies the
     operator to a vector; scalar backends override it to avoid building
-    1x1 matrices in inner loops.
+    1x1 matrices in inner loops.  :func:`sample_norm_grid` reads every
+    grid through :meth:`_log_norms`, which closed-form exponents
+    vectorise and integrated and Strang backends chain over the mesh.
     """
 
     dimension: int = 1
     domain: TimeDomain = FULL_LINE
     invertible: bool = False
     backend: str = "closed-form-exponent"
-    #: Whether :func:`sample_norm_grid` chains :meth:`_step` propagators over
-    #: the mesh intervals instead of evaluating :meth:`matrix` once per pair.
-    _chains: bool = False
 
     def _check_args(self, t: float, s: float) -> None:
         if not (self.domain.contains(t) and self.domain.contains(s)):
@@ -414,11 +417,18 @@ class EvolutionProcess:
     def matrix(self, t: float, s: float) -> np.ndarray:
         raise NotImplementedError
 
-    def _step(self, t: float, s: float):
-        """``(S(t, s), the largest Frobenius norm of S(tau, s) the backend
-        saw for tau between s and t)`` for one mesh interval of a chained
-        sweep; raises :class:`FiniteEscapeError` like :meth:`matrix`."""
-        raise NotImplementedError
+    def _log_norms(self, grid: GridSpec, tv: np.ndarray, sv: np.ndarray,
+                   projection: Optional[ProjectionFamily], part: str) -> np.ndarray:
+        """``log ||S(t, s) P(s)||`` for the pairs ``(tv, sv) = grid.pairs(part)``,
+        NaN where a pair escaped and -inf where the product vanished.  The
+        default takes one :func:`operator_norm` per pair."""
+        out = np.empty(len(tv))
+        for k, (t, s) in enumerate(zip(tv.tolist(), sv.tolist())):
+            try:
+                out[k] = operator_norm(self, t, s, projection, part=part, log=True)
+            except FiniteEscapeError:
+                out[k] = math.nan
+        return out
 
     def matrix_path(self, s: float, t_end: float) -> Callable[[float], np.ndarray]:
         """``tau -> S(tau, s)`` for tau between s and t_end, for callers
@@ -453,50 +463,54 @@ class ScalarExponentProcess(EvolutionProcess):
         """Vectorized E(t, s); accepts arrays."""
         return self.exponent(t, s)
 
-    def matrix(self, t: float, s: float) -> np.ndarray:
+    def _guarded_exponent(self, t: float, s: float) -> float:
+        """E(t, s) for one pair; raises :class:`FiniteEscapeError` above the
+        guard, and for a NaN exponent."""
         self._check_args(t, s)
         e = float(self.exponent(t, s))
-        if not (e <= _LOG_GUARD):  # also a NaN exponent
-            raise FiniteEscapeError(t, s, _escape_estimate(t, s, e))
-        return np.array([[math.exp(e)]])
+        if not (e <= _LOG_GUARD):
+            # The log norm grows roughly linearly over [s, t], so the guard
+            # is crossed a fraction log_guard / e of the way in.
+            escape = s + (t - s) * min(1.0, _LOG_GUARD / e) if e > 0 else t
+            raise FiniteEscapeError(t, s, escape)
+        return e
+
+    def matrix(self, t: float, s: float) -> np.ndarray:
+        return np.array([[math.exp(self._guarded_exponent(t, s))]])
 
     def propagate(self, t: float, s: float, x) -> np.ndarray:
-        self._check_args(t, s)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        e = float(self.exponent(t, s))
-        if not (e <= _LOG_GUARD):  # also a NaN exponent
-            raise FiniteEscapeError(t, s, _escape_estimate(t, s, e))
-        return math.exp(e) * x
+        return math.exp(self._guarded_exponent(t, s)) * np.atleast_1d(
+            np.asarray(x, dtype=float))
 
-
-def _escape_estimate(t, s, log_norm):
-    # Linear interpolation of the log-norm growth over [s, t]: the guard
-    # is crossed roughly a fraction log_guard / log_norm of the way in.
-    if log_norm <= 0:
-        return t
-    return s + (t - s) * min(1.0, _LOG_GUARD / log_norm)
+    def _log_norms(self, grid, tv, sv, projection, part):
+        if _projection_factor(projection, part) != "identity":
+            return super()._log_norms(grid, tv, sv, projection, part)
+        # Under the identity factor the log norm is the exponent, vectorised.
+        for v in (grid.start, grid.stop):
+            if not self.domain.contains(v):
+                raise DomainError("grid [%g, %g] outside domain %s"
+                                  % (grid.start, grid.stop, self.domain))
+        vals = np.asarray(self.log_propagator(tv, sv), dtype=float)
+        return np.where(vals <= _LOG_GUARD, vals, math.nan)  # a NaN exponent too
 
 
 class ScalarCoefficientProcess(ScalarExponentProcess):
     """Scalar process x' = f(t) x with the log-propagator computed by
     adaptive quadrature of the coefficient: E(t, s) = int_s^t f.
 
-    Antiderivative values F(t) = int_0^t f are cached per mesh point, so
-    grid sweeps cost one quadrature per distinct time rather than per
-    pair.  A closed-form antiderivative can be supplied to skip
-    quadrature entirely.
+    Antiderivative values F(t) = int_0^t f are cached per time, and an
+    array of pairs evaluates F once per distinct time, so grid sweeps
+    cost one quadrature per mesh point rather than per pair.  A
+    closed-form antiderivative can be supplied to skip quadrature
+    entirely.
     """
 
     backend = "numerically-integrated"
 
     def __init__(self, coefficient: Callable, domain: TimeDomain = FULL_LINE,
-                 antiderivative: Optional[Callable] = None,
-                 quad_kwargs: Optional[dict] = None):
+                 antiderivative: Optional[Callable] = None):
         self.coefficient = coefficient
         self.antiderivative = antiderivative
-        self.quad_kwargs = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
-        if quad_kwargs:
-            self.quad_kwargs.update(quad_kwargs)
         self._cache = {}
         super().__init__(self._exponent, domain=domain,
                          backend="numerically-integrated")
@@ -506,17 +520,17 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
             return float(self.antiderivative(t))
         t = float(t)
         if t not in self._cache:
-            val, _ = quad(self.coefficient, 0.0, t, **self.quad_kwargs)
+            val, _ = quad(self.coefficient, 0.0, t, **_QUAD_KWARGS)
             self._cache[t] = val
         return self._cache[t]
 
     def _exponent(self, t, s):
         if np.ndim(t) or np.ndim(s):
-            t = np.atleast_1d(t)
-            s = np.atleast_1d(s)
-            ft = np.array([self._cumulative(v) for v in np.ravel(t)]).reshape(np.shape(t))
-            fs = np.array([self._cumulative(v) for v in np.ravel(s)]).reshape(np.shape(s))
-            return ft - fs
+            t, s = np.broadcast_arrays(t, s)
+            times, index = np.unique(np.concatenate([t.ravel(), s.ravel()]),
+                                     return_inverse=True)
+            values = np.array([self._cumulative(v) for v in times])[index]
+            return (values[:t.size] - values[t.size:]).reshape(t.shape)
         return self._cumulative(t) - self._cumulative(s)
 
 
@@ -544,8 +558,8 @@ class MatrixClosedFormProcess(EvolutionProcess):
 
 class IntegratedLinearProcess(EvolutionProcess):
     """Process generated by x' = A(t) x with the adaptive explicit
-    Runge-Kutta 8(5,3) pair DOP853 (relative tolerance 1e-10, absolute
-    1e-12).
+    Runge-Kutta 8(5,3) pair DOP853 (relative tolerance ``_RTOL = 1e-10``,
+    absolute ``_ATOL = 1e-12``).
 
     ``matrix`` integrates the full matrix ODE from the identity;
     ``propagate`` integrates the vector directly.  Backward propagation
@@ -559,17 +573,13 @@ class IntegratedLinearProcess(EvolutionProcess):
     """
 
     backend = "numerically-integrated"
-    _chains = True
 
     def __init__(self, coefficient_matrix: Callable, dimension: int,
-                 domain: TimeDomain = FULL_LINE, invertible: bool = False,
-                 rtol: float = 1e-10, atol: float = 1e-12):
+                 domain: TimeDomain = FULL_LINE, invertible: bool = False):
         self.coefficient_matrix = coefficient_matrix
         self.dimension = dimension
         self.domain = domain
         self.invertible = invertible
-        self.rtol = rtol
-        self.atol = atol
 
     def _field(self, tau, y):
         return np.asarray(self.coefficient_matrix(tau), dtype=float) @ y
@@ -580,8 +590,7 @@ class IntegratedLinearProcess(EvolutionProcess):
         :class:`FiniteEscapeError` at the end of the first step where that
         norm reaches ``ESCAPE_GUARD``."""
         reach, y, peak = _SOLVER.solve(self._field, s, t, y0.ravel(), y0.shape,
-                                       self.rtol, self.atol, np.linalg.norm,
-                                       ESCAPE_GUARD)
+                                       _RTOL, _ATOL, np.linalg.norm, ESCAPE_GUARD)
         if not (peak < ESCAPE_GUARD):
             raise FiniteEscapeError(t, s, reach)
         return y.reshape(y0.shape), peak
@@ -612,7 +621,7 @@ class IntegratedLinearProcess(EvolutionProcess):
 
         sol = solve_ivp(lambda tau, y: self._field(tau, y.reshape(n, n)).ravel(),
                         (s, t_end), np.eye(n).ravel(), method="DOP853",
-                        rtol=self.rtol, atol=self.atol, events=escape,
+                        rtol=_RTOL, atol=_ATOL, events=escape,
                         dense_output=True)
         if sol.status == -1:
             raise RuntimeError("integration failed: %s" % sol.message)
@@ -628,7 +637,12 @@ class IntegratedLinearProcess(EvolutionProcess):
         return path
 
     def _step(self, t: float, s: float):
+        """``(S(t, s), the largest Frobenius norm of S(tau, s) at the step
+        ends)`` for one mesh interval of :func:`_chained_log_norms`."""
         return self._solve(t, s, np.eye(self.dimension))
+
+    def _log_norms(self, grid, tv, sv, projection, part):
+        return _chained_log_norms(self, grid, projection, part)
 
     def propagate(self, t: float, s: float, x) -> np.ndarray:
         self._check_args(t, s)
@@ -667,25 +681,14 @@ def operator_norm(process: EvolutionProcess, t: float, s: float,
                   projection: Optional[ProjectionFamily] = None,
                   part: str = "stable", log: bool = False):
     """Spectral norm of ``S(t, s) P(s)`` where P is the stable or
-    unstable member of the projection family (full norm if None)."""
+    unstable member of the projection family (full norm if None).
+    ``S(t, s)`` is read from ``process.matrix``, so this raises
+    :class:`FiniteEscapeError` (or :class:`DomainError`) wherever
+    ``matrix`` does, whatever the projection."""
     factor = _projection_factor(projection, part)
     if factor == "zero":
         return -math.inf if log else 0.0
-    if isinstance(process, ScalarExponentProcess):
-        # The norm is read off the exponent.  With the identity factor it
-        # escapes like ``matrix`` (a NaN exponent too); under an explicit
-        # family a NaN exponent is a NaN norm, which grids poison.
-        process._check_args(t, s)
-        e = float(process.exponent(t, s))
-        if factor == "identity":
-            if not (e <= _LOG_GUARD):
-                raise FiniteEscapeError(t, s, _escape_estimate(t, s, e))
-            return e if log else math.exp(e)
-        if e > _LOG_GUARD:
-            raise FiniteEscapeError(t, s, _escape_estimate(t, s, e))
-        m = np.array([[math.exp(e)]])
-    else:
-        m = process.matrix(t, s)
+    m = process.matrix(t, s)
     if factor == "explicit":
         m = m @ (projection.stable(s) if part == "stable" else projection.unstable(s))
     val = spectral_norm(m)
@@ -709,8 +712,7 @@ def dual_process(process: EvolutionProcess) -> EvolutionProcess:
     if isinstance(base, IntegratedLinearProcess):
         d = IntegratedLinearProcess(
             lambda t: -np.asarray(base.coefficient_matrix(t), dtype=float).T,
-            base.dimension, domain=base.domain, invertible=True,
-            rtol=base.rtol, atol=base.atol)
+            base.dimension, domain=base.domain, invertible=True)
     else:
         d = MatrixClosedFormProcess(lambda t, s: base.matrix(s, t).T, base.dimension,
                                     domain=base.domain, invertible=True,
@@ -723,55 +725,24 @@ def sample_norm_grid(process: EvolutionProcess,
                      projection: Optional[ProjectionFamily],
                      grid: GridSpec, part: str = "stable") -> NormGrid:
     """Sample log ||S(t, s) P(s)|| over all grid pairs of the right
-    orientation.  Escaped pairs are recorded as poisoned rather than
-    aborting the sweep.  Backends that set ``_chains`` (integrated and
-    Strang processes) chain one step propagator per mesh interval."""
-    factor = _projection_factor(projection, part)
-    if factor == "zero":
+    orientation, through the backend's ``_log_norms``.  Escaped pairs are
+    recorded as poisoned rather than aborting the sweep; pairs where
+    ``S(t, s) P(s)`` vanished carry no sample."""
+    if _projection_factor(projection, part) == "zero":
         # Zero operator: satisfies every bound, so no pair carries a sample.
         return NormGrid(np.empty((0, 3), dtype=float), part=part)
-    if process._chains:
-        return _chained_norm_grid(process, projection, grid, part, factor)
     tv, sv = grid.pairs(part)
-    if factor == "identity" and isinstance(process, ScalarExponentProcess):
-        # Vectorized closed-form path: log norm is the log-propagator.
-        for v in (grid.start, grid.stop):
-            if not process.domain.contains(v):
-                raise DomainError("grid [%g, %g] outside domain %s"
-                                  % (grid.start, grid.stop, process.domain))
-        vals = np.asarray(process.log_propagator(tv, sv), dtype=float)
-        ok = vals <= _LOG_GUARD
-        # A vanished propagator (exponent -inf) carries no sample, as below.
-        keep = ok & (vals > -np.inf)
-        samples = np.column_stack([tv[keep], sv[keep], vals[keep]])
-        poisoned = list(zip(tv[~ok].tolist(), sv[~ok].tolist()))
-        return NormGrid(samples, part=part, poisoned=poisoned)
-    rows = []
-    poisoned = []
-    for t, s in zip(tv, sv):
-        try:
-            v = operator_norm(process, float(t), float(s), projection,
-                              part=part, log=True)
-        except FiniteEscapeError:
-            v = math.nan
-        if v == -math.inf:
-            # S(t, s) P(s) vanished: skip rather than propagate -inf into
-            # the fitting arithmetic.
-            continue
-        if not math.isfinite(v):
-            # Escaped, overflowed or NaN: surfaced, never dropped.
-            poisoned.append((float(t), float(s)))
-            continue
-        rows.append((float(t), float(s), float(v)))
-    samples = (np.asarray(rows, dtype=float) if rows
-               else np.empty((0, 3), dtype=float))
-    return NormGrid(samples, part=part, poisoned=poisoned)
+    vals = process._log_norms(grid, tv, sv, projection, part)
+    poison = ~(vals < math.inf)   # escaped, overflowed or NaN: surfaced, never dropped
+    keep = ~poison & (vals > -math.inf)
+    return NormGrid(np.column_stack([tv[keep], sv[keep], vals[keep]]), part=part,
+                    poisoned=list(zip(tv[poison].tolist(), sv[poison].tolist())))
 
 
-def _chained_norm_grid(process: EvolutionProcess,
-                       projection: Optional[ProjectionFamily],
-                       grid: GridSpec, part: str, factor: str) -> NormGrid:
-    """:func:`sample_norm_grid` from one step propagator per mesh interval.
+def _chained_log_norms(process: EvolutionProcess, grid: GridSpec,
+                       projection: Optional[ProjectionFamily], part: str) -> np.ndarray:
+    """The :meth:`EvolutionProcess._log_norms` of the grid's pairs from one
+    step propagator ``process._step`` per mesh interval.
 
     The stable part chains forward steps ``S(m_{k+1}, m_k)``, the unstable
     part backward solves ``S(m_k, m_{k+1})``; by the cocycle identity each
@@ -792,6 +763,7 @@ def _chained_norm_grid(process: EvolutionProcess,
     mesh = grid.mesh()
     count = len(mesh)
     forward = part == "stable"
+    explicit = _projection_factor(projection, part) == "explicit"
     # Domains are intervals: checking the outermost pair checks them all.
     if forward:
         process._check_args(mesh[-1], mesh[0])
@@ -810,7 +782,7 @@ def _chained_norm_grid(process: EvolutionProcess,
     eye = np.eye(process.dimension)
     for j, s in enumerate(mesh):
         proj = None
-        if factor == "explicit":
+        if explicit:
             proj = projection.stable(s) if forward else projection.unstable(s)
         if forward:
             logn[j, j] = 0.0 if proj is None else _log(spectral_norm(proj))
@@ -834,12 +806,10 @@ def _chained_norm_grid(process: EvolutionProcess,
             log_scale += math.log(top)
             logn[i, j] = log_scale + _log(spectral_norm(prod if proj is None else prod @ proj))
 
+    logn[bad] = math.nan
     ti, si = np.nonzero(np.greater_equal.outer(mesh, mesh) if forward
                         else np.less.outer(mesh, mesh))   # grid.pairs(part) order
-    tv, sv, vals, poison = mesh[ti], mesh[si], logn[ti, si], bad[ti, si]
-    keep = ~poison & (vals > -np.inf)
-    return NormGrid(np.column_stack([tv[keep], sv[keep], vals[keep]]), part=part,
-                    poisoned=list(zip(tv[poison].tolist(), sv[poison].tolist())))
+    return logn[ti, si]
 
 
 # CONFIG LOADING =======================================================================

@@ -182,8 +182,7 @@ def _golden_section_max(f, lo, hi, tol=1e-10, max_iter=200):
     return x, f(x)
 
 
-def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01,
-              with_residual: bool = False):
+def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01) -> float:
     """Maximize a value v(t, s) over the band 0 <= t - s <= 1 with s in
     the grid range: coarse scan at `band_step` in both s and t-s, then
     golden-section refinement in each coordinate around the maximizer.
@@ -205,7 +204,6 @@ def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01,
             v = path(s + d)
             if v > best:
                 best, bs, bd, best_path = v, float(s), float(d), path
-    coarse = best
     # Refine the offset at the best anchor, then the anchor at the best
     # offset; either refinement can only improve on the grid value.
     d_lo, d_hi = max(0.0, bd - band_step), min(1.0, bd + band_step)
@@ -219,21 +217,17 @@ def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01,
         s_ref, v = _golden_section_max(lambda s: anchor_fn(s, s + bd)(s + bd), s_lo2, s_hi2)
         if v > best:
             best = v
-    if with_residual:
-        return best, best - coarse
     return best
 
 
 def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
                           upsilon: float, grid: GridSpec,
-                          band_step: float = 0.01,
-                          with_residual: bool = False):
+                          band_step: float = 0.01) -> float:
     """sup of e^{upsilon |s|} ||S(t,s) - T(t,s)|| over 0 <= t-s <= 1.
 
     Approximated on a (s, t-s) grid with the given step plus
-    golden-section refinement around the grid maximizer; with
-    ``with_residual=True`` also returns how much refinement added.
-    Both processes are evaluated along one ``matrix_path`` per anchor.
+    golden-section refinement around the grid maximizer.  Both processes
+    are evaluated along one ``matrix_path`` per anchor.
     """
     if p.dimension != q.dimension:
         raise ValueError("processes have different dimensions")
@@ -243,7 +237,7 @@ def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
         weight = math.exp(upsilon * abs(s))
         return lambda t: weight * spectral_norm(p_path(t) - q_path(t))
 
-    return _band_sup(anchor, grid, band_step=band_step, with_residual=with_residual)
+    return _band_sup(anchor, grid, band_step=band_step)
 
 
 def growth_constant(p: EvolutionProcess, upsilon: float, grid: GridSpec,

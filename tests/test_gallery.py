@@ -180,3 +180,15 @@ class TestPiecewiseBarreira:
             nl.make_entry("piecewise-barreira", a=3.0, b=1.0, c=0.2, d=0.45)
         with pytest.raises(ValueError):
             nl.make_entry("piecewise-barreira", a=1.5, b=3.0, c=0.5, d=0.4)
+
+    def test_canonical_escape_is_an_infinite_constant(self):
+        # e^{-(t-s)} fits (alpha 1, delta 0) with ln M = 0, except at the one
+        # canonical pair (40, -40), where the exponent passes the guard.
+        def exponent(t, s):
+            t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+            return np.where((t == 40.0) & (s == -40.0), 1e3, -(t - s))
+        process = nl.ScalarExponentProcess(exponent)
+        logmax = nl.gallery._canonical_logmax
+        assert logmax(process, nl.FULL_LINE, 1.0, 0.0, "II") == math.inf
+        plain = nl.ScalarExponentProcess(lambda t, s: -(np.asarray(t) - np.asarray(s)))
+        assert logmax(plain, nl.FULL_LINE, 1.0, 0.0, "II") == 0.0

@@ -198,7 +198,7 @@ class TestNormGrid:
         assert np.allclose(back.samples, sampled.samples)
         assert back.part == "stable"
 
-    def test_fast_path_matches_loop(self, barreira):
+    def test_fast_path_matches_loop(self, barreira, dirichlet_31):
         g = GridSpec(-2.0, 2.0, 1.0)
         fast = nl.sample_norm_grid(barreira.process, None, g, part="stable")
         slow_rows = []
@@ -207,6 +207,40 @@ class TestNormGrid:
             slow_rows.append(nl.operator_norm(barreira.process, float(t),
                                               float(s), None, log=True))
         assert np.allclose(fast.samples[:, 2], slow_rows)
+
+        # Every other kernel that is not chained against one operator_norm
+        # per pair: quadrature exponents, a separable PDE, and a closed form
+        # that escapes for 1.15 < t - s <= 1.5 and is exactly zero beyond.
+        def escape_then_vanish(t, s):
+            if t - s > 1.5:
+                return np.zeros((2, 2))
+            return np.array([[math.exp(300.0 * (t - s)), 1.0], [0.0, 1.0]])
+        g = GridSpec(-2.0, 2.0, 0.5)
+        for process, poisoned, vanished in [
+                (nl.ScalarCoefficientProcess(lambda r: math.sin(r) - 0.5), 0, 0),
+                (nl.pde_process(dirichlet_31, separable_g=math.cos), 0, 0),
+                (nl.MatrixClosedFormProcess(escape_then_vanish, 2), 6, 15)]:
+            sampled = nl.sample_norm_grid(process, None, g)
+            rows, escaped = _per_pair_grid(process, None, g, "stable")
+            assert len(escaped) == poisoned and set(sampled.poisoned) == escaped
+            kept = [(t, s, v) for (t, s), v in rows.items() if v > -math.inf]
+            assert len(rows) - len(kept) == vanished
+            assert len(sampled.samples) == len(kept)
+            assert np.allclose(sampled.samples, kept, rtol=0.0, atol=1e-12)
+
+    def test_quadrature_once_per_mesh_time(self):
+        process = nl.ScalarCoefficientProcess(lambda r: math.sin(r) - 0.5)
+        calls = []
+        real = process._cumulative
+
+        def spy(t):
+            calls.append(float(t))
+            return real(t)
+        process._cumulative = spy
+        grid = GridSpec(-2.0, 2.0, 0.25)
+        sampled = nl.sample_norm_grid(process, None, grid)
+        assert len(sampled.samples) == len(grid.pairs("stable")[0])
+        assert sorted(calls) == grid.mesh().tolist()
 
     def test_projection_shortcuts(self, barreira):
         g = GridSpec(0.0, 1.0, 0.5)
@@ -380,12 +414,12 @@ class TestAdjointDual:
     def test_grid_is_chained_and_matches_per_pair(self, monkeypatch, part):
         dual = nl.dual_process(self.non_normal().process)
         chained = []
-        real = nl.process._chained_norm_grid
+        real = nl.process._chained_log_norms
 
         def spy(*args, **kwargs):
             chained.append(1)
             return real(*args, **kwargs)
-        monkeypatch.setattr(nl.process, "_chained_norm_grid", spy)
+        monkeypatch.setattr(nl.process, "_chained_log_norms", spy)
         grid = TestChainedNormGrid.IRREGULAR
         sampled = nl.sample_norm_grid(dual, None, grid, part=part)
         assert chained == [1]
@@ -583,7 +617,8 @@ class TestEscapeGuards:
     def test_nan_norm_is_poisoned_not_vanished(self):
         process = ScalarExponentProcess(lambda t, s: math.nan if t > 0.6 else -(t - s))
         family = ProjectionFamily.constant([[0.0]])  # explicit: one norm per pair
-        assert math.isnan(nl.operator_norm(process, 1.0, 0.0, family, log=True))
+        with pytest.raises(FiniteEscapeError):
+            nl.operator_norm(process, 1.0, 0.0, family, log=True)
         sampled = nl.sample_norm_grid(process, family, GridSpec(0.0, 1.0, 0.5))
         assert sorted(sampled.poisoned) == [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
         assert len(sampled.samples) == 3
