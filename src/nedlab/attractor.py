@@ -255,22 +255,15 @@ def pullback_radius(cert: DichotomyCertificate, lam: float, bnorm: float,
     """Pullback attractor radius on R- under a kind-II dichotomy:
     R(t) = [ (M/(alpha - delta*lam)) * ||b||_{lam*delta}
              * e^{(lam+1) delta |t|} ]^{1/2}."""
-    alpha, delta = cert.stable.rate, cert.stable.growth
-    denom = alpha - delta * lam
-    if not (denom > 0):
-        raise InapplicableError("need alpha > delta * lambda "
-                                "(alpha=%g, delta=%g, lambda=%g)"
-                                % (alpha, delta, lam))
-    return math.sqrt((cert.m / denom) * bnorm * math.exp((lam + 1.0) * delta * abs(t)))
+    return make_pullback_envelope(cert, lam, bnorm)(t)
 
 
 def make_pullback_envelope(cert: DichotomyCertificate, lam: float,
                            bnorm: float) -> RadiusEnvelope:
-    alpha, delta = cert.stable.rate, cert.stable.growth
-    return RadiusEnvelope(
-        params={"M": cert.m, "alpha": alpha, "delta": delta,
-                "lambda": lam, "bnorm": bnorm},
-        evaluator=lambda t: pullback_radius(cert, lam, bnorm, t))
+    """The square root of :func:`make_linear_envelope`, in the Euclidean norm."""
+    linear = make_linear_envelope(cert, lam, bnorm)
+    return dataclasses.replace(linear, evaluator=lambda t: math.sqrt(linear(t)),
+                               norm="euclidean")
 
 
 def make_linear_envelope(cert: DichotomyCertificate, lam: float,
@@ -278,12 +271,14 @@ def make_linear_envelope(cert: DichotomyCertificate, lam: float,
     """Sup-norm radius of the linear (case-I) problem under a kind-II
     dichotomy: R(t) = (M/(alpha - delta*lam)) * ||b|| * e^{(1+lam) delta |t|}."""
     alpha, delta = cert.stable.rate, cert.stable.growth
-    if not (alpha - delta * lam > 0):
-        raise InapplicableError("envelope needs alpha > delta * lambda")
+    denom = alpha - delta * lam
+    if not (denom > 0):
+        raise InapplicableError("need alpha > delta * lambda "
+                                "(alpha=%g, delta=%g, lambda=%g)"
+                                % (alpha, delta, lam))
 
     def radius(t):
-        return (cert.m / (alpha - delta * lam)) * bnorm \
-            * math.exp((1.0 + lam) * delta * abs(t))
+        return (cert.m / denom) * bnorm * math.exp((1.0 + lam) * delta * abs(t))
 
     return RadiusEnvelope(
         params={"M": cert.m, "alpha": alpha, "delta": delta,
@@ -495,9 +490,7 @@ def simulate_pullback_omega(spec, t: float, seeds, s_schedule=None,
             continue
         per_depth.append(endpoints)
         if len(per_depth) >= 2:
-            d = max(hausdorff_semidistance(per_depth[-1], per_depth[-2]),
-                    hausdorff_semidistance(per_depth[-2], per_depth[-1]))
-            if d <= cluster_eps:
+            if _hausdorff_distance(per_depth[-1], per_depth[-2]) <= cluster_eps:
                 converged = True
                 break
     if not per_depth:
@@ -509,9 +502,7 @@ def simulate_pullback_omega(spec, t: float, seeds, s_schedule=None,
     deepest = per_depth[-1]
     keep = [deepest]
     for cloud in per_depth[len(per_depth) // 2:-1]:
-        d = max(hausdorff_semidistance(cloud, deepest),
-                hausdorff_semidistance(deepest, cloud))
-        if d <= cluster_eps:
+        if _hausdorff_distance(cloud, deepest) <= cluster_eps:
             keep.append(cloud)
     points = np.vstack(keep)
     return _cluster(points, cluster_eps, converged=converged,
@@ -578,6 +569,11 @@ def hausdorff_semidistance(a, b) -> float:
     return float(np.max(np.sqrt(np.min(d2, axis=1))))
 
 
+def _hausdorff_distance(a, b) -> float:
+    """The symmetric Hausdorff distance between two clouds."""
+    return max(hausdorff_semidistance(a, b), hausdorff_semidistance(b, a))
+
+
 def universe_membership(family: SetFamily, gamma: float) -> float:
     """Witness C = sup over sections of e^{-gamma |t|} max ||x||; any
     family dominated section-wise by this one inherits the witness."""
@@ -626,8 +622,6 @@ def attractor_coincidence(spec, t_grid, gamma0: float, gammas,
         for t in t_grid:
             sec = simulate_pullback_omega(spec, t, universe(gamma),
                                           cluster_eps=cluster_eps).section()
-            worst = max(worst,
-                        hausdorff_semidistance(sec, base_sections[t]),
-                        hausdorff_semidistance(base_sections[t], sec))
+            worst = max(worst, _hausdorff_distance(sec, base_sections[t]))
         out[float(gamma)] = worst
     return out

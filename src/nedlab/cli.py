@@ -23,8 +23,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import gallery
 from .attractor import make_linear_envelope, make_pullback_envelope
 from .dichotomy import (
@@ -271,13 +269,6 @@ _NAMED_COEFFS = {
     "sin-drift": lambda p: (lambda t, c=float(p.get("c", 2.0)),
                             d=float(p.get("d", 1.0)): -c - d * t * math.sin(t)),
 }
-
-_NAMED_FORCINGS = {
-    "zero": lambda p, n: (lambda t: np.zeros(n)),
-    "decaying": lambda p, n: (lambda t, s=float(p.get("scale", 1.0)):
-                              s * math.exp(-abs(t)) * np.ones(n)),
-}
-
 
 def _cmd_pde(args, argv):
     with open(args.config) as fh:

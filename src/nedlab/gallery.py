@@ -184,12 +184,9 @@ def make_smooth_limits(transition_scale: float, eps: float = 0.1) -> GalleryEntr
     # an even, integrable bump around the origin.  Its odd cumulative
     # H(t) = int_0^t (1 - |tanh|) gives int_s^t |f - f0| = H(t) - H(s), the
     # log-propagator of the scalar process with that coefficient.  The
-    # maximum is the least ln M of its canonical samples at rate -eps with
-    # no anchor growth.
+    # maximum is its canonical least ln M at rate -eps with no anchor growth.
     bump = ScalarCoefficientProcess(lambda r: 1.0 - abs(math.tanh(r / sigma)))
-    deviation = sample_norm_grid(
-        bump, None, GridSpec(-CANONICAL_HORIZON, CANONICAL_HORIZON, CANONICAL_STEP))
-    m_eps = math.exp(max(_least_ln_m(deviation, "II", -eps, 0.0), 0.0))
+    m_eps = math.exp(_canonical_logmax(bump, FULL_LINE, -eps, 0.0, "II"))
 
     stable = ExponentPair(1.0 - eps, 2.0)
     claims = [

@@ -486,10 +486,7 @@ class ScalarExponentProcess(EvolutionProcess):
         if _projection_factor(projection, part) != "identity":
             return super()._log_norms(grid, tv, sv, projection, part)
         # Under the identity factor the log norm is the exponent, vectorised.
-        for v in (grid.start, grid.stop):
-            if not self.domain.contains(v):
-                raise DomainError("grid [%g, %g] outside domain %s"
-                                  % (grid.start, grid.stop, self.domain))
+        self._check_args(grid.stop, grid.start)
         vals = np.asarray(self.log_propagator(tv, sv), dtype=float)
         return np.where(vals <= _LOG_GUARD, vals, math.nan)  # a NaN exponent too
 
@@ -561,15 +558,14 @@ class IntegratedLinearProcess(EvolutionProcess):
     Runge-Kutta 8(5,3) pair DOP853 (relative tolerance ``_RTOL = 1e-10``,
     absolute ``_ATOL = 1e-12``).
 
-    ``matrix`` integrates the full matrix ODE from the identity;
-    ``propagate`` integrates the vector directly.  Backward propagation
-    (t < s) is available when ``invertible=True`` and simply integrates
-    the ODE backward in time.  Grid sampling integrates one step
-    propagator per mesh interval and chains them.  These solves run on
-    the compiled DOP853 driver shared with the attractor ensembles, so a
-    coefficient must not start another such solve.  Only ``matrix_path``
-    runs ``solve_ivp``, whose dense output serves every point of one
-    anchor from a single solve.
+    ``matrix`` integrates the full matrix ODE from the identity, and
+    ``propagate`` applies it.  Backward propagation (t < s) is available
+    when ``invertible=True`` and simply integrates the ODE backward in
+    time.  Grid sampling integrates one step propagator per mesh interval
+    and chains them.  These solves run on the compiled DOP853 driver
+    shared with the attractor ensembles, so a coefficient must not start
+    another such solve.  Only ``matrix_path`` runs ``solve_ivp``, whose
+    dense output serves every point of one anchor from a single solve.
     """
 
     backend = "numerically-integrated"
@@ -642,16 +638,7 @@ class IntegratedLinearProcess(EvolutionProcess):
         return self._solve(t, s, np.eye(self.dimension))
 
     def _log_norms(self, grid, tv, sv, projection, part):
-        return _chained_log_norms(self, grid, projection, part)
-
-    def propagate(self, t: float, s: float, x) -> np.ndarray:
-        self._check_args(t, s)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape[0] != self.dimension:
-            raise DomainError("state dimension mismatch")
-        if t == s:
-            return x.copy()
-        return self._solve(t, s, x)[0]
+        return _chained_log_norms(self, grid, tv, sv, projection, part)
 
 
 # MODULE-LEVEL OPERATIONS ==============================================================
@@ -684,13 +671,20 @@ def operator_norm(process: EvolutionProcess, t: float, s: float,
     unstable member of the projection family (full norm if None).
     ``S(t, s)`` is read from ``process.matrix``, so this raises
     :class:`FiniteEscapeError` (or :class:`DomainError`) wherever
-    ``matrix`` does, whatever the projection."""
+    ``matrix`` does, whatever the projection.  A scalar log norm is the
+    guarded exponent plus ``log |P(s)|``, so it never underflows."""
     factor = _projection_factor(projection, part)
     if factor == "zero":
         return -math.inf if log else 0.0
+    proj = None if factor == "identity" else (
+        projection.stable(s) if part == "stable" else projection.unstable(s))
+    if log and isinstance(process, ScalarExponentProcess):
+        # Read in the exponent: e^E underflows to 0 once E < -745.
+        e = process._guarded_exponent(t, s)
+        return e if proj is None else e + _log(spectral_norm(proj))
     m = process.matrix(t, s)
-    if factor == "explicit":
-        m = m @ (projection.stable(s) if part == "stable" else projection.unstable(s))
+    if proj is not None:
+        m = m @ proj
     val = spectral_norm(m)
     return _log(val) if log else val
 
@@ -739,10 +733,10 @@ def sample_norm_grid(process: EvolutionProcess,
                     poisoned=list(zip(tv[poison].tolist(), sv[poison].tolist())))
 
 
-def _chained_log_norms(process: EvolutionProcess, grid: GridSpec,
+def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, tv, sv,
                        projection: Optional[ProjectionFamily], part: str) -> np.ndarray:
-    """The :meth:`EvolutionProcess._log_norms` of the grid's pairs from one
-    step propagator ``process._step`` per mesh interval.
+    """The :meth:`EvolutionProcess._log_norms` of the mesh pairs (tv, sv)
+    from one step propagator ``process._step`` per mesh interval.
 
     The stable part chains forward steps ``S(m_{k+1}, m_k)``, the unstable
     part backward solves ``S(m_k, m_{k+1})``; by the cocycle identity each
@@ -765,10 +759,7 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec,
     forward = part == "stable"
     explicit = _projection_factor(projection, part) == "explicit"
     # Domains are intervals: checking the outermost pair checks them all.
-    if forward:
-        process._check_args(mesh[-1], mesh[0])
-    else:
-        process._check_args(mesh[0], mesh[-1])
+    process._check_args(*((mesh[-1], mesh[0]) if forward else (mesh[0], mesh[-1])))
     steps = []
     for k in range(count - 1):
         end, start = (mesh[k + 1], mesh[k]) if forward else (mesh[k], mesh[k + 1])
@@ -807,9 +798,7 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec,
             logn[i, j] = log_scale + _log(spectral_norm(prod if proj is None else prod @ proj))
 
     logn[bad] = math.nan
-    ti, si = np.nonzero(np.greater_equal.outer(mesh, mesh) if forward
-                        else np.less.outer(mesh, mesh))   # grid.pairs(part) order
-    return logn[ti, si]
+    return logn[np.searchsorted(mesh, tv), np.searchsorted(mesh, sv)]
 
 
 # CONFIG LOADING =======================================================================

@@ -101,6 +101,24 @@ class TestRadii:
         with pytest.raises(InapplicableError):
             nl.pullback_radius(cert, 1.0, 1.0, 0.0)
 
+    def test_pullback_envelope_is_the_root_of_the_linear_one(self):
+        cert = nl.DichotomyCertificate("II", nl.FULL_LINE, 2.0,
+                                       nl.ExponentPair(3.0, 0.5),
+                                       projection="zero")
+        linear = nl.make_linear_envelope(cert, 1.0, 4.0)
+        pullback = nl.make_pullback_envelope(cert, 1.0, 4.0)
+        assert pullback.params == linear.params
+        assert (pullback.norm, linear.norm) == ("euclidean", "max")
+        for t in (-3.0, -0.5, 0.0):
+            assert pullback(t) == math.sqrt(linear(t)) == nl.pullback_radius(cert, 1.0, 4.0, t)
+        # alpha <= delta * lambda is refused when the envelope is built.
+        weak = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0,
+                                       nl.ExponentPair(1.0, 2.0),
+                                       projection="zero")
+        for make in (nl.make_pullback_envelope, nl.make_linear_envelope):
+            with pytest.raises(InapplicableError):
+                make(weak, 0.5, 1.0)
+
     def test_forward_attractor_cases(self):
         cert = decay_cert(1.0, kind="I")
         assert nl.forward_attractor_radius(cert, -2.0, 1.0) == {

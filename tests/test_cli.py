@@ -273,6 +273,15 @@ class TestAttract:
         assert r == pytest.approx(math.sqrt((2.0 / 2.0)
                                             * math.exp(0.5 * 2.0)))
 
+    def test_inapplicable_envelope_exits_2(self, tmp_path):
+        cert = _write(tmp_path, "c.json",
+                      _cert_dict(1.0, growth=2.0, m=1.0, domain="full"))
+        out = tmp_path / "radii.csv"
+        assert run(["attract", "--cert", cert, "--bnorm", "1.0",
+                    "--lam", "0.5", "--t-grid=-2:0:1",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestPde:
     def _config(self, tmp_path, **over):

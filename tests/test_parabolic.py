@@ -116,6 +116,28 @@ class TestPDEProcess:
         b = without.matrix(1.0, 0.2)
         assert np.max(np.abs(a - b)) < 1e-10
 
+    def test_separable_quadrature_once_per_mesh_time(self, monkeypatch):
+        # G(t) - G(s) is the log-propagator of one held scalar process,
+        # which integrates g once per distinct time whatever the pairs.
+        p = nl.pde_process(_dirichlet(5), separable_g=lambda t: math.cos(t) - 1.0)
+        times, quads = [], []
+        cumulative, quad = p._time_factor._cumulative, nl.process.quad
+
+        def spy(t):
+            times.append(float(t))
+            return cumulative(t)
+
+        def counting(*args, **kwargs):
+            quads.append(args[2])
+            return quad(*args, **kwargs)
+        p._time_factor._cumulative = spy
+        monkeypatch.setattr(nl.process, "quad", counting)
+        grid = GridSpec(0.0, 2.0, 0.25)
+        sampled = nl.sample_norm_grid(p, None, grid)
+        assert len(sampled.samples) == len(grid.pairs("stable")[0])
+        assert sorted(set(times)) == grid.mesh().tolist()
+        assert sorted(quads) == grid.mesh().tolist()
+
     def test_argument_validation(self):
         lap = _dirichlet(5)
         with pytest.raises(ValueError):

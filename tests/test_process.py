@@ -655,6 +655,22 @@ class TestEscapeGuards:
         within = ScalarExponentProcess(lambda t, s: 300.0 * (t - s))
         assert nl.operator_norm(within, 1.0, 0.0, log=True) == 300.0
 
+    def test_scalar_log_norm_is_read_in_the_exponent(self):
+        # e^{-800} underflows to 0.0: a log norm read through ``matrix``
+        # would drop the pair (1, 0) as vanished and hide its violation.
+        process = ScalarExponentProcess(lambda t, s: -800.0 * (t - s))
+        explicit = ProjectionFamily.constant([[0.0]])
+        assert nl.operator_norm(process, 1.0, 0.0, log=True) == -800.0
+        assert nl.operator_norm(process, 1.0, 0.0, explicit, log=True) == -800.0
+        assert nl.operator_norm(process, 1.0, 0.0, explicit, part="unstable",
+                                log=True) == -math.inf
+        grid = GridSpec(0.0, 1.0, 1.0)
+        violations = [nl.check_certificate(process, nl.DichotomyCertificate(
+            "II", nl.FULL_LINE, 1.0, nl.ExponentPair(900.0, 0.0), projection=kind,
+            projection_family=family), grid)
+            for kind, family in (("explicit", explicit), ("zero", None))]
+        assert violations == [100.0, 100.0]
+
     def test_nan_exponent_is_an_escape(self):
         # `e > guard` is False for NaN; the guard must not let it through.
         process = ScalarExponentProcess(lambda t, s: math.nan)
