@@ -268,7 +268,9 @@ def fit_bounds(grid: NormGrid, kind: str, part: str,
     ln M ``max_a (h_a - delta * a)``, run over every distinct anchor: the
     upper hull of the points (a, h_a) attains them in exact arithmetic,
     but a point on a hull edge can round one ulp above it, and the full
-    maximum keeps that larger, safe value.
+    maximum keeps that larger, safe value.  Where that value lands over
+    ``ln_m_max``, delta rises by ulps until ln M fits under the cap, so an
+    emitted ln M never exceeds it.
     """
     if kind not in ("I", "II"):
         raise ValueError("kind must be 'I' or 'II', got %r" % (kind,))
@@ -297,8 +299,19 @@ def fit_bounds(grid: NormGrid, kind: str, part: str,
                        initial=-np.inf)
     delta_min = np.where(delta_min > 0.0, delta_min, 0.0)
     ln_m = np.max(heights - delta_min[:, None] * anchors, axis=1)
+    # Rounding can leave ln M an ulp or so over the cap at that delta: raise
+    # delta by one ulp, then two, four, ... until ln M fits or delta passes
+    # delta_max.  ln M only falls as delta rises, and delta_min > 0 here.
+    bump = np.spacing(delta_min)
+    while True:
+        over = (ln_m > ln_m_max) & (floor <= ln_m_max) & (delta_min <= delta_max)
+        if not over.any():
+            break
+        delta_min = np.where(over, delta_min + bump, delta_min)
+        bump *= 2.0
+        ln_m = np.max(heights - delta_min[:, None] * anchors, axis=1)
     ln_m = np.where(ln_m > 0.0, ln_m, 0.0)
-    infeasible = (floor > ln_m_max) | (delta_min > delta_max)
+    infeasible = (floor > ln_m_max) | (delta_min > delta_max) | (ln_m > ln_m_max)
     ok = ~infeasible
     entries = list(zip(alphas[ok].tolist(), delta_min[ok].tolist(), ln_m[ok].tolist()))
     return ParetoFrontier(kind, part, entries, alphas[infeasible].tolist(),

@@ -277,6 +277,24 @@ def spectral_norm(m) -> float:
     return scale * float(np.linalg.svd(m / scale, compute_uv=False)[0])
 
 
+def _spectral_norms(stack) -> np.ndarray:
+    """:func:`spectral_norm` of each matrix of an (m, n, n) stack, bit for
+    bit, with one LAPACK call for the lot; an (n, n) matrix goes to
+    :func:`spectral_norm` itself."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim == 2:
+        return spectral_norm(stack)
+    if stack.shape[1:] == (1, 1):
+        return np.abs(stack[:, 0, 0])
+    scale = np.max(np.abs(stack), axis=(1, 2))
+    out = scale.copy()   # zero and non-finite scales are their own norm
+    ok = (scale != 0.0) & np.isfinite(scale)
+    if ok.any():
+        out[ok] = scale[ok] * np.linalg.svd(stack[ok] / scale[ok, None, None],
+                                            compute_uv=False)[:, 0]
+    return out
+
+
 def _log(value: float) -> float:
     """Natural log with an exact zero mapped to -inf; NaN stays NaN."""
     return -math.inf if value == 0.0 else math.log(value)
@@ -430,11 +448,21 @@ class EvolutionProcess:
                 out[k] = math.nan
         return out
 
-    def matrix_path(self, s: float, t_end: float) -> Callable[[float], np.ndarray]:
+    def matrix_path(self, s: float, t_end: float) -> Callable:
         """``tau -> S(tau, s)`` for tau between s and t_end, for callers
-        that evaluate many times from one anchor s.  Errors surface when a
-        point is evaluated, as they would from :meth:`matrix`."""
-        return lambda tau: self.matrix(tau, s)
+        that evaluate many times from one anchor s.  A path takes one time
+        and returns the (n, n) matrix, or a 1-d array of m times and
+        returns the (m, n, n) stack.  Errors surface when a point is
+        evaluated, as they would from :meth:`matrix`; over an array, from
+        the first time in order that fails.  The default calls
+        :meth:`matrix` once per time."""
+        n = self.dimension
+
+        def path(tau):
+            if np.ndim(tau) == 0:
+                return self.matrix(tau, s)
+            return np.array([self.matrix(t, s) for t in tau], dtype=float).reshape(-1, n, n)
+        return path
 
     def propagate(self, t: float, s: float, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -481,6 +509,24 @@ class ScalarExponentProcess(EvolutionProcess):
     def propagate(self, t: float, s: float, x) -> np.ndarray:
         return math.exp(self._guarded_exponent(t, s)) * np.atleast_1d(
             np.asarray(x, dtype=float))
+
+    def matrix_path(self, s: float, t_end: float) -> Callable:
+        """Over an array of times the exponent is evaluated once and each
+        entry exponentiated with ``math.exp``, as :meth:`matrix` does.  If
+        a time fails the domain check or the guard, the whole array goes
+        through :meth:`matrix` one time at a time, which raises there."""
+        per_time = super().matrix_path(s, t_end)
+
+        def path(tau):
+            if np.ndim(tau):
+                tau = np.asarray(tau, dtype=float)
+                if self.domain.contains(s) and np.all(self.domain.contains(tau)):
+                    e = np.broadcast_to(np.asarray(self.exponent(tau, s), dtype=float),
+                                        tau.shape)
+                    if np.all(e <= _LOG_GUARD):   # False for a NaN exponent too
+                        return np.array([math.exp(v) for v in e.tolist()]).reshape(-1, 1, 1)
+            return per_time(tau)
+        return path
 
     def _log_norms(self, grid, tv, sv, projection, part):
         if _projection_factor(projection, part) != "identity":
@@ -622,10 +668,18 @@ class IntegratedLinearProcess(EvolutionProcess):
         if sol.status == -1:
             raise RuntimeError("integration failed: %s" % sol.message)
         reach = float(sol.t[-1])  # t_end, or the escape time
+        lo, hi = min(s, reach), max(s, reach)
 
         def path(tau):
+            if np.ndim(tau):
+                tau = np.asarray(tau, dtype=float)
+                if not np.all((lo <= tau) & (tau <= hi)):
+                    return np.array([path(t) for t in tau])  # raises at the first failure
+                if tau.size == 0:
+                    return np.empty((0, n, n))
+                return sol.sol(tau).T.reshape(-1, n, n)
             self._check_args(tau, s)
-            if min(s, reach) <= tau <= max(s, reach):
+            if lo <= tau <= hi:
                 return sol.sol(tau).reshape(n, n)
             if sol.status == 1 and min(s, t_end) <= tau <= max(s, t_end):
                 raise FiniteEscapeError(tau, s, reach)
@@ -697,13 +751,20 @@ def dual_process(process: EvolutionProcess) -> EvolutionProcess:
     same bound and exponents.  The dual of an
     :class:`IntegratedLinearProcess` is the integrated adjoint equation
     ``dT/dt = -A(t)^T T``, so it solves forward and chains on grids like
-    its primal; every other backend gets a :class:`MatrixClosedFormProcess`
-    that transposes one primal ``matrix`` call per pair.
+    its primal.  The dual of a :class:`ScalarExponentProcess` is the
+    scalar process with exponent ``E(s, t)`` (the adjoint of ``x' = a x``
+    is ``x' = -a x``), so its grids and paths read the exponent itself
+    and a norm below ``e^-745`` is sampled rather than lost to underflow.
+    Every other backend gets a :class:`MatrixClosedFormProcess` that
+    transposes one primal ``matrix`` call per pair.
     """
     if not process.invertible:
         raise DomainError("dual process requires an invertible process")
     base = process
-    if isinstance(base, IntegratedLinearProcess):
+    if isinstance(base, ScalarExponentProcess):
+        d = ScalarExponentProcess(lambda t, s: base.log_propagator(s, t),
+                                  domain=base.domain, backend=base.backend)
+    elif isinstance(base, IntegratedLinearProcess):
         d = IntegratedLinearProcess(
             lambda t: -np.asarray(base.coefficient_matrix(t), dtype=float).T,
             base.dimension, domain=base.domain, invertible=True)

@@ -32,8 +32,8 @@ from .dichotomy import (
 from .process import (
     EvolutionProcess,
     GridSpec,
+    _spectral_norms,
     dual_process,
-    spectral_norm,
 )
 
 __all__ = [
@@ -188,9 +188,10 @@ def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01) -> float:
     golden-section refinement in each coordinate around the maximizer.
 
     ``anchor_fn(s, t_end)`` returns ``t -> v(t, s)`` for t from s to
-    t_end.  Each scanned anchor is built once, over its whole band, and
-    serves the coarse scan and the offset refinement; only the anchor
-    refinement builds one per point.
+    t_end, which takes one time or a 1-d array of times.  Each scanned
+    anchor is built once, over its whole band, and evaluated once over
+    its offsets with t <= grid.stop; it then serves the offset
+    refinement.  Only the anchor refinement builds one per point.
     """
     s_lo, s_hi = grid.start, grid.stop
     s_vals = np.arange(s_lo, s_hi + band_step / 2, max(band_step, grid.step))
@@ -198,12 +199,19 @@ def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01) -> float:
     best, bs, bd, best_path = -math.inf, s_lo, 0.0, None
     for s in s_vals:
         path = anchor_fn(s, s + 1.0)
-        for d in d_vals:
-            if not grid.stop >= s + d:
-                continue
+        d = d_vals[grid.stop >= s + d_vals]
+        if d.size == 0:
+            continue
+        try:
             v = path(s + d)
-            if v > best:
-                best, bs, bd, best_path = v, float(s), float(d), path
+        except Exception:
+            for t in s + d:   # raise from the point a scan in order fails at
+                path(t)
+            raise
+        # The first maximum, NaN skipped: what a strict v > best scan keeps.
+        k = int(np.argmax(np.where(np.isnan(v), -math.inf, v)))
+        if v[k] > best:
+            best, bs, bd, best_path = float(v[k]), float(s), float(d[k]), path
     # Refine the offset at the best anchor, then the anchor at the best
     # offset; either refinement can only improve on the grid value.
     d_lo, d_hi = max(0.0, bd - band_step), min(1.0, bd + band_step)
@@ -220,14 +228,27 @@ def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01) -> float:
     return best
 
 
+def _exp(x):
+    """``math.exp`` of a number, or of each entry of a 1-d array: ``np.exp``
+    can differ from it by an ulp."""
+    if np.ndim(x) == 0:
+        return math.exp(x)
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
 def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
                           upsilon: float, grid: GridSpec,
                           band_step: float = 0.01) -> float:
     """sup of e^{upsilon |s|} ||S(t,s) - T(t,s)|| over 0 <= t-s <= 1.
 
-    Approximated on a (s, t-s) grid with the given step plus
-    golden-section refinement around the grid maximizer.  Both processes
-    are evaluated along one ``matrix_path`` per anchor.
+    The scan covers anchors s in [grid.start, grid.stop] and only the
+    pairs with t <= grid.stop, on a (s, t-s) grid with the given step,
+    then refines around the grid maximizer by golden section (the offset
+    refinement may read up to ``band_step`` past grid.stop).  The value
+    is therefore an estimate from below of the sup the robustness
+    theorem assumes.  Both processes are evaluated along one
+    ``matrix_path`` per anchor, and each anchor's norms are one stacked
+    :func:`~nedlab.process._spectral_norms` call.
     """
     if p.dimension != q.dimension:
         raise ValueError("processes have different dimensions")
@@ -235,18 +256,20 @@ def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
     def anchor(s, t_end):
         p_path, q_path = p.matrix_path(s, t_end), q.matrix_path(s, t_end)
         weight = math.exp(upsilon * abs(s))
-        return lambda t: weight * spectral_norm(p_path(t) - q_path(t))
+        return lambda t: weight * _spectral_norms(p_path(t) - q_path(t))
 
     return _band_sup(anchor, grid, band_step=band_step)
 
 
 def growth_constant(p: EvolutionProcess, upsilon: float, grid: GridSpec,
                     band_step: float = 0.01) -> float:
-    """sup of e^{-upsilon |t|} ||S(t,s)|| over 0 <= t-s <= 1."""
+    """sup of e^{-upsilon |t|} ||S(t,s)|| over 0 <= t-s <= 1, scanned and
+    refined over the band :func:`perturbation_distance` states (t <=
+    grid.stop), so again an estimate from below."""
 
     def anchor(s, t_end):
         path = p.matrix_path(s, t_end)
-        return lambda t: math.exp(-upsilon * abs(t)) * spectral_norm(path(t))
+        return lambda t: _exp(-upsilon * np.abs(t)) * _spectral_norms(path(t))
 
     return _band_sup(anchor, grid, band_step=band_step)
 

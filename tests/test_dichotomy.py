@@ -93,7 +93,8 @@ def _reference_fit_bounds(grid, kind, part, alpha_grid, delta_max=8.0,
     """fit_bounds by its literal definition: every maximum taken over every
     pair, with no per-anchor reduction.  The library must match it bit for
     bit.  With ``hull=True`` the maxima run over the vertices of the upper
-    hull of the pairs instead, as fit_bounds once did."""
+    hull of the pairs instead, and ln M is not held under its cap, as
+    fit_bounds once did."""
     tv, sv, logn = grid.samples.T
     anchors = np.abs(tv) if kind == "II" else np.abs(sv)
     dts = tv - sv
@@ -115,11 +116,18 @@ def _reference_fit_bounds(grid, kind, part, alpha_grid, delta_max=8.0,
             delta_min = max(0.0, float(np.max((hy[pos] - ln_m_max) / ha[pos])))
         else:
             delta_min = 0.0
+        ln_m = float(np.max(hy - delta_min * ha))
+        # ln M must not round over the cap: raise delta by 1, 2, 4, ... ulps.
+        # The hull fit never tested ln M against the cap.
+        bump = float(np.spacing(delta_min))
+        while not hull and ln_m > ln_m_max and delta_min <= delta_max:
+            delta_min += bump
+            bump *= 2.0
+            ln_m = float(np.max(hy - delta_min * ha))
         if delta_min > delta_max:
             infeasible.append(float(alpha))
             continue
-        ln_m = max(0.0, float(np.max(hy - delta_min * ha)))
-        entries.append((float(alpha), delta_min, ln_m))
+        entries.append((float(alpha), delta_min, max(0.0, ln_m)))
     return entries, infeasible
 
 
@@ -254,8 +262,9 @@ class TestFitBounds:
         # delta_min passes delta_max = slope by one ulp: alpha infeasible.
         (3, 0.3, 0.7, 0.3, 0.7, ([], [0.5])),
         (4, 0.1, 0.1, 0.0, 0.1, ([], [0.5])),
-        # ln M rises one ulp over the hull's value at the same delta.
-        (3, 1.0, 1.1, 0.3, 8.0, ([(0.5, 1.1, 0.30000000000000004)], [])),
+        # ln M would round one ulp over the cap at the hull's delta, so
+        # delta rises one ulp and ln M stays at the cap.
+        (3, 1.0, 1.1, 0.3, 8.0, ([(0.5, 1.1000000000000003, 0.3)], [])),
         # delta rises one ulp over the hull's.
         (3, 0.3, 0.7, 0.3, 8.0, ([(0.5, 0.7000000000000001, 0.3)], [])),
         # The hull's delta is lower and its ln M higher.
@@ -275,7 +284,9 @@ class TestFitBounds:
         assert hull != expect
         _assert_no_less_conservative(frontier, *hull)
         for alpha, delta, ln_m in frontier.entries:
-            # Every sample lies on or below the fitted line, as rounded.
+            # Every sample lies on or below the fitted line, as rounded,
+            # and ln M stays under its cap.
+            assert ln_m <= c
             assert np.max(grid.samples[:, 2] - delta * anchors) <= ln_m
 
     def test_feasibility_of_output(self):

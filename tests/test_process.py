@@ -108,6 +108,24 @@ class TestSpectralNorm:
         m = (u * sigma) @ v.T
         assert nl.spectral_norm(m) == pytest.approx(float(np.max(sigma)), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_norms_are_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(9, n, n))
+        stack[1] = 0.0
+        stack[2, 0, 0] = math.nan
+        stack[3, -1, 0] = math.inf
+        stack[4, 0, -1] = -math.inf
+        stack[5] *= 1e-170
+        stack[6] *= 1e150
+        stack[7, 0, 0] = 0.0
+        got = nl.process._spectral_norms(stack)
+        want = np.array([nl.spectral_norm(m) for m in stack])
+        assert got.shape == (9,)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert nl.process._spectral_norms(stack[6]) == want[6]
+        assert nl.process._spectral_norms(stack[:0]).shape == (0,)
+
 
 class TestProjectionFamily:
     def test_trivial_families(self):
@@ -185,6 +203,16 @@ class TestDualProcess:
         p = nl.IntegratedLinearProcess(lambda t: np.array([[-1.0]]), 1)
         with pytest.raises(DomainError):
             nl.dual_process(p)
+
+    def test_scalar_dual_reads_the_exponent(self):
+        # e^{-800} underflows to 0: a dual that reads the primal matrix
+        # dropped every pair as vanished.
+        d = nl.dual_process(ScalarExponentProcess(lambda t, s: -800.0 * (t - s)))
+        assert isinstance(d, ScalarExponentProcess)
+        sampled = nl.sample_norm_grid(d, None, GridSpec(0.0, 2.0, 1.0), part="unstable")
+        assert sampled.samples[:, 2].tolist() == [-800.0, -1600.0, -800.0]
+        assert sampled.poisoned == []
+        assert nl.operator_norm(d, 0.0, 1.0, log=True) == -800.0
 
 
 class TestNormGrid:
@@ -447,6 +475,36 @@ class TestMatrixPath:
         path = barreira.process.matrix_path(0.5, 1.5)
         for tau in (0.5, 0.9, 1.5):
             assert np.array_equal(path(tau), barreira.process.matrix(tau, 0.5))
+
+    @pytest.mark.parametrize("backend", ["integrated", "scalar", "closed-form"])
+    def test_stacked_path_is_per_point(self, backend, barreira):
+        taus = np.linspace(0.3, 1.3, 11)
+        if backend == "integrated":
+            process = PlantedIntegrated(invertible=True).process
+        elif backend == "scalar":
+            process = barreira.process
+        else:
+            process = nl.MatrixClosedFormProcess(PlantedIntegrated(invertible=True).matrix, 2)
+        path = process.matrix_path(0.3, 1.3)
+        stack = path(taus)
+        assert stack.shape == (11, process.dimension, process.dimension)
+        assert np.array_equal(stack, np.array([path(tau) for tau in taus]))
+        assert path(taus[:0]).shape == (0, process.dimension, process.dimension)
+
+    def test_stacked_path_raises_at_the_first_failure(self):
+        process = ScalarExponentProcess(lambda t, s: 500.0 * (t - s))
+        path = process.matrix_path(0.0, 1.0)
+        taus = np.linspace(0.0, 1.0, 11)   # the guard is passed near 0.69
+        with pytest.raises(FiniteEscapeError) as err:
+            path(taus)
+        assert err.value.t == taus[7] and err.value.s == 0.0
+        half = ScalarExponentProcess(lambda t, s: -(t - s), domain=nl.HALF_LINE_MINUS)
+        with pytest.raises(DomainError):
+            half.matrix_path(-0.5, 0.5)(np.array([-0.5, 0.0, 0.25]))
+        integrated = nl.IntegratedLinearProcess(lambda t: np.diag([500.0, -1.0]), 2)
+        with pytest.raises(FiniteEscapeError) as err:
+            integrated.matrix_path(0.0, 1.0)(np.array([0.5, 0.8, 0.9]))
+        assert err.value.t == 0.8
 
     def test_escape_surfaces_past_the_escape_time(self):
         # ||S(tau, 0)|| = e^{500 tau} passes the guard near tau = 0.69.

@@ -282,6 +282,32 @@ class TestBandPaths:
         # a fresh solve per band point made 281.
         assert ode_solves() <= 12
 
+    @pytest.mark.parametrize("backend", ["scalar", "closed-form", "integrated"])
+    def test_escape_mid_band_raises_as_per_point(self, backend):
+        # The anchor s = 0 escapes mid-band: q passes the guard between
+        # t = 0.6 and 0.7, p between 0.7 and 0.8.  A per-point scan reads p
+        # then q at each t, so the distance raises from q at t = 0.7.
+        def make(rate):
+            if backend == "scalar":
+                return nl.ScalarExponentProcess(lambda t, s: rate * (t - s))
+            if backend == "closed-form":
+                return nl.MatrixClosedFormProcess(
+                    lambda t, s: np.diag([math.exp(rate * (t - s)), math.exp(s - t)]), 2)
+            return nl.IntegratedLinearProcess(lambda t: np.diag([rate, -1.0]), 2)
+        p, q = make(480.0), make(500.0)
+        grid = GridSpec(0.0, 1.0, 0.5)
+        cases = [(lambda: nl.growth_constant(p, 0.0, grid, band_step=0.1),
+                  lambda: _reference_growth(p, 0.0, grid, band_step=0.1)),
+                 (lambda: nl.perturbation_distance(p, q, 0.0, grid, band_step=0.1),
+                  lambda: _reference_distance(p, q, 0.0, grid, band_step=0.1))]
+        for run, reference in cases:
+            with pytest.raises(nl.FiniteEscapeError) as got:
+                run()
+            with pytest.raises(nl.FiniteEscapeError) as want:
+                reference()
+            assert (got.value.t, got.value.s) == (want.value.t, want.value.s)
+        assert got.value.t == pytest.approx(0.7) and got.value.s == 0.0
+
     def test_escape_inside_the_scanned_band_raises(self):
         # ||S(tau, s)|| = e^{500 (tau - s)} passes the guard near tau - s = 0.69.
         p = nl.IntegratedLinearProcess(lambda t: np.diag([500.0, -1.0]), 2)
