@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .dichotomy import DichotomyCertificate, InapplicableError
-from .process import _SOLVER, EvolutionProcess, GridSpec, TimeDomain, FULL_LINE
+from .process import _SOLVER, GridSpec, ScalarExponentProcess, TimeDomain, FULL_LINE
 
 __all__ = [
     "WeightedFunction",
@@ -128,6 +128,10 @@ class RadiusEnvelope:
         return float(self.evaluator(t))
 
 
+#: Samples per block of field calls in :meth:`DissipativitySpec.certify`.
+_CERTIFY_BLOCK = 1024
+
+
 @dataclasses.dataclass
 class DissipativitySpec:
     """A field together with scalar dissipativity witnesses:
@@ -140,23 +144,38 @@ class DissipativitySpec:
 
     def certify(self, t_range, x_radius, n_samples: int = 10000,
                 seed: int = 0):
-        """Probabilistic check of the dissipativity inequality on a box.
+        """Sampled check of the dissipativity inequality on a box.
 
-        Samples (t, x) uniformly with t in t_range and ||x|| <= x_radius
-        and returns (max violation, all-nonpositive flag).  A numeric
-        sample check cannot certify the global inequality; reports
-        should say so.
+        Draws ``n_samples`` points (t, x): t uniform on ``t_range``, and
+        x = r u with u a normalised Gaussian direction (uniform on the
+        sphere) and r uniform on [0, x_radius], so the points crowd
+        toward the origin rather than fill the ball uniformly.  Returns
+        (max of 2 <f(t,x), x> - a(t) |x|^2 - b(t), all-nonpositive flag).
+        A NaN sample makes the maximum NaN and the flag False.  The result
+        is evidence, not a certificate: no sample check proves the global
+        inequality, and reports should say so.
         """
+        if n_samples < 1:
+            raise ValueError("certify needs at least one sample")
         rng = np.random.default_rng(seed)
         lo, hi = t_range
-        worst = -math.inf
-        for _ in range(n_samples):
-            t = rng.uniform(lo, hi)
-            x = rng.normal(size=self.dimension)
-            x *= rng.uniform(0.0, x_radius) / max(np.linalg.norm(x), 1e-300)
-            lhs = 2.0 * float(np.dot(self.field(t, x), x))
-            rhs = self.a(t) * float(np.dot(x, x)) + float(self.b(t))
-            worst = max(worst, lhs - rhs)
+        times = rng.uniform(lo, hi, size=n_samples)
+        xs = rng.normal(size=(n_samples, self.dimension))
+        radii = rng.uniform(0.0, x_radius, size=n_samples)
+        xs *= (radii / np.maximum(np.linalg.norm(xs, axis=1), 1e-300))[:, None]
+        excess = np.empty(n_samples)
+        # Blocks bound the memory held by the per-sample field outputs.
+        for k in range(0, n_samples, _CERTIFY_BLOCK):
+            block = slice(k, k + _CERTIFY_BLOCK)
+            tb, xb = times[block].tolist(), xs[block]
+            fx = np.asarray([self.field(t, x) for t, x in zip(tb, xb)],
+                            dtype=float).reshape(xb.shape)
+            a = np.array([self.a(t) for t in tb], dtype=float)
+            b = np.array([self.b(t) for t in tb], dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):   # inf - inf fails as NaN
+                excess[block] = 2.0 * np.einsum("ij,ij->i", fx, xb) \
+                    - (a * np.einsum("ij,ij->i", xb, xb) + b)
+        worst = float(np.max(excess))   # NaN if any sample is NaN
         return worst, worst <= 0.0
 
 
@@ -188,20 +207,20 @@ class CooperativeSpec:
     def certify(self, t_samples, x_radius=1.0, n_samples: int = 200, seed: int = 0):
         """Sampled checks of the structure: nonnegative off-diagonals,
         nonnegative forcing, and the boundary condition f_i >= 0 on
-        {x >= 0, x_i = 0}.  Returns the worst (most negative) value."""
+        {x >= 0, x_i = 0}.  Returns the worst (most negative) value, or
+        NaN if any checked value is NaN."""
         rng = np.random.default_rng(seed)
-        worst = math.inf
+        values = [math.inf]
         for t in t_samples:
             m = np.asarray(self.a_matrix(t), dtype=float)
             off = m - np.diag(np.diag(m))
-            worst = min(worst, float(np.min(off)))
-            worst = min(worst, float(np.min(self.b_vector(t))))
+            values += [np.min(off), np.min(self.b_vector(t))]
             for _ in range(n_samples):
                 x = rng.uniform(0.0, x_radius, size=self.dimension)
                 i = rng.integers(self.dimension)
                 x[i] = 0.0
-                worst = min(worst, float(self.field(t, x)[i]))
-        return worst
+                values.append(self.field(t, x)[i])
+        return float(np.min(values))   # np.min keeps a NaN that min() drops
 
 
 # WEIGHTED NORMS AND BOUNDS ============================================================
@@ -215,29 +234,35 @@ def weighted_norm(b: WeightedFunction, grid: GridSpec) -> float:
     return max(vals)
 
 
-def comparison_bound(scalar_process: EvolutionProcess, b: WeightedFunction,
+def comparison_bound(scalar_process: ScalarExponentProcess, b: WeightedFunction,
                      t: float, s: float, x0_norm_sq: float,
                      cert: Optional[DichotomyCertificate] = None) -> float:
     """Right-hand side of the scalar comparison:
     T(t,s) x0_norm_sq + int_s^t T(t,tau) b(tau) dtau.
 
     ``scalar_process`` is the comparison propagator T generated by the
-    witness coefficient a; the optional certificate is only sanity
-    checked (kind II, zero unstable projection) since the numbers come
-    from the process itself.
+    witness coefficient a, and must be a :class:`ScalarExponentProcess`
+    (such as a :class:`ScalarCoefficientProcess`): T(t, tau) is read as
+    ``exp`` of its guarded exponent, with the domain check and the
+    :class:`FiniteEscapeError` guard of ``propagate``.  The optional
+    certificate is only sanity checked (kind II, zero unstable
+    projection) since the numbers come from the process itself.
     """
     if t < s:
         raise ValueError("comparison bound needs t >= s")
     if scalar_process.dimension != 1:
         raise ValueError("comparison propagator must be scalar")
+    if not isinstance(scalar_process, ScalarExponentProcess):
+        raise TypeError("comparison propagator must be a ScalarExponentProcess, "
+                        "not %s" % type(scalar_process).__name__)
     if cert is not None and (cert.kind != "II" or cert.projection != "zero"):
         raise InapplicableError("comparison certificate must be kind II with "
                                "zero unstable projection")
-    homogeneous = float(scalar_process.propagate(t, s, np.array([1.0]))[0])
+    exponent = scalar_process._guarded_exponent
+    homogeneous = math.exp(exponent(t, s))
 
     def integrand(tau):
-        return float(scalar_process.propagate(t, tau, np.array([1.0]))[0]) \
-            * float(b(tau))
+        return math.exp(exponent(t, tau)) * float(b(tau))
 
     if t == s:
         forced = 0.0

@@ -568,7 +568,8 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
         return self._cache[t]
 
     def _exponent(self, t, s):
-        if np.ndim(t) or np.ndim(s):
+        # Two Python floats skip the array-function dispatch of np.ndim.
+        if not (type(t) is float and type(s) is float) and (np.ndim(t) or np.ndim(s)):
             t, s = np.broadcast_arrays(t, s)
             times, index = np.unique(np.concatenate([t.ravel(), s.ravel()]),
                                      return_inverse=True)

@@ -15,6 +15,7 @@ from scipy.integrate import quad, solve_ivp
 import nedlab as nl
 from nedlab import GridSpec, InapplicableError, WeightedFunction
 from nedlab.attractor import _integrate_ensemble, _single_linkage
+from nedlab.gallery import make_barreira
 
 from conftest import constant_scalar, decay_cert
 
@@ -43,7 +44,20 @@ class TestWeightedNorm:
             nl.weighted_norm(b, GridSpec(1.0, 2.0, 0.5))
 
 
+def _propagate_bound(witness, b, t, s, x0_norm_sq):
+    """The comparison bound read through ``propagate`` at every node."""
+    def integrand(tau):
+        return float(witness.propagate(t, tau, np.array([1.0]))[0]) * float(b(tau))
+    forced = 0.0 if t == s else quad(integrand, s, t, epsabs=1e-12,
+                                     epsrel=1e-10, limit=400)[0]
+    return float(witness.propagate(t, s, np.array([1.0]))[0]) * x0_norm_sq + forced
+
+
 class TestComparisonBound:
+    B = WeightedFunction(lambda r: 1.0 + 0.5 * math.sin(r), eta=0.0,
+                         domain=nl.FULL_LINE)
+    PAIRS = [(0.0, 0.0), (0.7, 0.0), (3.0, -1.5), (10.0, 2.0), (-0.5, -4.0)]
+
     def test_closed_form(self, constant_process):
         b = WeightedFunction(lambda t: 1.0, eta=0.0, domain=nl.FULL_LINE)
         got = nl.comparison_bound(constant_process, b, 3.0, 0.0, 4.0)
@@ -82,6 +96,86 @@ class TestComparisonBound:
                 bound = nl.comparison_bound(witness, bw, float(t), 0.0,
                                             x0 * x0)
                 assert x * x <= bound + 1e-8
+
+    @pytest.mark.parametrize("make", [
+        lambda: nl.ScalarCoefficientProcess(
+            lambda r: -1.0 + 0.5 * math.cos(r),
+            antiderivative=lambda r: -r + 0.5 * math.sin(r)),
+        lambda: nl.ScalarCoefficientProcess(lambda r: -1.0 + 0.5 * math.cos(r)),
+        lambda: make_barreira(0.5, 1.0).process,
+    ], ids=["antiderivative", "quadrature", "closed-form"])
+    def test_matches_the_propagate_reading_bitwise(self, make):
+        witness = make()
+        for t, s in self.PAIRS:
+            for x0_sq in (0.0, 2.25):
+                got = nl.comparison_bound(witness, self.B, t, s, x0_sq)
+                assert got == _propagate_bound(witness, self.B, t, s, x0_sq), (t, s)
+
+    def test_escape_inside_the_window_raises(self):
+        # E(1, 0) is about 0, but E(1, 0.5) = 400 lies above the guard.
+        dip = lambda r: -400.0 * math.exp(-((r - 0.5) / 0.1) ** 2)
+        witness = nl.ScalarExponentProcess(lambda t, s: dip(t) - dip(s))
+        assert witness._guarded_exponent(1.0, 0.0) < 1e-6
+        with pytest.raises(nl.FiniteEscapeError):
+            nl.comparison_bound(witness, self.B, 1.0, 0.0, 1.0)
+
+    def test_pair_outside_the_domain_raises(self):
+        witness = nl.ScalarCoefficientProcess(lambda r: -1.0, domain=nl.HALF_LINE_PLUS,
+                                              antiderivative=lambda r: -r)
+        with pytest.raises(nl.DomainError):
+            nl.comparison_bound(witness, self.B, 1.0, -1.0, 1.0)
+
+    def test_matrix_witness_is_refused(self):
+        witness = nl.MatrixClosedFormProcess(
+            lambda t, s: np.array([[math.exp(-(t - s))]]), dimension=1)
+        with pytest.raises(TypeError, match="ScalarExponentProcess"):
+            nl.comparison_bound(witness, self.B, 1.0, 0.0, 1.0)
+
+
+def _per_sample_certify(spec, t_range, x_radius, n_samples, seed):
+    """Draws the arrays as ``certify`` does and checks one sample at a time."""
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(*t_range, size=n_samples)
+    directions = rng.normal(size=(n_samples, spec.dimension))
+    radii = rng.uniform(0.0, x_radius, size=n_samples)
+    worst = -math.inf
+    for t, u, r in zip(times.tolist(), directions, radii):
+        x = u * (r / max(np.linalg.norm(u), 1e-300))
+        lhs = 2.0 * float(np.dot(spec.field(t, x), x))
+        worst = max(worst, lhs - (spec.a(t) * float(np.dot(x, x)) + float(spec.b(t))))
+    return worst
+
+
+class TestDissipativityCertify:
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_matches_a_per_sample_loop(self, dimension):
+        spec = nl.DissipativitySpec(
+            field=lambda t, x: -(1.0 + 0.5 * math.sin(t)) * x - x ** 3 + math.cos(t),
+            a=lambda t: -(1.0 + math.sin(t)), b=lambda t: 1.0 + 0.1 * t * t,
+            dimension=dimension)
+        for seed, n_samples in ((0, 400), (5, 2500)):   # one block, then three
+            worst, ok = spec.certify((-3.0, 2.0), 2.5, n_samples=n_samples, seed=seed)
+            want = _per_sample_certify(spec, (-3.0, 2.0), 2.5, n_samples, seed)
+            # Row norms and dot products sum in another order than the
+            # per-sample ones, so beyond dimension 1 they agree to rounding.
+            if dimension == 1:
+                assert worst == want
+            assert worst == pytest.approx(want, rel=1e-14, abs=1e-14)
+            assert ok == (want <= 0.0)
+
+    def test_nan_sample_fails(self):
+        spec = nl.DissipativitySpec(
+            field=lambda t, x: np.full_like(x, math.nan) if t > 0 else -x,
+            a=lambda t: -1.0, b=lambda t: 1.0, dimension=1)
+        worst, ok = spec.certify((-1.0, 1.0), 1.0, n_samples=200)
+        assert math.isnan(worst)
+        assert ok is False
+
+    def test_needs_a_sample(self):
+        spec = nl.DissipativitySpec(field=lambda t, x: -x, a=lambda t: -1.0,
+                                    b=lambda t: 0.0, dimension=1)
+        with pytest.raises(ValueError):
+            spec.certify((-1.0, 1.0), 1.0, n_samples=0)
 
 
 class TestRadii:
@@ -489,6 +583,16 @@ class TestCooperative:
                                                     [0.2, -1.0]]),
                                  b_vector=np.array([0.0, 0.0]), dimension=2)
         assert bad.certify([0.0]) < 0.0
+
+    @pytest.mark.parametrize("a, b, field", [
+        (np.array([[-1.0, math.nan], [1.0, -1.0]]), np.array([1.0, 1.0]), None),
+        (np.array([[-2.0, 1.0], [1.0, -2.0]]), np.array([1.0, math.nan]), None),
+        (np.array([[-2.0, 1.0], [1.0, -2.0]]), np.array([1.0, 1.0]),
+         lambda t, x: np.array([math.nan, math.nan])),
+    ], ids=["off-diagonal", "forcing", "field"])
+    def test_nan_is_reported(self, a, b, field):
+        spec = nl.CooperativeSpec(a_matrix=a, b_vector=b, dimension=2, field=field)
+        assert math.isnan(spec.certify([0.0, 1.0], n_samples=20))
 
     def test_order_preservation(self):
         a = np.array([[-2.0, 1.0], [1.0, -2.0]])

@@ -162,6 +162,18 @@ class TestScalarProcesses:
             assert quadr.propagate(t, s, 1.0)[0] == pytest.approx(
                 exact.propagate(t, s, 1.0)[0], rel=1e-10)
 
+    @pytest.mark.parametrize("antiderivative", [None, lambda t: math.sin(t)],
+                             ids=["quadrature", "antiderivative"])
+    def test_coefficient_exponent_same_bits_for_every_input_type(self, antiderivative):
+        p = nl.ScalarCoefficientProcess(lambda t: math.cos(t),
+                                        antiderivative=antiderivative)
+        for (t, s) in [(1.0, 0.0), (4.0, -2.0), (-1.0, -3.0)]:
+            want = p.exponent(t, s)
+            assert type(want) is float
+            assert p.exponent(np.float64(t), np.float64(s)) == want
+            assert p.exponent(t, np.float64(s)) == want
+            assert p.exponent(np.array([t]), np.array([s]))[0] == want
+
     def test_domain_enforced(self):
         p = ScalarExponentProcess(lambda t, s: s - t,
                                   domain=nl.HALF_LINE_PLUS)
