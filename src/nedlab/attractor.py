@@ -208,9 +208,12 @@ class CooperativeSpec:
         """Sampled checks of the structure: nonnegative off-diagonals,
         nonnegative forcing, and the boundary condition f_i >= 0 on
         {x >= 0, x_i = 0}.  Returns the worst (most negative) value, or
-        NaN if any checked value is NaN."""
+        NaN if any checked value is NaN.  Raises ValueError for no times
+        or fewer than one state per time, which would check nothing."""
+        if n_samples < 1:
+            raise ValueError("certify needs at least one state per time")
         rng = np.random.default_rng(seed)
-        values = [math.inf]
+        values = []
         for t in t_samples:
             m = np.asarray(self.a_matrix(t), dtype=float)
             off = m - np.diag(np.diag(m))
@@ -220,6 +223,8 @@ class CooperativeSpec:
                 i = rng.integers(self.dimension)
                 x[i] = 0.0
                 values.append(self.field(t, x)[i])
+        if not values:
+            raise ValueError("certify needs at least one time")
         return float(np.min(values))   # np.min keeps a NaN that min() drops
 
 

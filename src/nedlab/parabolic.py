@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,9 +30,13 @@ from .process import (
     MatrixClosedFormProcess,
     ScalarCoefficientProcess,
     TimeDomain,
+    _LOG_GUARD,
     _chained_log_norms,
+    _check_outermost,
     _escaped,
-    spectral_norm,
+    _max_norm,
+    _projection_factor,
+    _spectral_norms,
 )
 
 __all__ = [
@@ -48,6 +53,14 @@ __all__ = [
     "adjoint_process",
     "parabolic_attractor_demo",
 ]
+
+#: ``math.exp`` overflows above this exponent.
+_LOG_MAX = math.log(sys.float_info.max)
+#: A separable pair is poisoned where ``G + log ||e^{A_h d}||_F`` passes the
+#: log guard less a few ulps, so it poisons every pair ``matrix`` poisons.
+_SEPARABLE_GUARD = _LOG_GUARD - 8 * math.ulp(_LOG_GUARD)
+#: Lags per stacked ``expm``, which bounds the stack at this many n x n matrices.
+_LAG_BLOCK = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,10 +121,11 @@ class DiscreteLaplacian:
     def leading_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def expm(self, d: float) -> np.ndarray:
-        """Exact matrix exponential e^{A d} via the eigendecomposition."""
+    def expm(self, d) -> np.ndarray:
+        """Exact matrix exponential e^{A d} via the eigendecomposition; a
+        1-d array of m lags gives the (m, n, n) stack."""
         v = self.modes
-        core = (v * np.exp(self.eigenvalues * d)) @ v.T
+        core = (v * np.exp(np.multiply.outer(d, self.eigenvalues))[..., None, :]) @ v.T
         return (core * self.scale[None, :]) / self.scale[:, None]
 
     def leading_mode(self) -> np.ndarray:
@@ -214,10 +228,39 @@ class PDEProcess(EvolutionProcess):
 
     def _log_norms(self, grid, tv, sv, projection, part):
         # A Strang product restarts from s for every pair; chaining reuses
-        # one product per mesh interval.  The separable form is exact per pair.
-        if self.separable:
+        # one product per mesh interval.  An explicit family under the
+        # separable form takes the default per-anchor stacks.
+        if not self.separable:
+            return _chained_log_norms(self, grid, tv, sv, projection, part)
+        if _projection_factor(projection, part) != "identity":
             return super()._log_norms(grid, tv, sv, projection, part)
-        return _chained_log_norms(self, grid, tv, sv, projection, part)
+        return self._separable_log_norms(grid.mesh(), tv, sv, part)
+
+    def _separable_log_norms(self, mesh, tv, sv, part):
+        """Full log norms of the separable form, one norm per distinct lag.
+
+        The scalar factor is positive, so ``log ||S(t, s)||`` is
+        ``G(t) - G(s) + log ||e^{A_h d}||`` with ``d = t - s``, the float
+        :meth:`matrix` hands to ``expm``; read in the log, a pair whose
+        factor ``e^{G(t) - G(s)}`` underflows still carries its sample.  A
+        pair is poisoned for a NaN G difference, for one above the largest
+        exponent ``math.exp`` takes, and where ``G + log ||e^{A_h d}||_F``
+        reaches ``_SEPARABLE_GUARD``: every pair :meth:`matrix` poisons,
+        and perhaps a few more."""
+        _check_outermost(self, mesh, part)
+        lags, lag_of = np.unique(tv - sv, return_inverse=True)
+        log_norm, log_frobenius = np.empty(len(lags)), np.empty(len(lags))
+        for k in range(0, len(lags), _LAG_BLOCK):
+            block = slice(k, k + _LAG_BLOCK)
+            stack = self.laplacian.expm(lags[block])
+            stack[lags[block] == 0.0] = np.eye(self.dimension)   # as in matrix
+            with np.errstate(divide="ignore"):
+                log_norm[block] = np.log(_spectral_norms(stack))
+                log_frobenius[block] = np.log(np.linalg.norm(stack, axis=(1, 2)))
+        g = np.asarray(self._time_factor.log_propagator(tv, sv), dtype=float)
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
+            escaped = ~((g <= _LOG_MAX) & (g + log_frobenius[lag_of] <= _SEPARABLE_GUARD))
+            return np.where(escaped, math.nan, g + log_norm[lag_of])
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         """S(t, s); raises FiniteEscapeError when an entry is not finite
@@ -419,14 +462,9 @@ def principal_bundle(process: PDEProcess, horizon: float = 2.0,
                                 "(fitted rate %g)" % nu_sep)
     # Projection norms: spectral projection onto span e(t) along the
     # complementary window invariant space; left vector = scale^2 e.
-    c1 = c2 = 0.0
-    eye = np.eye(process.dimension)
     w2 = process.laplacian.scale ** 2
-    for e in vectors:
-        left = w2 * e
-        q1 = np.outer(e, left) / float(left @ e)
-        c1 = max(c1, spectral_norm(q1))
-        c2 = max(c2, spectral_norm(eye - q1))
+    q1 = np.array([np.outer(e, w2 * e) / float((w2 * e) @ e) for e in vectors])
+    c1, c2 = _max_norm(q1), _max_norm(np.eye(process.dimension) - q1)
     return PrincipalBundle(times, vectors, c_increments, m_sep, nu_sep,
                            fit_residual, c1, c2)
 

@@ -243,20 +243,20 @@ class ProjectionFamily:
         return np.eye(self.dimension) - self.unstable(t)
 
     def idempotence_defect(self, times) -> float:
-        """max_t ||P(t)^2 - P(t)|| over the given times."""
-        worst = 0.0
-        for t in times:
-            p = self.unstable(t)
-            worst = max(worst, spectral_norm(p @ p - p))
-        return worst
+        """max_t ||P(t)^2 - P(t)|| over the given times (0 for none); NaN
+        if the family is NaN at any of them."""
+        p = np.array([self.unstable(t) for t in times]).reshape(-1, self.dimension,
+                                                                 self.dimension)
+        return _max_norm(p @ p - p)
 
     def invariance_defect(self, process: "EvolutionProcess", pairs) -> float:
-        """max ||S(t,s) P(s) - P(t) S(t,s)|| over the given (t, s) pairs."""
-        worst = 0.0
+        """max ||S(t,s) P(s) - P(t) S(t,s)|| over the given (t, s) pairs (0
+        for none); NaN if any of them is NaN."""
+        defects = []
         for t, s in pairs:
             m = process.matrix(t, s)
-            worst = max(worst, spectral_norm(m @ self.unstable(s) - self.unstable(t) @ m))
-        return worst
+            defects.append(m @ self.unstable(s) - self.unstable(t) @ m)
+        return _max_norm(np.array(defects).reshape(-1, self.dimension, self.dimension))
 
 
 # SPECTRAL NORM ========================================================================
@@ -293,6 +293,12 @@ def _spectral_norms(stack) -> np.ndarray:
         out[ok] = scale[ok] * np.linalg.svd(stack[ok] / scale[ok, None, None],
                                             compute_uv=False)[:, 0]
     return out
+
+
+def _max_norm(stack) -> float:
+    """The largest :func:`spectral_norm` of an (m, n, n) stack, 0 for an
+    empty one; NaN, which ``max`` would pass over, if any norm is NaN."""
+    return float(np.max(_spectral_norms(stack), initial=0.0))
 
 
 def _log(value: float) -> float:
@@ -413,8 +419,10 @@ class EvolutionProcess:
     Subclasses implement :meth:`matrix`.  ``propagate`` applies the
     operator to a vector; scalar backends override it to avoid building
     1x1 matrices in inner loops.  :func:`sample_norm_grid` reads every
-    grid through :meth:`_log_norms`, which closed-form exponents
-    vectorise and integrated and Strang backends chain over the mesh.
+    grid through :meth:`_log_norms`: one stacked norm call per anchor by
+    default, the exponent for scalar backends, one norm per distinct lag
+    for separable PDE processes, and a chain over the mesh for integrated
+    and Strang backends.
     """
 
     dimension: int = 1
@@ -438,14 +446,30 @@ class EvolutionProcess:
     def _log_norms(self, grid: GridSpec, tv: np.ndarray, sv: np.ndarray,
                    projection: Optional[ProjectionFamily], part: str) -> np.ndarray:
         """``log ||S(t, s) P(s)||`` for the pairs ``(tv, sv) = grid.pairs(part)``,
-        NaN where a pair escaped and -inf where the product vanished.  The
-        default takes one :func:`operator_norm` per pair."""
-        out = np.empty(len(tv))
-        for k, (t, s) in enumerate(zip(tv.tolist(), sv.tolist())):
-            try:
-                out[k] = operator_norm(self, t, s, projection, part=part, log=True)
-            except FiniteEscapeError:
-                out[k] = math.nan
+        NaN where a pair escaped and -inf where the product vanished.
+
+        The default works one anchor s at a time: one :meth:`matrix` call
+        per pair, P(s) evaluated once and applied to the anchor's stack,
+        and one :func:`_spectral_norms` call for the stack, so each value
+        is bit for bit the :func:`operator_norm` of its pair.  Stacks never
+        span more than one anchor, which bounds the memory they hold."""
+        factor = _projection_factor(projection, part)
+        out = np.full(len(tv), -math.inf)
+        if factor == "zero":
+            return out
+        for s, index in _anchors(sv):
+            mats, kept = [], []
+            for k, t in zip(index.tolist(), tv[index].tolist()):
+                try:
+                    mats.append(self.matrix(t, s))
+                    kept.append(k)
+                except FiniteEscapeError:
+                    out[k] = math.nan
+            if kept:
+                stack = np.array(mats, dtype=float)
+                if factor == "explicit":
+                    stack = stack @ _factor_matrix(projection, part, s)
+                out[kept] = [_log(v) for v in _spectral_norms(stack).tolist()]
         return out
 
     def matrix_path(self, s: float, t_end: float) -> Callable:
@@ -529,12 +553,27 @@ class ScalarExponentProcess(EvolutionProcess):
         return path
 
     def _log_norms(self, grid, tv, sv, projection, part):
-        if _projection_factor(projection, part) != "identity":
-            return super()._log_norms(grid, tv, sv, projection, part)
-        # Under the identity factor the log norm is the exponent, vectorised.
-        self._check_args(grid.stop, grid.start)
-        vals = np.asarray(self.log_propagator(tv, sv), dtype=float)
-        return np.where(vals <= _LOG_GUARD, vals, math.nan)  # a NaN exponent too
+        """The guarded exponent plus ``log ||P(s)||``, so a norm below
+        ``e^-745`` is sampled.  Under the identity factor the exponent is
+        read vectorised over the whole grid.  An explicit family is
+        evaluated once per anchor, and the exponent read one pair at a time
+        (it need not take arrays there), bit for bit :func:`operator_norm`."""
+        factor = _projection_factor(projection, part)
+        if factor == "identity":
+            self._check_args(grid.stop, grid.start)
+            vals = np.asarray(self.log_propagator(tv, sv), dtype=float)
+            return np.where(vals <= _LOG_GUARD, vals, math.nan)  # a NaN exponent too
+        out = np.full(len(tv), -math.inf)
+        if factor == "zero":
+            return out
+        for s, index in _anchors(sv):
+            offset = _log(spectral_norm(_factor_matrix(projection, part, s)))
+            for k, t in zip(index.tolist(), tv[index].tolist()):
+                try:
+                    out[k] = self._guarded_exponent(t, s) + offset
+                except FiniteEscapeError:
+                    out[k] = math.nan
+        return out
 
 
 class ScalarCoefficientProcess(ScalarExponentProcess):
@@ -719,6 +758,24 @@ def _projection_factor(projection: Optional[ProjectionFamily], part: str) -> str
     return "zero"
 
 
+def _factor_matrix(projection: ProjectionFamily, part: str, s: float) -> np.ndarray:
+    """The explicit factor P(s): the stable projection for the stable
+    part, the unstable one for the unstable part."""
+    return projection.stable(s) if part == "stable" else projection.unstable(s)
+
+
+def _anchors(sv: np.ndarray):
+    """``(s, indices of the pairs anchored at s)`` for each distinct anchor
+    of the flat pair array sv, in ascending order of s."""
+    return [(s, np.flatnonzero(sv == s)) for s in np.unique(sv).tolist()]
+
+
+def _check_outermost(process: EvolutionProcess, mesh: np.ndarray, part: str) -> None:
+    """Check the grid pair that reaches furthest.  Domains are intervals,
+    so this checks every pair of the part."""
+    process._check_args(*((mesh[-1], mesh[0]) if part == "stable" else (mesh[0], mesh[-1])))
+
+
 def operator_norm(process: EvolutionProcess, t: float, s: float,
                   projection: Optional[ProjectionFamily] = None,
                   part: str = "stable", log: bool = False):
@@ -731,8 +788,7 @@ def operator_norm(process: EvolutionProcess, t: float, s: float,
     factor = _projection_factor(projection, part)
     if factor == "zero":
         return -math.inf if log else 0.0
-    proj = None if factor == "identity" else (
-        projection.stable(s) if part == "stable" else projection.unstable(s))
+    proj = None if factor == "identity" else _factor_matrix(projection, part, s)
     if log and isinstance(process, ScalarExponentProcess):
         # Read in the exponent: e^E underflows to 0 once E < -745.
         e = process._guarded_exponent(t, s)
@@ -807,6 +863,8 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, tv, sv,
     after every step, so it neither overflows nor underflows.  P(s) is
     applied only when the pair's norm is taken: a product started from
     P(s) would not bound the full propagator the escape guard watches.
+    The norms of one anchor's products ``N P(s)`` come from one
+    :func:`_spectral_norms` call.
 
     The per-pair solve of ``S(t, s)`` escapes when the Frobenius norm of
     ``S(tau, s)`` passes ``ESCAPE_GUARD`` at some tau in between.  Over
@@ -820,8 +878,7 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, tv, sv,
     count = len(mesh)
     forward = part == "stable"
     explicit = _projection_factor(projection, part) == "explicit"
-    # Domains are intervals: checking the outermost pair checks them all.
-    process._check_args(*((mesh[-1], mesh[0]) if forward else (mesh[0], mesh[-1])))
+    _check_outermost(process, mesh, part)
     steps = []
     for k in range(count - 1):
         end, start = (mesh[k + 1], mesh[k]) if forward else (mesh[k], mesh[k + 1])
@@ -834,12 +891,11 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, tv, sv,
     bad = np.zeros((count, count), dtype=bool)
     eye = np.eye(process.dimension)
     for j, s in enumerate(mesh):
-        proj = None
-        if explicit:
-            proj = projection.stable(s) if forward else projection.unstable(s)
+        proj = _factor_matrix(projection, part, s) if explicit else None
         if forward:
             logn[j, j] = 0.0 if proj is None else _log(spectral_norm(proj))
         prod, log_scale, guard = eye, 0.0, -math.inf
+        rows, log_scales, prods = [], [], []   # the renormalised products from s
         for k in (range(j, count - 1) if forward else range(j - 1, -1, -1)):
             i = k + 1 if forward else k
             if steps[k] is not None:
@@ -857,7 +913,12 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, tv, sv,
                 break  # S(t, s) vanished, and with it every later pair
             prod = prod / top
             log_scale += math.log(top)
-            logn[i, j] = log_scale + _log(spectral_norm(prod if proj is None else prod @ proj))
+            rows.append(i)
+            log_scales.append(log_scale)
+            prods.append(prod if proj is None else prod @ proj)
+        if prods:
+            norms = _spectral_norms(np.array(prods)).tolist()
+            logn[rows, j] = [a + _log(v) for a, v in zip(log_scales, norms)]
 
     logn[bad] = math.nan
     return logn[np.searchsorted(mesh, tv), np.searchsorted(mesh, sv)]

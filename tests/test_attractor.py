@@ -594,6 +594,16 @@ class TestCooperative:
         spec = nl.CooperativeSpec(a_matrix=a, b_vector=b, dimension=2, field=field)
         assert math.isnan(spec.certify([0.0, 1.0], n_samples=20))
 
+    def test_certify_needs_a_time_and_a_state(self):
+        # The negative off-diagonal must not pass for want of samples.
+        spec = nl.CooperativeSpec(a_matrix=np.array([[-1.0, -5.0], [1.0, -1.0]]),
+                                  b_vector=np.array([0.0, 0.0]), dimension=2)
+        assert spec.certify([0.0], n_samples=1) <= -5.0
+        with pytest.raises(ValueError):
+            spec.certify([])
+        with pytest.raises(ValueError):
+            spec.certify([0.0], n_samples=0)
+
     def test_order_preservation(self):
         a = np.array([[-2.0, 1.0], [1.0, -2.0]])
         b = np.array([1.0, 1.0])

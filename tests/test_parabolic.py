@@ -149,6 +149,76 @@ class TestPDEProcess:
             p.matrix(0.0, 1.0)  # diffusion is not invertible
 
 
+def _per_pair_log_norms(p, grid):
+    """Reference: (log norm of each sampled pair, poisoned pairs) from one
+    ``matrix`` call per pair."""
+    rows, poisoned = {}, set()
+    for t, s in zip(*grid.pairs("stable")):
+        t, s = float(t), float(s)
+        try:
+            value = nl.spectral_norm(p.matrix(t, s))
+        except nl.FiniteEscapeError:
+            poisoned.add((t, s))
+            continue
+        if value > 0.0:
+            rows[(t, s)] = math.log(value)
+    return rows, poisoned
+
+
+class TestSeparableKernel:
+    def test_underflowed_factor_carries_a_sample(self):
+        # e^{G(t) - G(s)} = e^{-100 (t - s)} underflows to 0 once t - s > 7.45,
+        # where the log norm (lambda_1 - 100)(t - s) is still finite.
+        lap = _dirichlet(7)
+        p = nl.pde_process(lap, separable_g=lambda t: -100.0,
+                           g_antiderivative=lambda t: -100.0 * t)
+        grid = GridSpec(0.0, 10.0, 0.5)
+        sampled = nl.sample_norm_grid(p, None, grid)
+        assert len(sampled.samples) == 231 and sampled.poisoned == []
+        t, s, v = sampled.samples.T
+        want = (lap.leading_eigenvalue - 100.0) * (t - s)
+        assert np.max(np.abs(v - want)) < 1e-11
+        assert v.min() == pytest.approx(-1097.4, abs=0.05)
+
+    @pytest.mark.parametrize("length, g, grid", [
+        # The norm passes the guard.
+        (1.0, lambda t: 50.0 + math.sin(t), GridSpec(0.0, 10.0, 0.5)),
+        # e^{G(t) - G(s)} overflows where the strong diffusion keeps the
+        # product under the guard: matrix raises there too.
+        (0.1, lambda t: 1500.0, GridSpec(0.0, 1.0, 0.25)),
+    ])
+    def test_growth_poisons_at_least_the_per_pair_set(self, length, g, grid):
+        p = nl.pde_process(_dirichlet(9, length), separable_g=g)
+        sampled = nl.sample_norm_grid(p, None, grid)
+        rows, poisoned = _per_pair_log_norms(p, grid)
+        assert poisoned and poisoned <= set(sampled.poisoned)
+        assert len(sampled.samples) + len(sampled.poisoned) == len(grid.pairs("stable")[0])
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition("dirichlet"),
+                                    BoundaryCondition("neumann"),
+                                    BoundaryCondition("robin", robin_alpha=0.7)])
+    def test_matches_per_pair_matrices(self, bc):
+        # Neumann and Robin closures have a non-unit similarity scale.
+        p = nl.pde_process(nl.discretize(Grid1D(1.0, 9), bc),
+                           separable_g=lambda t: 3.0 * math.cos(t) - 0.5)
+        grid = GridSpec(-2.0, 6.0, 0.5, extra_points=(0.3,))
+        sampled = nl.sample_norm_grid(p, None, grid)
+        rows, poisoned = _per_pair_log_norms(p, grid)
+        assert sampled.poisoned == [] and poisoned == set()
+        assert len(sampled.samples) == len(rows)
+        assert max(abs(v - rows[(t, s)]) for t, s, v in sampled.samples) < 1e-13
+
+    def test_domain_errors(self):
+        half = nl.pde_process(_dirichlet(5), separable_g=lambda t: -1.0,
+                              domain=nl.HALF_LINE_PLUS)
+        with pytest.raises(nl.DomainError):
+            nl.sample_norm_grid(half, None, GridSpec(-1.0, 1.0, 0.5))
+        assert len(nl.sample_norm_grid(half, None, GridSpec(0.0, 1.0, 0.5)).samples) == 6
+        full = nl.pde_process(_dirichlet(5), separable_g=lambda t: -1.0)
+        with pytest.raises(nl.DomainError):
+            nl.sample_norm_grid(full, None, GridSpec(0.0, 1.0, 0.5), part="unstable")
+
+
 class TestStrangChain:
     # Every pair length is a multiple of dt = 1/64, so the chained steps use
     # the per-pair substeps and midpoints exactly; only rounding differs.
@@ -262,6 +332,11 @@ class TestPrincipalBundle:
         bundle = nl.principal_bundle(p)
         assert bundle.c1 > 1.0
         assert bundle.c2 == pytest.approx(bundle.c1, rel=1e-14)
+        # Bit for bit the per-time norms of Q = e l^T / (l^T e), l = w^2 e.
+        w2 = lap.scale ** 2
+        q1 = [np.outer(e, w2 * e) / float((w2 * e) @ e) for e in bundle.vectors]
+        assert bundle.c1 == max(nl.spectral_norm(q) for q in q1)
+        assert bundle.c2 == max(nl.spectral_norm(np.eye(lap.size) - q) for q in q1)
 
 
 class TestTransfer:

@@ -140,6 +140,16 @@ class TestProjectionFamily:
         assert p.idempotence_defect([0.0, 1.0]) == pytest.approx(0.0)
         q = ProjectionFamily.constant(np.array([[0.5, 0.0], [0.0, 0.0]]))
         assert q.idempotence_defect([0.0]) > 0.1
+        assert q.idempotence_defect([]) == 0.0
+
+    def test_nan_is_reported(self, barreira):
+        # max(0.0, nan) is 0.0: a max() loop would read this family as exact.
+        nan_at_one = ProjectionFamily(
+            lambda t: np.full((1, 1), math.nan if t == 1.0 else 0.0), 1)
+        assert math.isnan(nan_at_one.idempotence_defect([0.0, 1.0, 2.0]))
+        assert math.isnan(nan_at_one.invariance_defect(barreira.process,
+                                                       [(1.0, 0.0), (2.0, 1.0)]))
+        assert nan_at_one.invariance_defect(barreira.process, [(2.0, 0.0)]) == 0.0
 
 
 class TestScalarProcesses:
@@ -353,6 +363,123 @@ def _per_pair_grid(process, projection, grid, part):
         except FiniteEscapeError:
             poisoned.add((float(t), float(s)))
     return rows, poisoned
+
+
+def _per_pair_norm_grid(process, projection, grid, part):
+    """Reference: the (samples, poisoned) of sample_norm_grid from one
+    operator_norm per pair."""
+    rows, poisoned = [], []
+    for t, s in zip(*grid.pairs(part)):
+        t, s = float(t), float(s)
+        try:
+            v = nl.operator_norm(process, t, s, projection, part=part, log=True)
+        except FiniteEscapeError:
+            v = math.nan
+        if not v < math.inf:
+            poisoned.append((t, s))
+        elif v > -math.inf:
+            rows.append((t, s, v))
+    return np.array(rows, dtype=float).reshape(-1, 3), poisoned
+
+
+def _closed_form(n, seed):
+    """S(t, s) = B diag(e^{r_i (t - s) + e_i (sin t - sin s)}) B^-1 with a
+    non-normal basis B, and a time-varying explicit family."""
+    rng = np.random.default_rng(seed)
+    basis = np.eye(n) + 0.4 * rng.normal(size=(n, n))
+    inv = np.linalg.inv(basis)
+    rates = np.concatenate([-rng.uniform(0.5, 2.0, n // 2), rng.uniform(0.5, 2.0, n - n // 2)])
+    eps = rng.uniform(0.1, 0.3, n)
+    unstable = basis @ np.diag([0.0] * (n // 2) + [1.0] * (n - n // 2)) @ inv
+    process = nl.MatrixClosedFormProcess(
+        lambda t, s: basis @ np.diag(np.exp(rates * (t - s) + eps * (math.sin(t) - math.sin(s))))
+        @ inv, n)
+    return process, ProjectionFamily(lambda t: (1.0 + 0.2 * math.cos(t)) * unstable, n)
+
+
+def _escape_then_vanish(t, s):
+    """Escapes for 1.15 < t - s <= 1.5 and is exactly zero beyond."""
+    if t - s > 1.5:
+        return np.zeros((2, 2))
+    return np.array([[math.exp(300.0 * (t - s)), 1.0], [0.0, 1.0]])
+
+
+def _per_matrix_norms(stack):
+    return np.array([nl.spectral_norm(m) for m in stack])
+
+
+class TestStackedNormKernels:
+    """The per-anchor stacks give bit for bit the per-pair norms."""
+
+    GRID = GridSpec(-1.3, 3.1, 0.5, extra_points=(0.45, 2.95))
+
+    @staticmethod
+    def _assert_per_pair(process, family, grid, part):
+        sampled = nl.sample_norm_grid(process, family, grid, part=part)
+        samples, poisoned = _per_pair_norm_grid(process, family, grid, part)
+        assert np.array_equal(sampled.samples, samples)
+        assert sampled.poisoned == poisoned
+        return sampled
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    @pytest.mark.parametrize("family", ["none", "zero", "explicit"])
+    def test_closed_forms_and_duals(self, n, dual, part, family):
+        process, explicit = _closed_form(n, seed=n)
+        if dual:
+            process = nl.dual_process(process)
+        family = {"none": None, "zero": ProjectionFamily.zero(n),
+                  "explicit": explicit}[family]
+        self._assert_per_pair(process, family, self.GRID, part)
+
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    def test_scalar_under_an_explicit_family(self, part):
+        # The exponent takes scalars only: the explicit path reads it per pair.
+        process = ScalarExponentProcess(
+            lambda t, s: -(t - s) + 0.5 * (math.sin(t) - math.sin(s)))
+        family = ProjectionFamily(lambda t: np.array([[0.5 + 0.25 * math.cos(t)]]), 1)
+        sampled = self._assert_per_pair(process, family, self.GRID, part)
+        assert len(sampled.samples) == len(self.GRID.pairs(part)[0])
+
+    def test_escape_and_exact_zero_mid_grid(self):
+        process = nl.MatrixClosedFormProcess(_escape_then_vanish, 2)
+        grid = GridSpec(-2.0, 2.0, 0.5)
+        sampled = self._assert_per_pair(process, None, grid, "stable")
+        assert len(sampled.poisoned) == 6 and len(sampled.samples) == 45 - 6 - 15
+        # The stable factor I - P(0.5) = 0 makes every product from s = 0.5 zero.
+        family = ProjectionFamily(
+            lambda t: np.eye(2) if t == 0.5 else np.array([[0.0, 0.0], [0.0, 1.0]]), 2)
+        sampled = self._assert_per_pair(process, family, grid, "stable")
+        assert not any(s == 0.5 for _, s, _ in sampled.samples)
+
+    @pytest.mark.parametrize("backend, part", [("integrated", "stable"),
+                                               ("integrated", "unstable"),
+                                               ("escaping", "stable"),
+                                               ("strang", "stable")])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_chains_match_per_pair_norms(self, monkeypatch, backend, part, explicit):
+        if backend == "integrated":
+            process = PlantedIntegrated(invertible=True).process
+        elif backend == "escaping":
+            q = np.array([[1.0, 0.5], [0.0, 1.0]])
+            a = q @ np.diag([500.0, -1.0]) @ np.linalg.inv(q)
+            process = nl.IntegratedLinearProcess(lambda t: a, 2)
+        else:
+            lap = nl.discretize(nl.Grid1D(1.0, 2), nl.BoundaryCondition("neumann"))
+            process = nl.pde_process(lap, a=lambda t, x: -1.0 + 0.5 * math.sin(2.0 * t) * x,
+                                     dt=1.0 / 16)
+        n = process.dimension
+        family = ProjectionFamily(lambda t: np.full((n, n), 0.5 + 0.1 * math.sin(t)), n) \
+            if explicit else None
+        grid = GridSpec(0.0, 1.0, 0.5) if backend == "escaping" else self.GRID
+        stacked = nl.sample_norm_grid(process, family, grid, part=part)
+        # The reference chain takes one spectral_norm per pair.
+        monkeypatch.setattr(nl.process, "_spectral_norms", _per_matrix_norms)
+        per_pair = nl.sample_norm_grid(process, family, grid, part=part)
+        assert np.array_equal(stacked.samples, per_pair.samples)
+        assert stacked.poisoned == per_pair.poisoned
+        assert (len(stacked.poisoned) > 0) == (backend == "escaping")
 
 
 class TestChainedNormGrid:
