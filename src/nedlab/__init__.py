@@ -24,7 +24,6 @@ from .process import (
     dual_process,
     load_process_config,
     operator_norm,
-    propagate,
     sample_norm_grid,
     spectral_norm,
 )

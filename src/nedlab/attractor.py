@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _CASE_TOL = 1e-12  # declared tolerance for the forward-bound case split
+#: An ensemble escapes once some coordinate reaches this size.
+_ESCAPE_RADIUS = 1e8
 
 
 # TYPES ================================================================================
@@ -102,13 +104,12 @@ class UniverseFamily:
     """Tempered universe D_gamma: families growing at most like C e^{gamma |t|}.
 
     ``representative`` supplies seed points per time: either a SetFamily
-    or a callable t -> point cloud.  The witness C certifies (on sampled
-    times) that the representative stays inside the growth envelope.
+    or a callable t -> point cloud.  :func:`universe_membership` gives the
+    constant C of a sampled family.
     """
 
     gamma: float
     representative: object
-    witness: float = 1.0
 
     def sample(self, t: float) -> np.ndarray:
         if callable(self.representative):
@@ -408,13 +409,13 @@ def _max_abs(y: np.ndarray) -> float:
 
 
 def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
-                        t_eval=None, guard: float = 1e8):
+                        t_eval=None):
     """Integrate x' = f(t, x) for every row of `points` as one stacked
     system with compiled DOP853 at rtol 1e-10, atol 1e-12, calling the
     field once per right-hand-side evaluation on the (n, k) array of all
     states (see _BATCH_CONTRACT).  The ensemble escapes, raising
     TrajectoryEscapeError, at the end of the first step where some
-    |x_i| >= guard (at once for a seed that starts there).
+    |x_i| >= _ESCAPE_RADIUS (at once for a seed that starts there).
 
     Returns the final ensemble, or, when t_eval is given, the list of
     ensembles at the times t_eval, ordered from t0 toward t1 and ending
@@ -430,10 +431,10 @@ def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
     for t in ([t1] if t_eval is None else t_eval):
         if t != tau:
             reach, y, peak = _SOLVER.solve(field, tau, t, y, (n, k), 1e-10, 1e-12,
-                                           _max_abs, guard)
-            if not (peak < guard):
+                                           _max_abs, _ESCAPE_RADIUS)
+            if not (peak < _ESCAPE_RADIUS):
                 raise TrajectoryEscapeError(
-                    "ensemble escaped |x| >= %g at t=%r" % (guard, reach))
+                    "ensemble escaped |x| >= %g at t=%r" % (_ESCAPE_RADIUS, reach))
         tau = t
         states.append(y.reshape(n, k).T.copy())
     return states[-1] if t_eval is None else states
@@ -492,12 +493,11 @@ def _seeds_at(seeds, s: float) -> np.ndarray:
 
 
 def simulate_pullback_omega(spec, t: float, seeds, s_schedule=None,
-                            cluster_eps: float = 1e-4,
-                            max_depth_exponent: int = 20) -> OmegaCloud:
+                            cluster_eps: float = 1e-4) -> OmegaCloud:
     """Approximate the pullback omega-limit section at time t.
 
-    Integrates seed clouds from ever-earlier start times s_k = t - 2^k
-    (or an explicit decreasing schedule) up to t, each cloud as one
+    Integrates seed clouds from ever-earlier start times s_k = t - 2^k,
+    k = 0, ..., 20 (or an explicit decreasing schedule) up to t, each cloud as one
     compiled DOP853 solve (_integrate_ensemble); a depth whose cloud
     escapes |x| >= 1e8 is counted in ``poisoned`` and skipped.  Depth
     scanning stops early once consecutive depth clouds agree within
@@ -506,7 +506,7 @@ def simulate_pullback_omega(spec, t: float, seeds, s_schedule=None,
     """
     field, _ = _field_of(spec)
     if s_schedule is None:
-        s_schedule = [t - 2.0 ** k for k in range(max_depth_exponent + 1)]
+        s_schedule = [t - 2.0 ** k for k in range(21)]
     if any(b >= a for a, b in zip(s_schedule, s_schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     per_depth = []
@@ -541,14 +541,13 @@ def simulate_pullback_omega(spec, t: float, seeds, s_schedule=None,
 
 def simulate_forward_omega(spec, initial_cloud, tau: float,
                            horizon_schedule=None,
-                           cluster_eps: float = 1e-4,
-                           max_horizon_exponent: int = 7) -> OmegaCloud:
+                           cluster_eps: float = 1e-4) -> OmegaCloud:
     """Approximate the forward omega-limit of a bounded set B from time
-    tau: states S(tau + h, tau) B at increasing horizons h, late-time
-    half clustered."""
+    tau: states S(tau + h, tau) B at increasing horizons h (by default
+    h = 2^k, k = 0, ..., 7), late-time half clustered."""
     field, _ = _field_of(spec)
     if horizon_schedule is None:
-        horizon_schedule = [2.0 ** k for k in range(max_horizon_exponent + 1)]
+        horizon_schedule = [2.0 ** k for k in range(8)]
     if any(b <= a for a, b in zip(horizon_schedule, horizon_schedule[1:])):
         raise ValueError("horizon schedule must be strictly increasing")
     cloud = np.atleast_2d(np.asarray(initial_cloud, dtype=float))
@@ -616,8 +615,7 @@ def universe_membership(family: SetFamily, gamma: float) -> float:
 
 
 def attractor_coincidence(spec, t_grid, gamma0: float, gammas,
-                          witness: float = 1.0, seeds_per_time: int = 8,
-                          cluster_eps: float = 1e-4, seed: int = 0) -> dict:
+                          seeds_per_time: int = 8) -> dict:
     """Compare pullback sections simulated under seed universes D_gamma
     against the base universe D_gamma0.
 
@@ -626,7 +624,7 @@ def attractor_coincidence(spec, t_grid, gamma0: float, gammas,
     shows up as distances at the cluster tolerance.
     """
     _, dim = _field_of(spec)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     directions = rng.normal(size=(seeds_per_time, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
@@ -638,20 +636,15 @@ def attractor_coincidence(spec, t_grid, gamma0: float, gammas,
     def universe(gamma):
         return UniverseFamily(
             gamma,
-            lambda s, g=gamma: witness * min(math.exp(min(g * abs(s), 700.0)),
-                                             seed_cap) * directions,
-            witness=witness)
+            lambda s, g=gamma: min(math.exp(min(g * abs(s), 700.0)), seed_cap) * directions)
 
-    base_sections = {
-        t: simulate_pullback_omega(spec, t, universe(gamma0),
-                                   cluster_eps=cluster_eps).section()
-        for t in t_grid}
+    base_sections = {t: simulate_pullback_omega(spec, t, universe(gamma0)).section()
+                     for t in t_grid}
     out = {}
     for gamma in gammas:
         worst = 0.0
         for t in t_grid:
-            sec = simulate_pullback_omega(spec, t, universe(gamma),
-                                          cluster_eps=cluster_eps).section()
+            sec = simulate_pullback_omega(spec, t, universe(gamma)).section()
             worst = max(worst, _hausdorff_distance(sec, base_sections[t]))
         out[float(gamma)] = worst
     return out

@@ -51,6 +51,7 @@ from .process import (
     TimeDomain,
     _write_text,
     load_process_config,
+    named_coefficient,
     sample_norm_grid,
 )
 from .robustness import robust_nedii_pipeline, robustness_constants
@@ -264,12 +265,6 @@ def _cmd_attract(args, argv):
     return EXIT_OK
 
 
-_NAMED_COEFFS = {
-    "constant": lambda p: (lambda t, rate=float(p["rate"]): rate),
-    "sin-drift": lambda p: (lambda t, c=float(p.get("c", 2.0)),
-                            d=float(p.get("d", 1.0)): -c - d * t * math.sin(t)),
-}
-
 def _cmd_pde(args, argv):
     with open(args.config) as fh:
         cfg = json.load(fh)
@@ -278,9 +273,7 @@ def _cmd_pde(args, argv):
                            robin_alpha=float(cfg.get("robin_alpha", 0.0)))
     lap = discretize(grid1d, bc)
     g_cfg = cfg.get("g", {"name": "constant", "rate": -1.0})
-    if g_cfg["name"] not in _NAMED_COEFFS:
-        raise ValueError("unknown coefficient form %r" % (g_cfg["name"],))
-    g = _NAMED_COEFFS[g_cfg["name"]](g_cfg)
+    g, _ = named_coefficient(g_cfg["name"], g_cfg)
     scalar_cert = DichotomyCertificate.from_dict(cfg["scalar_certificate"])
     process = pde_process(lap, separable_g=g)
     bundle = None

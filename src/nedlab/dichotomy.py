@@ -117,11 +117,8 @@ class DichotomyCertificate:
             "projection": self.projection,
         }
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            _write_text(path, text + "\n")
-        return text
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @staticmethod
     def from_dict(d: dict) -> "DichotomyCertificate":
@@ -168,21 +165,18 @@ class ParetoFrontier:
             raise DataError("frontier has no feasible entries")
         return self.entries[-1]
 
-    def certificate(self, domain: TimeDomain, alpha: Optional[float] = None,
-                    projection: str = "zero") -> DichotomyCertificate:
-        if alpha is None:
-            a, d, lm = self.best()
-        else:
-            match = [e for e in self.entries if e[0] == alpha]
-            if not match:
-                raise DataError("alpha=%g not among feasible entries" % alpha)
-            a, d, lm = match[0]
+    def certificate(self, domain: TimeDomain,
+                    projection: Optional[ProjectionFamily]) -> DichotomyCertificate:
+        """Certificate of the :meth:`best` entry under the family the grid
+        was sampled with; ``None`` is recorded as the zero descriptor, and
+        an explicit family travels with the certificate."""
+        a, d, lm = self.best()
         pair = ExponentPair(a, d)
-        if self.part == "stable":
-            return DichotomyCertificate(self.kind, domain, math.exp(lm), pair,
-                                        projection=projection)
+        descriptor = "zero" if projection is None else projection.descriptor
+        family = projection if descriptor == "explicit" else None
         return DichotomyCertificate(self.kind, domain, math.exp(lm), pair,
-                                    unstable=pair, projection=projection)
+                                    unstable=None if self.part == "stable" else pair,
+                                    projection=descriptor, projection_family=family)
 
 
 def _sample_columns(grid: NormGrid):
@@ -483,16 +477,16 @@ class RejectionEvidence:
         vals = self.min_ln_m[projection_kind]
         return [math.exp(b - a) for a, b in zip(vals, vals[1:])]
 
-    def rejected(self, factor: float = math.e) -> bool:
+    def rejected(self) -> bool:
         """True when every projection choice is defeated: each minimal-M
-        sequence grows by at least `factor` between consecutive windows.
+        sequence grows by at least a factor e between consecutive windows.
 
         Never true when a window lost pairs to poisoning: a dropped
         constraint lowers that window's minimal ln M, which can inflate
         a growth factor."""
         if any(any(counts) for counts in self.poisoned.values()):
             return False
-        return all(all(g >= factor for g in self.growth_factors(kind))
+        return all(all(g >= math.e for g in self.growth_factors(kind))
                    for kind in self.min_ln_m)
 
 
@@ -555,15 +549,16 @@ def classify(process: EvolutionProcess, projection, kind: str,
     """Fit a frontier for one part and return it with the best certificate.
 
     Convenience wrapper: samples the norm grid, runs fit_bounds, and
-    extracts the feasible entry with the largest decay rate."""
+    extracts the feasible entry with the largest decay rate.  Under an
+    explicit family the stable part's certificate carries the family.
+    The unstable part fits no stable pair there, so it returns no
+    certificate; the frontier still carries the fit."""
     domain = domain or process.domain
     sampled = sample_norm_grid(process, projection, grid, part=part)
     frontier = fit_bounds(sampled, kind, part, list(alpha_grid),
                           delta_max=delta_max, ln_m_max=ln_m_max)
+    explicit = projection is not None and projection.descriptor == "explicit"
     cert = None
-    if frontier.entries:
-        descriptor = projection.descriptor if projection is not None else "zero"
-        if descriptor == "explicit":
-            descriptor = "zero"  # certificate records constants only
-        cert = frontier.certificate(domain, projection=descriptor)
+    if frontier.entries and not (explicit and part == "unstable"):
+        cert = frontier.certificate(domain, projection)
     return frontier, cert

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -83,13 +82,13 @@ class GalleryEntry:
 
 
 def _canonical_logmax(process, domain: TimeDomain, alpha: float, delta: float,
-                      kind: str, extra_points=()) -> float:
+                      kind: str) -> float:
     """Minimal feasible ln M for the stable bound of the given kind on
     the canonical grid (clamped at 0 so M >= 1); inf when a canonical
     pair escapes."""
     lo = 0.0 if domain.kind == "plus" else -CANONICAL_HORIZON
     hi = 0.0 if domain.kind == "minus" else CANONICAL_HORIZON
-    spec = GridSpec(lo, hi, CANONICAL_STEP, extra_points=tuple(extra_points))
+    spec = GridSpec(lo, hi, CANONICAL_STEP)
     grid = sample_norm_grid(process, None, spec)
     if grid.poisoned:
         return math.inf
@@ -114,8 +113,7 @@ def make_barreira(a: float, b: float) -> GalleryEntry:
         return (-b * (t - s) + a * t * np.cos(t) - a * s * np.cos(s)
                 - a * np.sin(t) + a * np.sin(s))
 
-    process = ScalarExponentProcess(exponent, domain=FULL_LINE,
-                                    backend="closed-form-exponent")
+    process = ScalarExponentProcess(exponent, domain=FULL_LINE)
     m = math.exp(2.0 * a)
     claims = [
         DichotomyClaim(_cert("II", HALF_LINE_PLUS, m, b + a, 2 * a), True,
@@ -144,8 +142,7 @@ def make_sign_switch() -> GalleryEntry:
     def exponent(t, s):
         return np.abs(np.asarray(t, dtype=float)) - np.abs(np.asarray(s, dtype=float))
 
-    process = ScalarExponentProcess(exponent, domain=FULL_LINE,
-                                    backend="closed-form-exponent")
+    process = ScalarExponentProcess(exponent, domain=FULL_LINE)
     stable = ExponentPair(1.0, 2.0)
     claims = [
         DichotomyClaim(DichotomyCertificate("II", FULL_LINE, 1.0, stable,
@@ -229,8 +226,7 @@ def make_factorial_steps(max_n: int = 6) -> GalleryEntry:
         s = np.asarray(s, dtype=float)
         return np.interp(t, bps, vals) - np.interp(s, bps, vals)
 
-    process = ScalarExponentProcess(exponent, domain=HALF_LINE_PLUS,
-                                    backend="piecewise-closed-form")
+    process = ScalarExponentProcess(exponent, domain=HALF_LINE_PLUS)
     claims = [
         DichotomyClaim(_cert("II", HALF_LINE_PLUS, 1.0, 1.0, 2.0), True,
                        note="S_g(t,s) <= e^{t-s} <= e^{-(t-s)+2t}"),
@@ -264,8 +260,7 @@ def make_piecewise_barreira(a: float, b: float, c: float, d: float) -> GalleryEn
     def exponent(t, s):
         return antiderivative(t) - antiderivative(s)
 
-    process = ScalarExponentProcess(exponent, domain=FULL_LINE,
-                                    backend="closed-form-exponent")
+    process = ScalarExponentProcess(exponent, domain=FULL_LINE)
     delta = max(2 * a, 2 * c)
     alpha2 = min(b + a, d - c)
     alpha1 = min(b - a, d + c)

@@ -61,6 +61,9 @@ _LOG_MAX = math.log(sys.float_info.max)
 _SEPARABLE_GUARD = _LOG_GUARD - 8 * math.ulp(_LOG_GUARD)
 #: Lags per stacked ``expm``, which bounds the stack at this many n x n matrices.
 _LAG_BLOCK = 256
+#: Most negative entry a propagator or principal direction may have and
+#: still count as positive.
+_POSITIVITY_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,22 +244,28 @@ class PDEProcess(EvolutionProcess):
 
         The scalar factor is positive, so ``log ||S(t, s)||`` is
         ``G(t) - G(s) + log ||e^{A_h d}||`` with ``d = t - s``, the float
-        :meth:`matrix` hands to ``expm``; read in the log, a pair whose
-        factor ``e^{G(t) - G(s)}`` underflows still carries its sample.  A
-        pair is poisoned for a NaN G difference, for one above the largest
+        :meth:`matrix` hands to ``expm``.  The diffusion factor is read as
+        ``lambda_1 d + log ||e^{(A_h - lambda_1) d}||``: the shifted factor
+        keeps its leading mode at 1, so it never underflows as a whole.
+        Read in the log, a pair whose factor ``e^{G(t) - G(s)}`` or
+        ``e^{A_h d}`` underflows still carries its sample.  A pair is
+        poisoned for a NaN G difference, for one above the largest
         exponent ``math.exp`` takes, and where ``G + log ||e^{A_h d}||_F``
         reaches ``_SEPARABLE_GUARD``: every pair :meth:`matrix` poisons,
         and perhaps a few more."""
         _check_outermost(self, mesh, part)
+        lap, lam1 = self.laplacian, self.laplacian.leading_eigenvalue
+        shifted = dataclasses.replace(lap, eigenvalues=lap.eigenvalues - lam1)
         lags, lag_of = np.unique(tv - sv, return_inverse=True)
         log_norm, log_frobenius = np.empty(len(lags)), np.empty(len(lags))
         for k in range(0, len(lags), _LAG_BLOCK):
             block = slice(k, k + _LAG_BLOCK)
-            stack = self.laplacian.expm(lags[block])
+            stack = shifted.expm(lags[block])
             stack[lags[block] == 0.0] = np.eye(self.dimension)   # as in matrix
-            with np.errstate(divide="ignore"):
-                log_norm[block] = np.log(_spectral_norms(stack))
-                log_frobenius[block] = np.log(np.linalg.norm(stack, axis=(1, 2)))
+            log_norm[block] = np.log(_spectral_norms(stack))
+            log_frobenius[block] = np.log(np.linalg.norm(stack, axis=(1, 2)))
+        log_norm += lam1 * lags
+        log_frobenius += lam1 * lags
         g = np.asarray(self._time_factor.log_propagator(tv, sv), dtype=float)
         with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
             escaped = ~((g <= _LOG_MAX) & (g + log_frobenius[lag_of] <= _SEPARABLE_GUARD))
@@ -309,34 +318,30 @@ def pde_process(laplacian: DiscreteLaplacian, a: Optional[Callable] = None,
 
 
 def variation_of_constants_check(process: PDEProcess, b: Callable,
-                                 window, u0=None, n_check: int = 5,
-                                 rtol: float = 1e-13, atol: float = 1e-15) -> float:
+                                 window, n_check: int = 5) -> float:
     """Residual of the variation-of-constants formula on a window.
 
-    Integrates u' = (A_h + a) u + b(t) directly and compares with
-    S(t, s) u0 + int_s^t S(t, r) b(r) dr at n_check times; returns the
-    max sup-norm discrepancy.  b maps t to a nodal vector.
+    Integrates u' = (A_h + a) u + b(t) directly from u0 = (1, ..., 1) and
+    compares with S(t, s) u0 + int_s^t S(t, r) b(r) dr at n_check times;
+    returns the max sup-norm discrepancy.  b maps t to a nodal vector.
 
     The direct solve is LSODA with the generator as its exact Jacobian:
     the semi-discrete Laplacian is stiff (its spectrum reaches about
     -4 / h^2 at mesh width h), so an explicit method would take thousands
     of steps per unit time for stability alone.  Implicit steps make tight
-    tolerances cheap; at the defaults rtol 1e-13, atol 1e-15 the
-    residual on 31-node Dirichlet, Neumann and Robin Laplacians stays
-    below 2e-12, far under the 1e-8 that criterion 10 asks.
+    tolerances cheap; at rtol 1e-13, atol 1e-15 the residual on 31-node
+    Dirichlet, Neumann and Robin Laplacians stays below 2e-12, far under
+    the 1e-8 that criterion 10 asks.
     """
     s, t_end = window
-    n = process.dimension
-    if u0 is None:
-        u0 = np.ones(n)
-    u0 = np.asarray(u0, dtype=float)
+    u0 = np.ones(process.dimension)
     times = np.linspace(s, t_end, n_check + 1)[1:]
 
     def rhs(tau, u):
         return (process.laplacian.matrix @ u + process._reaction(tau) * u
                 + np.asarray(b(tau), dtype=float))
 
-    sol = solve_ivp(rhs, (s, t_end), u0, method="LSODA", rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (s, t_end), u0, method="LSODA", rtol=1e-13, atol=1e-15,
                     t_eval=times, jac=lambda tau, u: process.generator(tau))
     if not sol.success:
         raise RuntimeError("direct integration failed: %s" % sol.message)
@@ -381,17 +386,18 @@ class PrincipalBundle:
         return float(np.prod(self.c_increments[i:j]))
 
 
-def _dominant_direction(m: np.ndarray, tol: float = 1e-13,
-                        max_iter: int = 10000) -> np.ndarray:
+def _dominant_direction(m: np.ndarray) -> np.ndarray:
+    """Power iteration from the positive diagonal, until successive unit
+    iterates differ by less than 1e-13 or after 10000 steps."""
     n = m.shape[0]
     v = np.ones(n) / math.sqrt(n)
-    for _ in range(max_iter):
+    for _ in range(10000):
         w = m @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             raise InapplicableError("propagator annihilated the positive cone")
         w /= nw
-        if np.linalg.norm(w - v) < tol:
+        if np.linalg.norm(w - v) < 1e-13:
             v = w
             break
         v = w
@@ -401,9 +407,9 @@ def _dominant_direction(m: np.ndarray, tol: float = 1e-13,
 
 
 def principal_bundle(process: PDEProcess, horizon: float = 2.0,
-                     stride: float = 0.25, t0: float = 0.0,
-                     positivity_tol: float = 1e-12) -> PrincipalBundle:
-    """Extract the principal bundle by power iteration on stride windows.
+                     stride: float = 0.25) -> PrincipalBundle:
+    """Extract the principal bundle by power iteration on the stride
+    windows of [0, horizon].
 
     e(t) is the dominant direction of S(t + stride, t) (strong
     positivity makes it simple and positive); the scalar cocycle
@@ -413,20 +419,20 @@ def principal_bundle(process: PDEProcess, horizon: float = 2.0,
     fitted by least squares, giving (M_sep, nu_sep).
     """
     k = int(round(horizon / stride))
-    times = t0 + stride * np.arange(k + 1)
+    times = stride * np.arange(k + 1)
     windows = [process.matrix(times[j + 1], times[j]) for j in range(k)]
     for w in windows:
-        if float(w.min()) < -positivity_tol:
+        if float(w.min()) < -_POSITIVITY_TOL:
             raise InapplicableError("propagator lost positivity "
                                     "(min entry %.3g)" % float(w.min()))
     vectors = [_dominant_direction(w) for w in windows]
     vectors.append(_dominant_direction(windows[-1]))  # tail window reuse
     vectors = np.stack(vectors)
-    if np.min(vectors) < -positivity_tol:
+    if np.min(vectors) < -_POSITIVITY_TOL:
         raise InapplicableError("principal direction is not positive")
     c_increments = np.array([
         float(np.linalg.norm(windows[j] @ vectors[j])) for j in range(k)])
-    # Complementary seed: orthogonal to e(t0), deterministic.
+    # Complementary seed: orthogonal to e(0), deterministic.
     e0 = vectors[0]
     z = np.zeros(process.dimension)
     z[0] = 1.0
@@ -449,7 +455,7 @@ def principal_bundle(process: PDEProcess, horizon: float = 2.0,
         if r <= 0.0 or c_cum <= 0.0:
             break
         ratios.append(math.log(r / c_cum))
-        offsets.append(times[j + 1] - t0)
+        offsets.append(times[j + 1])
     if len(ratios) < 2:
         raise InapplicableError("not enough resolvable separation samples")
     coeffs, residuals, *_ = np.polyfit(offsets, ratios, 1, full=True)
@@ -527,7 +533,6 @@ def parabolic_attractor_demo(laplacian: DiscreteLaplacian,
                              t_grid,
                              bnorm: float,
                              cubic: bool = True,
-                             cluster_eps: float = 1e-4,
                              seeds_per_time: int = 4,
                              seed: int = 0) -> dict:
     """Pullback sections of the semilinear problem
@@ -562,8 +567,7 @@ def parabolic_attractor_demo(laplacian: DiscreteLaplacian,
     sections = {}
     for t in t_grid:
         cloud = simulate_pullback_omega(spec_obj, t,
-                                        UniverseFamily(0.0, lambda s: base_cloud),
-                                        cluster_eps=cluster_eps)
+                                        UniverseFamily(0.0, lambda s: base_cloud))
         sections[t] = cloud.section()
     family = SetFamily(sections)
     report = verify_containment(family, envelope)

@@ -41,7 +41,6 @@ __all__ = [
     "IntegratedLinearProcess",
     "spectral_norm",
     "operator_norm",
-    "propagate",
     "dual_process",
     "sample_norm_grid",
 ]
@@ -500,16 +499,18 @@ class EvolutionProcess:
 
 class ScalarExponentProcess(EvolutionProcess):
     """Scalar process given by a closed-form log-propagator E(t, s),
-    i.e. S(t, s) x = e^{E(t, s)} x.  Always invertible."""
+    i.e. S(t, s) x = e^{E(t, s)} x.  Always invertible.
+
+    ``exponent`` must take arrays of t and s as well as floats: a grid
+    under the identity factor (``projection=None``) reads it once,
+    vectorised over every pair."""
 
     dimension = 1
     invertible = True
 
-    def __init__(self, exponent: Callable, domain: TimeDomain = FULL_LINE,
-                 backend: str = "closed-form-exponent"):
+    def __init__(self, exponent: Callable, domain: TimeDomain = FULL_LINE):
         self.exponent = exponent
         self.domain = domain
-        self.backend = backend
 
     def log_propagator(self, t, s):
         """Vectorized E(t, s); accepts arrays."""
@@ -594,8 +595,7 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
         self.coefficient = coefficient
         self.antiderivative = antiderivative
         self._cache = {}
-        super().__init__(self._exponent, domain=domain,
-                         backend="numerically-integrated")
+        super().__init__(self._exponent, domain=domain)
 
     def _cumulative(self, t: float) -> float:
         if self.antiderivative is not None:
@@ -737,11 +737,6 @@ class IntegratedLinearProcess(EvolutionProcess):
 
 # MODULE-LEVEL OPERATIONS ==============================================================
 
-def propagate(process: EvolutionProcess, t: float, s: float, x) -> np.ndarray:
-    """Apply S(t, s) to the state x."""
-    return process.propagate(t, s, x)
-
-
 def _projection_factor(projection: Optional[ProjectionFamily], part: str) -> str:
     """Which map the factor P(s) of ``S(t, s) P(s)`` is: "identity" (the
     full norm; ``projection=None`` means this for both parts), "zero", or
@@ -819,8 +814,7 @@ def dual_process(process: EvolutionProcess) -> EvolutionProcess:
         raise DomainError("dual process requires an invertible process")
     base = process
     if isinstance(base, ScalarExponentProcess):
-        d = ScalarExponentProcess(lambda t, s: base.log_propagator(s, t),
-                                  domain=base.domain, backend=base.backend)
+        d = ScalarExponentProcess(lambda t, s: base.log_propagator(s, t), domain=base.domain)
     elif isinstance(base, IntegratedLinearProcess):
         d = IntegratedLinearProcess(
             lambda t: -np.asarray(base.coefficient_matrix(t), dtype=float).T,
@@ -926,11 +920,41 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, tv, sv,
 
 # CONFIG LOADING =======================================================================
 
+def _constant(params):
+    rate = float(params["rate"])
+    return (lambda t: rate), (lambda t: rate * t)
+
+
+def _tanh(params):
+    sigma = float(params.get("scale", 1.0))
+    return (lambda t: np.tanh(t / sigma)), (lambda t: sigma * np.log(np.cosh(t / sigma)))
+
+
+def _sin_drift(params):
+    c, d = float(params.get("c", 2.0)), float(params.get("d", 1.0))
+    return (lambda t: -c - d * t * math.sin(t)), None
+
+
+#: The named scalar coefficients f of process configs and ``nedlab pde``:
+#: name -> params -> (f, F), where F(t) = int_0^t f in closed form, or None
+#: when f is integrated by quadrature.
+COEFFICIENTS = {"constant": _constant, "tanh": _tanh, "sin-drift": _sin_drift}
+
+
+def named_coefficient(name, params):
+    """``(f, F or None)`` of the registered coefficient ``name``; raises
+    ValueError for a name :data:`COEFFICIENTS` does not hold."""
+    if name not in COEFFICIENTS:
+        raise ValueError("unknown coefficient %r" % (name,))
+    return COEFFICIENTS[name](params)
+
+
 def load_process_config(path_or_dict):
     """Build a process from a JSON config.
 
     The config names a backend plus backend-specific fields; closed-form
-    families are resolved through the gallery registry.  See the CLI
+    families are resolved through the gallery registry, integrated
+    coefficients through :data:`COEFFICIENTS`.  See the CLI
     documentation for the schema.
     """
     # Imported lazily to avoid a cycle (gallery builds on this module).
@@ -954,15 +978,8 @@ def load_process_config(path_or_dict):
         entry = gallery.make_entry(family, **cfg.get("params", {}))
         return entry.process
     if backend == "numerically-integrated":
-        coeff = cfg.get("coefficient")
-        if coeff == "constant":
-            rate = float(cfg["params"]["rate"])
-            return ScalarCoefficientProcess(lambda t: rate, domain=domain,
-                                            antiderivative=lambda t: rate * t)
-        if coeff == "tanh":
-            sigma = float(cfg["params"].get("scale", 1.0))
-            return ScalarCoefficientProcess(
-                lambda t: np.tanh(t / sigma), domain=domain,
-                antiderivative=lambda t: sigma * np.log(np.cosh(t / sigma)))
-        raise ValueError("unknown integrated coefficient %r" % (coeff,))
+        coefficient, antiderivative = named_coefficient(cfg.get("coefficient"),
+                                                        cfg.get("params", {}))
+        return ScalarCoefficientProcess(coefficient, domain=domain,
+                                        antiderivative=antiderivative)
     raise ValueError("unknown backend %r" % (backend,))

@@ -161,14 +161,15 @@ def robustness_constants(m: float, omega: float, upsilon: float,
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section_max(f, lo, hi, tol=1e-10, max_iter=200):
-    """Golden-section search for a local maximum on [lo, hi]."""
+def _golden_section_max(f, lo, hi):
+    """Golden-section search for a local maximum on [lo, hi], to a bracket
+    narrower than 1e-10 or 200 iterations."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
+    for _ in range(200):
+        if b - a < 1e-10:
             break
         if fc > fd:
             b, d, fd = d, c, fc

@@ -102,6 +102,13 @@ class TestClassify:
                 for r in lines[1:]}
         assert rows[2.0] <= 1e-9
 
+    def test_unknown_coefficient_exits_2(self, tmp_path):
+        cfg = _write(tmp_path, "p.json",
+                     {"backend": "numerically-integrated",
+                      "coefficient": "chaotic", "params": {}})
+        assert run(["classify", "--process", cfg, "--kind", "II",
+                    "--alpha-grid", "0.5:2:0.5", "--out", str(tmp_path / "f.csv")]) == 2
+
     def test_infeasible_exits_2(self, tmp_path):
         cfg = _write(tmp_path, "p.json",
                      {"backend": "numerically-integrated",
@@ -325,6 +332,18 @@ class TestPde:
     def test_unknown_coefficient_exits_2(self, tmp_path):
         cfg = self._config(tmp_path, g={"name": "chaotic"})
         assert run(["pde", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("name", sorted(nl.process.COEFFICIENTS))
+    def test_every_registered_coefficient(self, tmp_path, name):
+        # The command passes the coefficient alone, so G comes from quadrature.
+        cfg = self._config(tmp_path, g={"name": name, "rate": -1.0})
+        out = tmp_path / "pde_out.json"
+        assert run(["pde", "--config", cfg, "--out", str(out)]) == 0
+        g, _ = nl.process.named_coefficient(name, {"rate": -1.0})
+        lap = nl.discretize(nl.Grid1D(1.0, 9), nl.BoundaryCondition("dirichlet"))
+        bundle = nl.principal_bundle(nl.pde_process(lap, separable_g=g))
+        got = json.loads(out.read_text())["bundle"]
+        assert (got["m_sep"], got["nu_sep"]) == (bundle.m_sep, bundle.nu_sep)
 
 
 class TestDeterminism:

@@ -622,3 +622,26 @@ class TestClassify:
         alpha, delta, ln_m = frontier.best()
         assert alpha == 2.0 and delta == pytest.approx(0.0, abs=1e-12)
         assert nl.check_certificate(p, cert, GridSpec(0.0, 10.0, 0.5)) <= 1e-9
+
+    @staticmethod
+    def _planted_saddle():
+        """Q diag(e^{-(t-s)}, e^{t-s}) Q^-1 with its unstable family
+        Q diag(0, 1) Q^-1, for a skew basis Q."""
+        q = np.array([[1.0, 1.0], [0.0, 1.0]])
+        q_inv = np.linalg.inv(q)
+        process = nl.MatrixClosedFormProcess(
+            lambda t, s: q @ np.diag([math.exp(-(t - s)), math.exp(t - s)]) @ q_inv, 2)
+        return process, ProjectionFamily.constant(q @ np.diag([0.0, 1.0]) @ q_inv)
+
+    def test_explicit_family_travels_with_the_certificate(self):
+        process, family = self._planted_saddle()
+        grid = GridSpec(0.0, 4.0, 0.5)
+        frontier, cert = nl.classify(process, family, "II", grid, [0.5, 1.0])
+        assert cert.projection == "explicit" and cert.projection_family is family
+        assert nl.check_certificate(process, cert, grid) <= 1e-12
+
+    def test_explicit_family_unstable_part_gives_no_certificate(self):
+        process, family = self._planted_saddle()
+        frontier, cert = nl.classify(process, family, "II", GridSpec(0.0, 4.0, 0.5),
+                                     [0.5, 1.0], part="unstable")
+        assert cert is None and frontier.entries

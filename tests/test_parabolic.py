@@ -180,6 +180,18 @@ class TestSeparableKernel:
         assert np.max(np.abs(v - want)) < 1e-11
         assert v.min() == pytest.approx(-1097.4, abs=0.05)
 
+    def test_underflowed_diffusion_carries_a_sample(self):
+        # e^{A_h d} underflows to the zero matrix once lambda_1 d < -745
+        # (d >= 80 here), while the log norm (5 + lambda_1) d stays finite.
+        lap = _dirichlet(31)
+        p = nl.pde_process(lap, separable_g=lambda t: 5.0,
+                           g_antiderivative=lambda t: 5.0 * t)
+        sampled = nl.sample_norm_grid(p, None, GridSpec(0.0, 100.0, 5.0))
+        assert len(sampled.samples) == 231 and sampled.poisoned == []
+        t, s, v = sampled.samples.T
+        want = (5.0 + lap.leading_eigenvalue) * (t - s)
+        assert np.all(np.abs(v - want) <= 1e-12 * np.abs(want))
+
     @pytest.mark.parametrize("length, g, grid", [
         # The norm passes the guard.
         (1.0, lambda t: 50.0 + math.sin(t), GridSpec(0.0, 10.0, 0.5)),

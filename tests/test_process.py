@@ -320,6 +320,34 @@ class TestConfigLoading:
                                     "params": {"rate": -2.0}})
         assert p.propagate(1.0, 0.0, 1.0)[0] == pytest.approx(math.exp(-2.0))
 
+    @pytest.mark.parametrize("name, params, coefficient, antiderivative", [
+        ("constant", {"rate": -2.0}, lambda t: -2.0, lambda t: -2.0 * t),
+        ("tanh", {"scale": 0.3}, lambda t: np.tanh(t / 0.3),
+         lambda t: 0.3 * np.log(np.cosh(t / 0.3))),
+    ])
+    def test_integrated_coefficients_bit_for_bit(self, name, params, coefficient,
+                                                 antiderivative):
+        p = nl.load_process_config({"backend": "numerically-integrated",
+                                    "coefficient": name, "params": params})
+        ref = nl.ScalarCoefficientProcess(coefficient, antiderivative=antiderivative)
+        grid = GridSpec(-3.0, 3.0, 0.25)
+        assert np.array_equal(nl.sample_norm_grid(p, None, grid).samples,
+                              nl.sample_norm_grid(ref, None, grid).samples)
+        times = grid.mesh()
+        for got, want in ((p.coefficient, coefficient), (p.antiderivative, antiderivative)):
+            assert [got(t) for t in times] == [want(t) for t in times]
+
+    def test_every_registered_coefficient(self):
+        for name in nl.process.COEFFICIENTS:
+            p = nl.load_process_config({"backend": "numerically-integrated",
+                                        "coefficient": name, "params": {"rate": -1.0}})
+            f, big_f = nl.process.named_coefficient(name, {"rate": -1.0})
+            assert p.coefficient(0.7) == f(0.7)
+            if big_f is None:
+                assert p.antiderivative is None
+            else:
+                assert p.antiderivative(0.7) == big_f(0.7)
+
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             nl.load_process_config({"backend": "quantum"})
