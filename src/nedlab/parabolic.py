@@ -27,15 +27,13 @@ from .process import (
     EvolutionProcess,
     FiniteEscapeError,
     FULL_LINE,
-    MatrixClosedFormProcess,
     ScalarCoefficientProcess,
     TimeDomain,
     _LOG_GUARD,
+    _TransposedProcess,
     _chained_log_norms,
-    _check_outermost,
     _escaped,
     _max_norm,
-    _projection_factor,
     _spectral_norms,
 )
 
@@ -131,13 +129,6 @@ class DiscreteLaplacian:
         core = (v * np.exp(np.multiply.outer(d, self.eigenvalues))[..., None, :]) @ v.T
         return (core * self.scale[None, :]) / self.scale[:, None]
 
-    def leading_mode(self) -> np.ndarray:
-        """Leading eigenvector in nodal coordinates, positive, unit norm."""
-        v = self.modes[:, -1] / self.scale
-        if v.sum() < 0:
-            v = -v
-        return v / np.linalg.norm(v)
-
 
 def discretize(grid: Grid1D, bc: BoundaryCondition) -> DiscreteLaplacian:
     """Second-order central-difference Laplacian with ghost-point
@@ -175,10 +166,20 @@ def discretize(grid: Grid1D, bc: BoundaryCondition) -> DiscreteLaplacian:
     sym = np.diag(scale) @ a @ np.diag(1.0 / scale)
     sym = 0.5 * (sym + sym.T)  # scrub rounding asymmetry
     eigenvalues, modes = np.linalg.eigh(sym)
+    if bc.kind != "dirichlet" and alpha0 == 0.0:
+        eigenvalues[-1] = 0.0   # Neumann rows sum to 0 exactly; eigh rounds it
     return DiscreteLaplacian(a, grid, bc, nodes, scale, eigenvalues, modes)
 
 
 # PDE PROCESS ==========================================================================
+
+def _separable_escaped(g, log_frobenius):
+    """Whether a separable pair, with G difference g and ``log ||e^{A_h d}||_F``,
+    is poisoned: for a NaN g, for one above the largest exponent ``math.exp``
+    takes, and at ``_SEPARABLE_GUARD``; so every pair ``matrix`` poisons is."""
+    with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
+        return np.logical_not((g <= _LOG_MAX) & (g + log_frobenius <= _SEPARABLE_GUARD))
+
 
 class PDEProcess(EvolutionProcess):
     """Evolution process of u' = A_h u + a(t, x) u.
@@ -229,47 +230,50 @@ class PDEProcess(EvolutionProcess):
         """A_h + diag(a(t, x)) at time t."""
         return self.laplacian.matrix + np.diag(self._reaction(t))
 
-    def _log_norms(self, grid, tv, sv, projection, part):
-        # A Strang product restarts from s for every pair; chaining reuses
-        # one product per mesh interval.  An explicit family under the
-        # separable form takes the default per-anchor stacks.
+    def _log_norms(self, grid, part, tv, sv, factor):
+        """Strang grids chain one product per mesh interval, where a Strang
+        product would restart from s for every pair.  Separable grids take
+        the default per-anchor stacks under an explicit family, and else
+        one norm per distinct lag: ``log ||S(t, s)||`` is ``G(t) - G(s) +
+        lambda_1 d + log ||e^{(A_h - lambda_1) d}||`` with ``d = t - s``,
+        the float :meth:`matrix` hands to ``expm``.  Read in the log, a
+        pair whose factor ``e^{G(t) - G(s)}`` or ``e^{A_h d}`` underflows
+        still carries its sample."""
         if not self.separable:
-            return _chained_log_norms(self, grid, tv, sv, projection, part)
-        if _projection_factor(projection, part) != "identity":
-            return super()._log_norms(grid, tv, sv, projection, part)
-        return self._separable_log_norms(grid.mesh(), tv, sv, part)
-
-    def _separable_log_norms(self, mesh, tv, sv, part):
-        """Full log norms of the separable form, one norm per distinct lag.
-
-        The scalar factor is positive, so ``log ||S(t, s)||`` is
-        ``G(t) - G(s) + log ||e^{A_h d}||`` with ``d = t - s``, the float
-        :meth:`matrix` hands to ``expm``.  The diffusion factor is read as
-        ``lambda_1 d + log ||e^{(A_h - lambda_1) d}||``: the shifted factor
-        keeps its leading mode at 1, so it never underflows as a whole.
-        Read in the log, a pair whose factor ``e^{G(t) - G(s)}`` or
-        ``e^{A_h d}`` underflows still carries its sample.  A pair is
-        poisoned for a NaN G difference, for one above the largest
-        exponent ``math.exp`` takes, and where ``G + log ||e^{A_h d}||_F``
-        reaches ``_SEPARABLE_GUARD``: every pair :meth:`matrix` poisons,
-        and perhaps a few more."""
-        _check_outermost(self, mesh, part)
-        lap, lam1 = self.laplacian, self.laplacian.leading_eigenvalue
-        shifted = dataclasses.replace(lap, eigenvalues=lap.eigenvalues - lam1)
+            return _chained_log_norms(self, grid, part, tv, sv, factor)
+        if factor is not None:
+            return super()._log_norms(grid, part, tv, sv, factor)
         lags, lag_of = np.unique(tv - sv, return_inverse=True)
-        log_norm, log_frobenius = np.empty(len(lags)), np.empty(len(lags))
+        scale, log_norm, log_frobenius = (np.empty(len(lags)) for _ in range(3))
         for k in range(0, len(lags), _LAG_BLOCK):
             block = slice(k, k + _LAG_BLOCK)
-            stack = shifted.expm(lags[block])
-            stack[lags[block] == 0.0] = np.eye(self.dimension)   # as in matrix
+            scale[block], stack = self._shifted_diffusion(lags[block])
             log_norm[block] = np.log(_spectral_norms(stack))
             log_frobenius[block] = np.log(np.linalg.norm(stack, axis=(1, 2)))
-        log_norm += lam1 * lags
-        log_frobenius += lam1 * lags
         g = np.asarray(self._time_factor.log_propagator(tv, sv), dtype=float)
-        with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
-            escaped = ~((g <= _LOG_MAX) & (g + log_frobenius[lag_of] <= _SEPARABLE_GUARD))
-            return np.where(escaped, math.nan, g + log_norm[lag_of])
+        escaped = _separable_escaped(g, (scale + log_frobenius)[lag_of])
+        return np.where(escaped, math.nan, g + (scale + log_norm)[lag_of])
+
+    def _shifted_diffusion(self, lags: np.ndarray):
+        """``(lambda_1 d, e^{(A_h - lambda_1) d})`` over an array of lags d,
+        the identity at d = 0 as in :meth:`matrix`.  The shifted factor
+        keeps its leading mode at 1, so it never underflows as a whole."""
+        lap, lam1 = self.laplacian, self.laplacian.leading_eigenvalue
+        stack = dataclasses.replace(lap, eigenvalues=lap.eigenvalues - lam1).expm(lags)
+        stack[lags == 0.0] = np.eye(self.dimension)
+        return lam1 * lags, stack
+
+    def _log_matrix(self, t: float, s: float):
+        """Separable: ``(G(t) - G(s) + lambda_1 d, e^{(A_h - lambda_1) d})``,
+        so neither factor underflows."""
+        if not self.separable:
+            return super()._log_matrix(t, s)
+        self._check_args(t, s)
+        scale, stack = self._shifted_diffusion(np.array([t - s]))
+        g = float(self._time_factor.log_propagator(t, s))
+        if _separable_escaped(g, scale[0] + math.log(np.linalg.norm(stack[0]))):
+            raise FiniteEscapeError(t, s, t)
+        return g + float(scale[0]), stack[0]
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         """S(t, s); raises FiniteEscapeError when an entry is not finite
@@ -485,7 +489,8 @@ def scalar_to_pde_transfer(scalar_cert: DichotomyCertificate,
     scalar coefficient's certificate.
 
     The diffusion factor contributes e^{lambda_1 (t-s)} on the leading
-    direction, so the stable rate improves by |lambda_1|; the bound
+    direction, so the stable rate improves by -lambda_1 (0 for the
+    Neumann closure, whose lambda_1 is exactly 0); the bound
     picks up the separation constant C = C1 + M_sep * C2 (equal to 2 in
     the exactly separable symmetric case, where both projections have
     norm 1 and M_sep = 1).
@@ -498,29 +503,23 @@ def scalar_to_pde_transfer(scalar_cert: DichotomyCertificate,
         c_const = 2.0
     else:
         c_const = bundle.c1 + bundle.m_sep * bundle.c2
-    pair = ExponentPair(scalar_cert.stable.rate + abs(lam1),
+    pair = ExponentPair(scalar_cert.stable.rate - lam1,
                         scalar_cert.stable.growth)
     return DichotomyCertificate(scalar_cert.kind, scalar_cert.domain,
                                 max(scalar_cert.m * c_const, 1.0), pair,
                                 projection="zero")
 
 
-def adjoint_process(process: EvolutionProcess) -> MatrixClosedFormProcess:
+def adjoint_process(process: EvolutionProcess) -> EvolutionProcess:
     """Time-reflected adjoint S~(t, s) = S(-s, -t)^T.
 
     Defined whenever the base process covers the reflected pairs (full
     time line); no inverse is needed since -s >= -t exactly when
     t >= s.  Swaps the dichotomy kind while preserving bound and
-    exponent."""
+    exponent.  Its norms read the primal's log scale (``_log_matrix``)."""
     if process.domain.kind != "full":
         raise InapplicableError("adjoint needs a full-line process window")
-    base = process
-    adj = MatrixClosedFormProcess(
-        lambda t, s: base.matrix(-s, -t).T, base.dimension,
-        domain=FULL_LINE, invertible=base.invertible,
-        backend=base.backend)
-    adj.primal = base
-    return adj
+    return _TransposedProcess(process, -1)
 
 
 # ATTRACTOR DEMO =======================================================================

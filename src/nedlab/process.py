@@ -442,33 +442,37 @@ class EvolutionProcess:
     def matrix(self, t: float, s: float) -> np.ndarray:
         raise NotImplementedError
 
-    def _log_norms(self, grid: GridSpec, tv: np.ndarray, sv: np.ndarray,
-                   projection: Optional[ProjectionFamily], part: str) -> np.ndarray:
-        """``log ||S(t, s) P(s)||`` for the pairs ``(tv, sv) = grid.pairs(part)``,
-        NaN where a pair escaped and -inf where the product vanished.
+    def _log_matrix(self, t: float, s: float):
+        """``(L, N)`` with ``S(t, s) = e^L N``, raising wherever :meth:`matrix`
+        does: ``(0.0, matrix(t, s))`` unless a backend keeps a scale in L
+        that would underflow or overflow N."""
+        return 0.0, self.matrix(t, s)
 
-        The default works one anchor s at a time: one :meth:`matrix` call
-        per pair, P(s) evaluated once and applied to the anchor's stack,
-        and one :func:`_spectral_norms` call for the stack, so each value
-        is bit for bit the :func:`operator_norm` of its pair.  Stacks never
-        span more than one anchor, which bounds the memory they hold."""
-        factor = _projection_factor(projection, part)
+    def _log_norms(self, grid: GridSpec, part: str, tv: np.ndarray, sv: np.ndarray,
+                   factor: Optional[Callable]) -> np.ndarray:
+        """``log ||S(t, s) P(s)||`` for the pairs ``(tv, sv) = grid.pairs(part)``,
+        NaN where a pair escaped and -inf where the product vanished;
+        ``factor`` is None for the identity, else ``s -> P(s)``.
+
+        The default works one anchor s at a time: one :meth:`_log_matrix`
+        call per pair, P(s) evaluated once and applied to the anchor's
+        stack of N, and one :func:`_spectral_norms` call for the stack, so
+        each value is bit for bit the :func:`operator_norm` of its pair.
+        Stacks never span more than one anchor, which bounds the memory
+        they hold."""
         out = np.full(len(tv), -math.inf)
-        if factor == "zero":
-            return out
         for s, index in _anchors(sv):
-            mats, kept = [], []
+            rows = []
             for k, t in zip(index.tolist(), tv[index].tolist()):
                 try:
-                    mats.append(self.matrix(t, s))
-                    kept.append(k)
+                    rows.append((k, *self._log_matrix(t, s)))
                 except FiniteEscapeError:
                     out[k] = math.nan
-            if kept:
+            if rows:
+                kept, scales, mats = zip(*rows)
                 stack = np.array(mats, dtype=float)
-                if factor == "explicit":
-                    stack = stack @ _factor_matrix(projection, part, s)
-                out[kept] = [_log(v) for v in _spectral_norms(stack).tolist()]
+                norms = _spectral_norms(stack if factor is None else stack @ factor(s))
+                out[list(kept)] = [a + _log(v) for a, v in zip(scales, norms.tolist())]
         return out
 
     def matrix_path(self, s: float, t_end: float) -> Callable:
@@ -553,28 +557,23 @@ class ScalarExponentProcess(EvolutionProcess):
             return per_time(tau)
         return path
 
-    def _log_norms(self, grid, tv, sv, projection, part):
-        """The guarded exponent plus ``log ||P(s)||``, so a norm below
-        ``e^-745`` is sampled.  Under the identity factor the exponent is
-        read vectorised over the whole grid.  An explicit family is
-        evaluated once per anchor, and the exponent read one pair at a time
-        (it need not take arrays there), bit for bit :func:`operator_norm`."""
-        factor = _projection_factor(projection, part)
-        if factor == "identity":
-            self._check_args(grid.stop, grid.start)
-            vals = np.asarray(self.log_propagator(tv, sv), dtype=float)
-            return np.where(vals <= _LOG_GUARD, vals, math.nan)  # a NaN exponent too
-        out = np.full(len(tv), -math.inf)
-        if factor == "zero":
-            return out
-        for s, index in _anchors(sv):
-            offset = _log(spectral_norm(_factor_matrix(projection, part, s)))
-            for k, t in zip(index.tolist(), tv[index].tolist()):
-                try:
-                    out[k] = self._guarded_exponent(t, s) + offset
-                except FiniteEscapeError:
-                    out[k] = math.nan
-        return out
+    def _log_matrix(self, t: float, s: float):
+        # Read in the exponent: e^E underflows to 0 once E < -745.
+        return self._guarded_exponent(t, s), np.ones((1, 1))
+
+    def _log_norms(self, grid, part, tv, sv, factor):
+        """Under the identity factor the exponent is read once over the
+        whole grid and broadcast to the pairs; an explicit family takes the
+        default kernel, which reads it one pair at a time."""
+        if factor is not None:
+            return super()._log_norms(grid, part, tv, sv, factor)
+        try:
+            vals = np.broadcast_to(np.asarray(self.log_propagator(tv, sv), dtype=float),
+                                   tv.shape)
+        except (TypeError, ValueError) as exc:
+            raise TypeError("a grid reads the exponent E(t, s) of a ScalarExponentProcess "
+                            "once: it must take arrays of t and s") from exc
+        return np.where(vals <= _LOG_GUARD, vals, math.nan)  # a NaN exponent too
 
 
 class ScalarCoefficientProcess(ScalarExponentProcess):
@@ -637,6 +636,23 @@ class MatrixClosedFormProcess(EvolutionProcess):
         if _escaped(m):
             raise FiniteEscapeError(t, s, t)
         return m
+
+
+class _TransposedProcess(MatrixClosedFormProcess):
+    """``T(t, s) = S(sign s, sign t)^T``: the dual of S for ``sign = 1``, the
+    time-reflected adjoint for ``sign = -1``.  It transposes the primal's
+    ``matrix`` and the primal's ``(L, N)``."""
+
+    def __init__(self, primal: EvolutionProcess, sign: int):
+        super().__init__(lambda t, s: primal.matrix(sign * s, sign * t).T,
+                         primal.dimension, domain=primal.domain,
+                         invertible=primal.invertible, backend=primal.backend)
+        self.primal, self._sign = primal, sign
+
+    def _log_matrix(self, t: float, s: float):
+        self._check_args(t, s)
+        scale, m = self.primal._log_matrix(self._sign * s, self._sign * t)
+        return scale, m.T
 
 
 class IntegratedLinearProcess(EvolutionProcess):
@@ -731,32 +747,29 @@ class IntegratedLinearProcess(EvolutionProcess):
         ends)`` for one mesh interval of :func:`_chained_log_norms`."""
         return self._solve(t, s, np.eye(self.dimension))
 
-    def _log_norms(self, grid, tv, sv, projection, part):
-        return _chained_log_norms(self, grid, tv, sv, projection, part)
+    def _log_norms(self, grid, part, tv, sv, factor):
+        return _chained_log_norms(self, grid, part, tv, sv, factor)
 
 
 # MODULE-LEVEL OPERATIONS ==============================================================
 
-def _projection_factor(projection: Optional[ProjectionFamily], part: str) -> str:
-    """Which map the factor P(s) of ``S(t, s) P(s)`` is: "identity" (the
-    full norm; ``projection=None`` means this for both parts), "zero", or
-    "explicit" when the family has to be evaluated."""
+_ZERO_FACTOR = object()
+
+
+def _projection_factor(projection: Optional[ProjectionFamily], part: str):
+    """The factor P(s) of ``S(t, s) P(s)``: None for the identity (the full
+    norm; ``projection=None`` means this for both parts), ``_ZERO_FACTOR``
+    when P vanishes, else the part's map ``s -> P(s)``."""
     if part not in ("stable", "unstable"):
         raise ValueError("part must be 'stable' or 'unstable'")
     if projection is None:
-        return "identity"
+        return None
     if projection.descriptor == "explicit":
-        return "explicit"
+        return projection.stable if part == "stable" else projection.unstable
     # The unstable factor is Pi^u, the stable one Id - Pi^u.
     if (projection.descriptor == "zero") == (part == "stable"):
-        return "identity"
-    return "zero"
-
-
-def _factor_matrix(projection: ProjectionFamily, part: str, s: float) -> np.ndarray:
-    """The explicit factor P(s): the stable projection for the stable
-    part, the unstable one for the unstable part."""
-    return projection.stable(s) if part == "stable" else projection.unstable(s)
+        return None
+    return _ZERO_FACTOR
 
 
 def _anchors(sv: np.ndarray):
@@ -765,34 +778,20 @@ def _anchors(sv: np.ndarray):
     return [(s, np.flatnonzero(sv == s)) for s in np.unique(sv).tolist()]
 
 
-def _check_outermost(process: EvolutionProcess, mesh: np.ndarray, part: str) -> None:
-    """Check the grid pair that reaches furthest.  Domains are intervals,
-    so this checks every pair of the part."""
-    process._check_args(*((mesh[-1], mesh[0]) if part == "stable" else (mesh[0], mesh[-1])))
-
-
 def operator_norm(process: EvolutionProcess, t: float, s: float,
                   projection: Optional[ProjectionFamily] = None,
                   part: str = "stable", log: bool = False):
     """Spectral norm of ``S(t, s) P(s)`` where P is the stable or
-    unstable member of the projection family (full norm if None).
-    ``S(t, s)`` is read from ``process.matrix``, so this raises
+    unstable member of the projection family (full norm if None).  It
+    reads ``S(t, s) = e^L N`` from ``process._log_matrix``, so it raises
     :class:`FiniteEscapeError` (or :class:`DomainError`) wherever
-    ``matrix`` does, whatever the projection.  A scalar log norm is the
-    guarded exponent plus ``log |P(s)|``, so it never underflows."""
+    ``matrix`` does, and a log norm ``L + log ||N P(s)||`` never underflows."""
     factor = _projection_factor(projection, part)
-    if factor == "zero":
+    if factor is _ZERO_FACTOR:
         return -math.inf if log else 0.0
-    proj = None if factor == "identity" else _factor_matrix(projection, part, s)
-    if log and isinstance(process, ScalarExponentProcess):
-        # Read in the exponent: e^E underflows to 0 once E < -745.
-        e = process._guarded_exponent(t, s)
-        return e if proj is None else e + _log(spectral_norm(proj))
-    m = process.matrix(t, s)
-    if proj is not None:
-        m = m @ proj
-    val = spectral_norm(m)
-    return _log(val) if log else val
+    scale, m = process._log_matrix(t, s)
+    val = spectral_norm(m if factor is None else m @ factor(s))
+    return scale + _log(val) if log else math.exp(scale) * val
 
 
 def dual_process(process: EvolutionProcess) -> EvolutionProcess:
@@ -807,8 +806,8 @@ def dual_process(process: EvolutionProcess) -> EvolutionProcess:
     scalar process with exponent ``E(s, t)`` (the adjoint of ``x' = a x``
     is ``x' = -a x``), so its grids and paths read the exponent itself
     and a norm below ``e^-745`` is sampled rather than lost to underflow.
-    Every other backend gets a :class:`MatrixClosedFormProcess` that
-    transposes one primal ``matrix`` call per pair.
+    Every other backend gets a transposing wrapper of one primal
+    ``matrix`` (or ``_log_matrix``) call per pair.
     """
     if not process.invertible:
         raise DomainError("dual process requires an invertible process")
@@ -820,9 +819,7 @@ def dual_process(process: EvolutionProcess) -> EvolutionProcess:
             lambda t: -np.asarray(base.coefficient_matrix(t), dtype=float).T,
             base.dimension, domain=base.domain, invertible=True)
     else:
-        d = MatrixClosedFormProcess(lambda t, s: base.matrix(s, t).T, base.dimension,
-                                    domain=base.domain, invertible=True,
-                                    backend=base.backend)
+        return _TransposedProcess(base, 1)
     d.primal = base
     return d
 
@@ -831,22 +828,25 @@ def sample_norm_grid(process: EvolutionProcess,
                      projection: Optional[ProjectionFamily],
                      grid: GridSpec, part: str = "stable") -> NormGrid:
     """Sample log ||S(t, s) P(s)|| over all grid pairs of the right
-    orientation, through the backend's ``_log_norms``.  Escaped pairs are
-    recorded as poisoned rather than aborting the sweep; pairs where
-    ``S(t, s) P(s)`` vanished carry no sample."""
-    if _projection_factor(projection, part) == "zero":
+    orientation, through the backend's ``_log_norms``, after one domain
+    check.  Escaped pairs are recorded as poisoned rather than aborting
+    the sweep; pairs where ``S(t, s) P(s)`` vanished carry no sample."""
+    factor = _projection_factor(projection, part)
+    if factor is _ZERO_FACTOR:
         # Zero operator: satisfies every bound, so no pair carries a sample.
         return NormGrid(np.empty((0, 3), dtype=float), part=part)
     tv, sv = grid.pairs(part)
-    vals = process._log_norms(grid, tv, sv, projection, part)
+    if tv.size:   # domains are intervals: the outermost pair checks them all
+        process._check_args(*((tv.max(), sv.min()) if part == "stable" else (tv.min(), sv.max())))
+    vals = process._log_norms(grid, part, tv, sv, factor)
     poison = ~(vals < math.inf)   # escaped, overflowed or NaN: surfaced, never dropped
     keep = ~poison & (vals > -math.inf)
     return NormGrid(np.column_stack([tv[keep], sv[keep], vals[keep]]), part=part,
                     poisoned=list(zip(tv[poison].tolist(), sv[poison].tolist())))
 
 
-def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, tv, sv,
-                       projection: Optional[ProjectionFamily], part: str) -> np.ndarray:
+def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, part: str, tv, sv,
+                       factor: Optional[Callable]) -> np.ndarray:
     """The :meth:`EvolutionProcess._log_norms` of the mesh pairs (tv, sv)
     from one step propagator ``process._step`` per mesh interval.
 
@@ -871,8 +871,6 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, tv, sv,
     mesh = grid.mesh()
     count = len(mesh)
     forward = part == "stable"
-    explicit = _projection_factor(projection, part) == "explicit"
-    _check_outermost(process, mesh, part)
     steps = []
     for k in range(count - 1):
         end, start = (mesh[k + 1], mesh[k]) if forward else (mesh[k], mesh[k + 1])
@@ -885,7 +883,7 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, tv, sv,
     bad = np.zeros((count, count), dtype=bool)
     eye = np.eye(process.dimension)
     for j, s in enumerate(mesh):
-        proj = _factor_matrix(projection, part, s) if explicit else None
+        proj = None if factor is None else factor(s)
         if forward:
             logn[j, j] = 0.0 if proj is None else _log(spectral_norm(proj))
         prod, log_scale, guard = eye, 0.0, -math.inf

@@ -192,6 +192,23 @@ class TestSeparableKernel:
         want = (5.0 + lap.leading_eigenvalue) * (t - s)
         assert np.all(np.abs(v - want) <= 1e-12 * np.abs(want))
 
+    def test_every_reading_keeps_the_underflowed_diffusion(self):
+        # An explicit family, the adjoint grid and single queries read the
+        # pair as e^L N too, so no factor e^{A_h d} underflows there either.
+        lap = _dirichlet(31)
+        p = nl.pde_process(lap, separable_g=lambda t: 5.0,
+                           g_antiderivative=lambda t: 5.0 * t)
+        rate = 5.0 + lap.leading_eigenvalue
+        for process, family, grid in [
+                (p, nl.ProjectionFamily.constant(np.zeros((31, 31))), GridSpec(0.0, 100.0, 5.0)),
+                (nl.adjoint_process(p), None, GridSpec(-100.0, 0.0, 5.0))]:
+            sampled = nl.sample_norm_grid(process, family, grid)
+            assert len(sampled.samples) == 231 and sampled.poisoned == []
+            t, s, v = sampled.samples.T
+            assert np.max(np.abs(v - rate * (t - s))) < 1e-9
+        for lag in (75.0, 100.0):
+            assert abs(nl.operator_norm(p, lag, 0.0, log=True) - rate * lag) < 1e-9
+
     @pytest.mark.parametrize("length, g, grid", [
         # The norm passes the guard.
         (1.0, lambda t: 50.0 + math.sin(t), GridSpec(0.0, 10.0, 0.5)),
@@ -205,6 +222,12 @@ class TestSeparableKernel:
         rows, poisoned = _per_pair_log_norms(p, grid)
         assert poisoned and poisoned <= set(sampled.poisoned)
         assert len(sampled.samples) + len(sampled.poisoned) == len(grid.pairs("stable")[0])
+        # The single-pair reading poisons every pair matrix poisons, too.
+        family = nl.ProjectionFamily.constant(np.zeros((9, 9)))
+        assert poisoned <= set(nl.sample_norm_grid(p, family, grid).poisoned)
+        for t, s in poisoned:
+            with pytest.raises(nl.FiniteEscapeError):
+                nl.operator_norm(p, t, s, log=True)
 
     @pytest.mark.parametrize("bc", [BoundaryCondition("dirichlet"),
                                     BoundaryCondition("neumann"),
@@ -361,6 +384,24 @@ class TestTransfer:
             3.0 + abs(dirichlet_31.leading_eigenvalue))
         assert cert.stable.growth == 2.0
         assert cert.m == pytest.approx(2.0 * math.e ** 2)
+
+    def test_dirichlet_rate_subtracts_the_leading_eigenvalue(self, dirichlet_31):
+        scalar = nl.DichotomyCertificate("II", nl.HALF_LINE_PLUS, 1.0,
+                                         nl.ExponentPair(3.0, 0.0), projection="zero")
+        cert = nl.scalar_to_pde_transfer(scalar, dirichlet_31)
+        assert cert.stable.rate == 3.0 + abs(dirichlet_31.leading_eigenvalue)
+
+    @pytest.mark.parametrize("n", [15, 31])
+    @pytest.mark.parametrize("bc", [BoundaryCondition("neumann"),
+                                    BoundaryCondition("robin", robin_alpha=0.0)])
+    def test_neumann_rate_is_not_inflated(self, n, bc):
+        # The constant mode has eigenvalue exactly 0; eigh's rounding of it
+        # (about 1e-13 either way) must not raise the transferred rate.
+        lap = nl.discretize(Grid1D(1.0, n), bc)
+        assert lap.leading_eigenvalue == 0.0
+        scalar = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0,
+                                         nl.ExponentPair(1.0, 0.0), projection="zero")
+        assert nl.scalar_to_pde_transfer(scalar, lap).stable.rate == 1.0
 
     def test_transferred_certificate_validates(self, dirichlet_31):
         big_g = lambda t: -2.0 * t + t * math.cos(t) - math.sin(t)

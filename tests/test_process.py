@@ -510,6 +510,82 @@ class TestStackedNormKernels:
         assert (len(stacked.poisoned) > 0) == (backend == "escaping")
 
 
+_CONTRACT_BACKENDS = ["scalar", "quadrature", "closed-form", "integrated", "separable",
+                      "strang", "dual", "adjoint"]
+
+
+def _contract_backend(name, domain):
+    """One process of each backend on the given domain; the adjoint is
+    defined on the full line only, whatever the domain asked for."""
+    q = np.array([[1.0, 0.4], [0.2, 1.0]])
+    q_inv = np.linalg.inv(q)
+    a = q @ np.diag([-1.0, 0.5]) @ q_inv
+
+    def closed(t, s):
+        return q @ np.diag([math.exp(-(t - s)), math.exp(0.5 * (t - s))]) @ q_inv
+    lap = nl.discretize(nl.Grid1D(1.0, 5), nl.BoundaryCondition("dirichlet"))
+
+    def separable(domain):
+        return nl.pde_process(lap, separable_g=lambda t: math.cos(t) - 2.0, domain=domain)
+    if name == "scalar":
+        return ScalarExponentProcess(lambda t, s: -(t - s) + 0.3 * (np.sin(t) - np.sin(s)),
+                                     domain=domain)
+    if name == "quadrature":
+        return nl.ScalarCoefficientProcess(lambda r: math.cos(r) - 0.5, domain=domain)
+    if name == "closed-form":
+        return nl.MatrixClosedFormProcess(closed, 2, domain=domain, invertible=False)
+    if name == "integrated":
+        return nl.IntegratedLinearProcess(lambda t: a, 2, domain=domain)
+    if name == "separable":
+        return separable(domain)
+    if name == "strang":
+        return nl.pde_process(lap, a=lambda t, x: -1.0 + 0.5 * math.sin(t) * x,
+                              dt=1.0 / 16, domain=domain)
+    if name == "dual":
+        return nl.dual_process(nl.MatrixClosedFormProcess(closed, 2, domain=domain))
+    return nl.adjoint_process(separable(nl.FULL_LINE))
+
+
+class TestLogMatrixContract:
+    """Every backend: sample_norm_grid checks the domain before a kernel
+    runs, and ``S(t, s) = e^L N`` for the ``(L, N)`` of ``_log_matrix``."""
+
+    @pytest.mark.parametrize("name", _CONTRACT_BACKENDS)
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_sample_norm_grid_checks_the_domain(self, name, explicit):
+        cases = []
+        half = _contract_backend(name, nl.HALF_LINE_PLUS)
+        if half.domain == nl.HALF_LINE_PLUS:
+            cases.append((half, GridSpec(-1.0, 1.0, 0.5), "stable"))
+        full = _contract_backend(name, nl.FULL_LINE)
+        if not full.invertible:
+            cases.append((full, GridSpec(0.0, 1.0, 0.5), "unstable"))
+        assert cases
+        for process, grid, part in cases:
+            n = process.dimension
+            family = ProjectionFamily(lambda t: np.full((n, n), 0.5 / n), n) \
+                if explicit else None
+            process._log_norms = lambda *args: pytest.fail("a kernel ran before the check")
+            with pytest.raises(DomainError):
+                nl.sample_norm_grid(process, family, grid, part=part)
+
+    @pytest.mark.parametrize("name", _CONTRACT_BACKENDS)
+    def test_log_matrix_reproduces_matrix(self, name):
+        process = _contract_backend(name, nl.FULL_LINE)
+        pairs = [(1.0, 0.0), (2.5, -1.0), (0.25, 0.25), (6.0, 0.5)]
+        if process.invertible:
+            pairs += [(0.0, 1.0), (-1.0, 2.5)]
+        for t, s in pairs:
+            scale, n = process._log_matrix(t, s)
+            got, want = math.exp(scale) * n, process.matrix(t, s)
+            if name in ("separable", "adjoint"):
+                # The shifted diffusion factor e^{(A_h - lambda_1) d} rounds
+                # differently from matrix's e^{A_h d}.
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            else:
+                assert np.array_equal(got, want)
+
+
 class TestChainedNormGrid:
     # Irregular mesh: pinned 0, two extra points and a short last step.
     IRREGULAR = GridSpec(-1.3, 3.1, 0.5, extra_points=(0.45, 2.95))
@@ -863,6 +939,24 @@ class TestEscapeGuards:
             assert nl.fit_bounds(sampled, "II", "stable", [0.5]).entries == [(0.5, 0.0, 0.0)]
         cert = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0, nl.ExponentPair(1.0, 0.0))
         assert nl.check_certificate(process, cert, grid) == 0.0
+
+    def test_constant_exponent_is_broadcast_to_the_pairs(self):
+        process = ScalarExponentProcess(lambda t, s: 0.0)
+        grid = GridSpec(0.0, 1.0, 0.5)
+        sampled = nl.sample_norm_grid(process, None, grid)
+        assert sampled.samples.shape == (6, 3)
+        assert sampled.samples[:, 2].tolist() == [0.0] * 6
+        # ||S(1, 0)|| = 1 against the bound e^{-(t - s)}: violation ln e = 1.
+        cert = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0, nl.ExponentPair(1.0, 0.0))
+        assert nl.check_certificate(process, cert, grid) == 1.0
+
+    @pytest.mark.parametrize("exponent", [
+        lambda t, s: math.sin(t) - math.sin(s),
+        lambda t, s: math.nan if t > 0.6 else -(t - s),
+    ])
+    def test_exponent_that_rejects_arrays_names_the_contract(self, exponent):
+        with pytest.raises(TypeError, match="must take arrays of t and s"):
+            nl.sample_norm_grid(ScalarExponentProcess(exponent), None, GridSpec(0.0, 1.0, 0.5))
 
     def test_identity_factor_norm_escapes_like_matrix(self):
         # The identity-factor branch reads the norm off the exponent; it
