@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -386,10 +387,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of this process; :func:`build_parser` sets no
+    mutable default, so no call's values leak into the next."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args, argv)
     except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError,

@@ -28,8 +28,8 @@ from .process import (
     HALF_LINE_PLUS,
     GridSpec,
     ScalarCoefficientProcess,
-    ScalarExponentProcess,
     TimeDomain,
+    _lncosh,
     sample_norm_grid,
 )
 
@@ -106,14 +106,10 @@ def make_barreira(a: float, b: float) -> GalleryEntry:
     """
     if not (a > 0 and b > 0):
         raise ValueError("make_barreira requires a, b > 0")
-
-    def exponent(t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return (-b * (t - s) + a * t * np.cos(t) - a * s * np.cos(s)
-                - a * np.sin(t) + a * np.sin(s))
-
-    process = ScalarExponentProcess(exponent, domain=FULL_LINE)
+    # int_0^t -k r sin r dr = k (t cos t - sin t)
+    process = ScalarCoefficientProcess(
+        lambda t: -b - a * t * math.sin(t), domain=FULL_LINE,
+        antiderivative=lambda t: -b * t + a * (t * math.cos(t) - math.sin(t)))
     m = math.exp(2.0 * a)
     claims = [
         DichotomyClaim(_cert("II", HALF_LINE_PLUS, m, b + a, 2 * a), True,
@@ -138,11 +134,8 @@ def make_sign_switch() -> GalleryEntry:
     projection families (zero and identity), and no kind-I dichotomy at
     all: the anchor must sit at the endpoint where the norm is largest.
     """
-
-    def exponent(t, s):
-        return np.abs(np.asarray(t, dtype=float)) - np.abs(np.asarray(s, dtype=float))
-
-    process = ScalarExponentProcess(exponent, domain=FULL_LINE)
+    process = ScalarCoefficientProcess(lambda t: math.copysign(1.0, t) if t else 0.0,
+                                       domain=FULL_LINE, antiderivative=abs)
     stable = ExponentPair(1.0, 2.0)
     claims = [
         DichotomyClaim(DichotomyCertificate("II", FULL_LINE, 1.0, stable,
@@ -180,9 +173,12 @@ def make_smooth_limits(transition_scale: float, eps: float = 0.1) -> GalleryEntr
     # Deviation from the sign coefficient: |f - f0|(r) = 1 - |tanh(r/sigma)|,
     # an even, integrable bump around the origin.  Its odd cumulative
     # H(t) = int_0^t (1 - |tanh|) gives int_s^t |f - f0| = H(t) - H(s), the
-    # log-propagator of the scalar process with that coefficient.  The
-    # maximum is its canonical least ln M at rate -eps with no anchor growth.
-    bump = ScalarCoefficientProcess(lambda r: 1.0 - abs(math.tanh(r / sigma)))
+    # log-propagator of the scalar process with that coefficient, and
+    # H(t) = t - sign(t) sigma ln cosh(t / sigma).  The maximum is its
+    # canonical least ln M at rate -eps with no anchor growth.
+    bump = ScalarCoefficientProcess(
+        lambda r: 1.0 - abs(math.tanh(r / sigma)),
+        antiderivative=lambda t: t - math.copysign(sigma * _lncosh(t / sigma), t))
     m_eps = math.exp(_canonical_logmax(bump, FULL_LINE, -eps, 0.0, "II"))
 
     stable = ExponentPair(1.0 - eps, 2.0)
@@ -213,20 +209,23 @@ def make_factorial_steps(max_n: int = 6) -> GalleryEntry:
                          "exactly representable)")
     breakpoints = [0.0, 1.0]
     values = [0.0, 0.0]  # cumulative integral of g at the breakpoints
+    slopes = [0.0]       # g on each block (breakpoints[k], breakpoints[k+1]]
     for n in range(1, max_n + 1):
         lo, hi = math.factorial(n), math.factorial(n + 1)
         slope = 1.0 if n % 2 == 0 else -float(n)
         breakpoints.append(float(hi))
         values.append(values[-1] + slope * (hi - lo))
+        slopes.append(slope)
     bps = np.asarray(breakpoints)
     vals = np.asarray(values)
 
-    def exponent(t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return np.interp(t, bps, vals) - np.interp(s, bps, vals)
+    def coefficient(t):
+        k = int(np.searchsorted(bps, t)) - 1
+        return slopes[k] if 0 <= k < len(slopes) else 0.0
 
-    process = ScalarExponentProcess(exponent, domain=HALF_LINE_PLUS)
+    process = ScalarCoefficientProcess(
+        coefficient, domain=HALF_LINE_PLUS,
+        antiderivative=lambda t: float(np.interp(t, bps, vals)))
     claims = [
         DichotomyClaim(_cert("II", HALF_LINE_PLUS, 1.0, 1.0, 2.0), True,
                        note="S_g(t,s) <= e^{t-s} <= e^{-(t-s)+2t}"),
@@ -250,17 +249,17 @@ def make_piecewise_barreira(a: float, b: float, c: float, d: float) -> GalleryEn
     if not (a > 0 and b > a and c > 0 and d > c):
         raise ValueError("make_piecewise_barreira requires b > a > 0 and d > c > 0")
 
+    def coefficient(t):
+        k, j = (a, b) if t >= 0 else (c, d)
+        return -j - k * t * math.sin(t)
+
     def antiderivative(t):
         # int_0^t f, evaluated piecewise: int -k r sin r dr = k (r cos r - sin r).
-        t = np.asarray(t, dtype=float)
-        pos = -b * t + a * (t * np.cos(t) - np.sin(t))
-        neg = -d * t + c * (t * np.cos(t) - np.sin(t))
-        return np.where(t >= 0, pos, neg)
+        k, j = (a, b) if t >= 0 else (c, d)
+        return -j * t + k * (t * math.cos(t) - math.sin(t))
 
-    def exponent(t, s):
-        return antiderivative(t) - antiderivative(s)
-
-    process = ScalarExponentProcess(exponent, domain=FULL_LINE)
+    process = ScalarCoefficientProcess(coefficient, domain=FULL_LINE,
+                                       antiderivative=antiderivative)
     delta = max(2 * a, 2 * c)
     alpha2 = min(b + a, d - c)
     alpha1 = min(b - a, d + c)

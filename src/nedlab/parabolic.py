@@ -187,8 +187,8 @@ class PDEProcess(EvolutionProcess):
     Separable coefficients a(t, x) = g(t) factor exactly:
     S(t, s) = e^{A_h (t-s)} e^{G(t) - G(s)}, where G(t) - G(s) is the
     log-propagator of the held :class:`ScalarCoefficientProcess` of g
-    (one quadrature per distinct time unless ``g_antiderivative`` gives
-    G in closed form).  General coefficients use
+    (a grid reads G once per mesh point, by quadrature unless
+    ``g_antiderivative`` gives it in closed form).  General coefficients use
     Strang splitting with the exact diffusion half-steps and a midpoint
     reaction factor; both branches keep all propagator entries
     nonnegative (discrete comparison principle).
@@ -250,7 +250,7 @@ class PDEProcess(EvolutionProcess):
             scale[block], stack = self._shifted_diffusion(lags[block])
             log_norm[block] = np.log(_spectral_norms(stack))
             log_frobenius[block] = np.log(np.linalg.norm(stack, axis=(1, 2)))
-        g = np.asarray(self._time_factor.log_propagator(tv, sv), dtype=float)
+        g = self._time_factor._grid_exponents(grid, part, tv, sv)
         escaped = _separable_escaped(g, (scale + log_frobenius)[lag_of])
         return np.where(escaped, math.nan, g + (scale + log_norm)[lag_of])
 

@@ -366,15 +366,20 @@ class GridSpec:
     def pairs(self, part: str = "stable"):
         """All ordered mesh pairs: (t >= s) for "stable", (t < s) for
         "unstable".  Returns flat arrays (t_vals, s_vals)."""
-        mesh = self.mesh()
-        tt, ss = np.meshgrid(mesh, mesh, indexing="ij")
+        mesh, i, j = self._pair_index(part)
+        return mesh[i], mesh[j]
+
+    def _pair_index(self, part: str):
+        """``(mesh, i, j)`` with ``pairs(part) == (mesh[i], mesh[j])``: the
+        pairs in row-major order of (t, s), t ascending, then s."""
+        mesh = self.mesh()   # strictly increasing
         if part == "stable":
-            keep = tt >= ss
+            i, j = np.tril_indices(len(mesh))
         elif part == "unstable":
-            keep = tt < ss
+            i, j = np.triu_indices(len(mesh), 1)
         else:
             raise ValueError("part must be 'stable' or 'unstable'")
-        return tt[keep], ss[keep]
+        return mesh, i, j
 
 
 @dataclasses.dataclass
@@ -507,7 +512,7 @@ class ScalarExponentProcess(EvolutionProcess):
 
     ``exponent`` must take arrays of t and s as well as floats: a grid
     under the identity factor (``projection=None``) reads it once,
-    vectorised over every pair."""
+    vectorised over every pair, and a path once over an array of times."""
 
     dimension = 1
     invertible = True
@@ -550,12 +555,27 @@ class ScalarExponentProcess(EvolutionProcess):
             if np.ndim(tau):
                 tau = np.asarray(tau, dtype=float)
                 if self.domain.contains(s) and np.all(self.domain.contains(tau)):
-                    e = np.broadcast_to(np.asarray(self.exponent(tau, s), dtype=float),
-                                        tau.shape)
+                    e = self._array_exponent(tau, s)
                     if np.all(e <= _LOG_GUARD):   # False for a NaN exponent too
                         return np.array([math.exp(v) for v in e.tolist()]).reshape(-1, 1, 1)
             return per_time(tau)
         return path
+
+    def _array_exponent(self, tv: np.ndarray, sv) -> np.ndarray:
+        """E(tv, sv) from one exponent call, broadcast to the shape of tv; a
+        TypeError names the array contract if E rejects arrays."""
+        try:
+            return np.broadcast_to(np.asarray(self.log_propagator(tv, sv), dtype=float),
+                                   tv.shape)
+        except (TypeError, ValueError) as exc:
+            raise TypeError("grids and paths read the exponent E(t, s) of a "
+                            "ScalarExponentProcess once over an array: it must take "
+                            "arrays of t and s") from exc
+
+    def _grid_exponents(self, grid: GridSpec, part: str, tv: np.ndarray,
+                        sv: np.ndarray) -> np.ndarray:
+        """E(t, s) over the pairs ``(tv, sv) = grid.pairs(part)``, unguarded."""
+        return self._array_exponent(tv, sv)
 
     def _log_matrix(self, t: float, s: float):
         # Read in the exponent: e^E underflows to 0 once E < -745.
@@ -563,28 +583,21 @@ class ScalarExponentProcess(EvolutionProcess):
 
     def _log_norms(self, grid, part, tv, sv, factor):
         """Under the identity factor the exponent is read once over the
-        whole grid and broadcast to the pairs; an explicit family takes the
+        whole grid (:meth:`_grid_exponents`); an explicit family takes the
         default kernel, which reads it one pair at a time."""
         if factor is not None:
             return super()._log_norms(grid, part, tv, sv, factor)
-        try:
-            vals = np.broadcast_to(np.asarray(self.log_propagator(tv, sv), dtype=float),
-                                   tv.shape)
-        except (TypeError, ValueError) as exc:
-            raise TypeError("a grid reads the exponent E(t, s) of a ScalarExponentProcess "
-                            "once: it must take arrays of t and s") from exc
+        vals = self._grid_exponents(grid, part, tv, sv)
         return np.where(vals <= _LOG_GUARD, vals, math.nan)  # a NaN exponent too
 
 
 class ScalarCoefficientProcess(ScalarExponentProcess):
-    """Scalar process x' = f(t) x with the log-propagator computed by
-    adaptive quadrature of the coefficient: E(t, s) = int_s^t f.
-
-    Antiderivative values F(t) = int_0^t f are cached per time, and an
-    array of pairs evaluates F once per distinct time, so grid sweeps
-    cost one quadrature per mesh point rather than per pair.  A
-    closed-form antiderivative can be supplied to skip quadrature
-    entirely.
+    """Scalar process x' = f(t) x with the log-propagator
+    E(t, s) = int_s^t f = F(t) - F(s), where F(t) = int_0^t f comes from
+    ``antiderivative`` when it is given and else from adaptive quadrature
+    of the coefficient, cached per time.  F is called with one Python
+    float at a time.  A grid under the identity factor reads F once per
+    mesh point, an array of pairs once per distinct time.
     """
 
     backend = "numerically-integrated"
@@ -597,9 +610,9 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
         super().__init__(self._exponent, domain=domain)
 
     def _cumulative(self, t: float) -> float:
+        t = float(t)
         if self.antiderivative is not None:
             return float(self.antiderivative(t))
-        t = float(t)
         if t not in self._cache:
             val, _ = quad(self.coefficient, 0.0, t, **_QUAD_KWARGS)
             self._cache[t] = val
@@ -614,6 +627,14 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
             values = np.array([self._cumulative(v) for v in times])[index]
             return (values[:t.size] - values[t.size:]).reshape(t.shape)
         return self._cumulative(t) - self._cumulative(s)
+
+    def _grid_exponents(self, grid, part, tv, sv):
+        """``F[i] - F[j]`` from one F per mesh point, for the mesh indices
+        ``(i, j)`` of the pairs; bit for bit the exponent of each pair."""
+        mesh, i, j = grid._pair_index(part)
+        values = np.array([self._cumulative(t) for t in mesh.tolist()])
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
+            return values[i] - values[j]
 
 
 class MatrixClosedFormProcess(EvolutionProcess):
@@ -923,9 +944,16 @@ def _constant(params):
     return (lambda t: rate), (lambda t: rate * t)
 
 
+def _lncosh(x: float) -> float:
+    """``log cosh x`` for one float, finite wherever x is: ``cosh`` itself
+    overflows once |x| passes 710."""
+    x = abs(x)
+    return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
+
+
 def _tanh(params):
     sigma = float(params.get("scale", 1.0))
-    return (lambda t: np.tanh(t / sigma)), (lambda t: sigma * np.log(np.cosh(t / sigma)))
+    return (lambda t: np.tanh(t / sigma)), (lambda t: sigma * _lncosh(t / sigma))
 
 
 def _sin_drift(params):

@@ -1,10 +1,15 @@
 import json
 import math
+import pathlib
 
 import pytest
 
 import nedlab as nl
+from nedlab import cli
 from nedlab.cli import run
+
+#: ``nedlab gallery list``; CI diffs the installed script's output against it too.
+GALLERY_LIST = pathlib.Path(__file__).parent / "data" / "gallery_list.txt"
 
 
 CONSTANT_DECAY = {"backend": "numerically-integrated",
@@ -50,7 +55,32 @@ class TestUsage:
         assert exc.value.code == 64
 
 
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_consecutive_runs_share_no_values(self, tmp_path):
+        parse = cli._parser().parse_args
+        first = parse(["check", "--process", "p.json", "--cert", "c.json", "--tol", "0.5"])
+        assert parse(["gallery", "list"]).action == "list"
+        second = parse(["check", "--process", "q.json", "--cert", "d.json"])
+        assert (first.tol, second.tol) == (0.5, 1e-9)
+        assert (first.process, second.process) == ("p.json", "q.json")
+        assert not hasattr(parse(["convert", "--cert", "c.json"]), "tol")
+        tuned, default = tmp_path / "tuned.json", tmp_path / "default.json"
+        assert run(["gallery", "eval", "--entry", "barreira",
+                    "--params", '{"a": 0.5, "b": 1.0}', "--out", str(tuned)]) == 0
+        assert run(["gallery", "eval", "--entry", "barreira", "--out", str(default)]) == 0
+        assert json.loads(default.read_text())["claims"] == nl.make_entry("barreira").claims_json()
+        assert json.loads(tuned.read_text())["notes"] == "a=0.5 b=1"
+
+
 class TestGallery:
+    def test_list_matches_the_golden_table(self, capsys):
+        assert run(["gallery", "list"]) == 0
+        assert capsys.readouterr().out == GALLERY_LIST.read_text()
+
     def test_list(self, capsys):
         assert run(["gallery", "list"]) == 0
         out = capsys.readouterr().out

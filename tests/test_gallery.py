@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import nedlab as nl
 from nedlab import GridSpec
@@ -49,6 +50,18 @@ class TestBarreira:
         p = barreira.process
         assert p.propagate(5.0, 1.0, 1.0)[0] == pytest.approx(
             p.propagate(5.0, 3.0, p.propagate(3.0, 1.0, 1.0))[0], rel=1e-12)
+
+    def test_antiderivative_matches_the_two_argument_exponent(self):
+        # The exponent the entry read before it had an antiderivative; the
+        # difference F(t) - F(s) only regroups the same terms.
+        def exponent(t, s, a, b):
+            return (-b * (t - s) + a * t * np.cos(t) - a * s * np.cos(s)
+                    - a * np.sin(t) + a * np.sin(s))
+        for a, b in ((1.0, 2.0), (0.7, 1.9), (1.4, 1.6)):
+            process = nl.make_entry("barreira", a=a, b=b).process
+            for grid in (GridSpec(-20.0, 20.0, 0.25), GridSpec(-40.0, 40.0, 0.25)):
+                t, s, v = nl.sample_norm_grid(process, None, grid).samples.T
+                assert np.max(np.abs(v - exponent(t, s, a, b))) <= 1e-13
 
     def test_claim_inventory(self, barreira):
         kinds = {(c.certificate.kind, c.certificate.domain.kind,
@@ -154,6 +167,27 @@ class TestFactorialSteps:
             projection_kinds=("zero",),
             box=((0.05, 4.0), (0.05, 4.0)), resolution=0.1, step=0.5)
         assert ev.rejected()
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("name", ["barreira", "sign-switch", "factorial-steps",
+                                      "piecewise-barreira"])
+    def test_entry_is_its_coefficient_and_antiderivative(self, name):
+        process = nl.make_entry(name).process
+        assert isinstance(process, nl.ScalarCoefficientProcess)
+        assert process.exponent == process._exponent
+        lo = 0.0 if process.domain.kind == "plus" else -6.0
+        for t in np.linspace(lo, 7.0, 11).tolist():
+            got = process.antiderivative(t)
+            assert type(got) is float
+            if t != 0.0:   # f jumps at 0 for sign-switch and piecewise-barreira
+                want = quad(process.coefficient, 0.0, t, points=[1.0, 2.0, 6.0],
+                            epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_smooth_limits_keeps_quadrature(self):
+        process = nl.make_entry("smooth-limits").process
+        assert process.antiderivative is None
 
 
 class TestPiecewiseBarreira:

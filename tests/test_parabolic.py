@@ -243,6 +243,23 @@ class TestSeparableKernel:
         assert len(sampled.samples) == len(rows)
         assert max(abs(v - rows[(t, s)]) for t, s, v in sampled.samples) < 1e-13
 
+    @pytest.mark.parametrize("g_antiderivative", [None, lambda t: 3.0 * math.sin(t) - 0.5 * t],
+                             ids=["quadrature", "antiderivative"])
+    def test_time_factor_mesh_read_is_the_per_pair_exponent(self, g_antiderivative):
+        # The grid reads G once per mesh point; the values are bit for bit
+        # those of the array exponent over every pair.
+        p = nl.pde_process(_dirichlet(9), separable_g=lambda t: 3.0 * math.cos(t) - 0.5,
+                           g_antiderivative=g_antiderivative)
+        grid = GridSpec(-2.0, 6.0, 0.5, extra_points=(0.3,))
+        per_pair = nl.pde_process(_dirichlet(9), separable_g=p.separable_g,
+                                  g_antiderivative=g_antiderivative)
+        factor = per_pair._time_factor
+        factor._grid_exponents = (
+            lambda grid, part, tv, sv: np.asarray(factor.log_propagator(tv, sv), dtype=float))
+        got = nl.sample_norm_grid(p, None, grid)
+        want = nl.sample_norm_grid(per_pair, None, grid)
+        assert np.array_equal(got.samples, want.samples) and got.poisoned == want.poisoned
+
     def test_domain_errors(self):
         half = nl.pde_process(_dirichlet(5), separable_g=lambda t: -1.0,
                               domain=nl.HALF_LINE_PLUS)

@@ -323,7 +323,8 @@ class TestConfigLoading:
     @pytest.mark.parametrize("name, params, coefficient, antiderivative", [
         ("constant", {"rate": -2.0}, lambda t: -2.0, lambda t: -2.0 * t),
         ("tanh", {"scale": 0.3}, lambda t: np.tanh(t / 0.3),
-         lambda t: 0.3 * np.log(np.cosh(t / 0.3))),
+         lambda t: 0.3 * (abs(t / 0.3) + math.log1p(math.exp(-2.0 * abs(t / 0.3)))
+                          - math.log(2.0))),
     ])
     def test_integrated_coefficients_bit_for_bit(self, name, params, coefficient,
                                                  antiderivative):
@@ -749,6 +750,15 @@ class TestMatrixPath:
             integrated.matrix_path(0.0, 1.0)(np.array([0.5, 0.8, 0.9]))
         assert err.value.t == 0.8
 
+    def test_scalar_only_exponent_names_the_array_contract(self):
+        process = ScalarExponentProcess(lambda t, s: math.sin(t) - math.sin(s))
+        path = process.matrix_path(0.0, 1.0)
+        assert path(0.5)[0, 0] == math.exp(math.sin(0.5))
+        with pytest.raises(TypeError, match="must take arrays of t and s"):
+            path(np.array([0.5, 1.0]))
+        with pytest.raises(TypeError, match="must take arrays of t and s"):
+            nl.perturbation_distance(process, process, 0.0, GridSpec(0.0, 2.0, 0.5))
+
     def test_escape_surfaces_past_the_escape_time(self):
         # ||S(tau, 0)|| = e^{500 tau} passes the guard near tau = 0.69.
         process = nl.IntegratedLinearProcess(lambda t: np.diag([500.0, -1.0]), 2)
@@ -1004,6 +1014,123 @@ class TestEscapeGuards:
         tiny = nl.MatrixClosedFormProcess(lambda t, s: 1e-300 * np.eye(2), 2)
         assert nl.operator_norm(tiny, 1.0, 0.0, log=True) == pytest.approx(
             math.log(1e-300))
+
+
+def _meshgrid_pairs(grid, part):
+    """The pair order of ``GridSpec.pairs`` before it had mesh indices."""
+    mesh = grid.mesh()
+    tt, ss = np.meshgrid(mesh, mesh, indexing="ij")
+    keep = tt >= ss if part == "stable" else tt < ss
+    return tt[keep], ss[keep]
+
+
+def _per_pair_exponent_grid(process, grid, part):
+    """A scalar grid read through the array exponent of every pair, as
+    before the mesh read: ``(samples, poisoned)``."""
+    tv, sv = grid.pairs(part)
+    with np.errstate(invalid="ignore"):
+        vals = np.asarray(process.log_propagator(tv, sv), dtype=float)
+    vals = np.where(vals <= nl.process._LOG_GUARD, vals, math.nan)
+    poison = ~(vals < math.inf)
+    keep = ~poison & (vals > -math.inf)
+    return (np.column_stack([tv[keep], sv[keep], vals[keep]]),
+            list(zip(tv[poison].tolist(), sv[poison].tolist())))
+
+
+def _escaping_antiderivative(t):
+    # F passes the guard past t = 2 and is infinite past t = 3.
+    return math.inf if t > 3.0 else 400.0 * max(t - 1.0, 0.0) - t
+
+
+class TestMeshRead:
+    GRIDS = [GridSpec(-3.0, 3.0, 0.25), GridSpec(0.0, 5.0, 0.5, extra_points=(0.3, math.pi)),
+             GridSpec(-2.0, 0.0, 0.4), GridSpec(-1.0, 2.0, 0.7)]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    def test_pair_order_is_the_meshgrid_order(self, grid, part):
+        got, want = grid.pairs(part), _meshgrid_pairs(grid, part)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        mesh, i, j = grid._pair_index(part)
+        assert np.array_equal(mesh[i], got[0]) and np.array_equal(mesh[j], got[1])
+
+    @pytest.mark.parametrize("antiderivative", [
+        None, lambda t: math.sin(t) - 0.3 * t, lambda t: math.nan if abs(t - 1.0) < 0.2 else t,
+        _escaping_antiderivative], ids=["quadrature", "closed-form", "nan", "escaping"])
+    @pytest.mark.parametrize("domain, grid", [
+        (nl.FULL_LINE, GRIDS[0]), (nl.HALF_LINE_PLUS, GRIDS[1]),
+        (nl.HALF_LINE_MINUS, GRIDS[2]), (nl.FULL_LINE, GRIDS[3])])
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    def test_bit_for_bit_the_per_pair_exponent(self, antiderivative, domain, grid, part):
+        process = nl.ScalarCoefficientProcess(lambda t: math.cos(t) - 0.3, domain=domain,
+                                              antiderivative=antiderivative)
+        sampled = nl.sample_norm_grid(process, None, grid, part=part)
+        samples, poisoned = _per_pair_exponent_grid(process, grid, part)
+        assert np.array_equal(sampled.samples, samples)
+        assert sampled.poisoned == poisoned
+
+    def test_escaping_and_nan_pairs_are_poisoned_never_dropped(self):
+        grid = GridSpec(0.0, 4.0, 0.5)
+        escaping = nl.ScalarCoefficientProcess(lambda t: 0.0,
+                                               antiderivative=_escaping_antiderivative)
+        sampled = nl.sample_norm_grid(escaping, None, grid)
+        assert len(sampled.samples) + len(sampled.poisoned) == 45
+        # inf - inf at (3.5, 4.0) and (4.0, 4.0) is NaN, and poisoned too.
+        assert {(3.5, 3.5), (4.0, 3.5), (4.0, 4.0), (4.0, 0.0)} <= set(sampled.poisoned)
+        for t, s in sampled.poisoned:
+            with pytest.raises(FiniteEscapeError):
+                escaping.matrix(t, s)
+        for t, s, v in sampled.samples:
+            assert escaping.matrix(t, s)[0, 0] == math.exp(v)
+        cert = nl.DichotomyCertificate("II", nl.HALF_LINE_PLUS, 1.0, nl.ExponentPair(1.0, 0.0))
+        assert nl.check_certificate(escaping, cert, grid) == math.inf
+
+    def test_one_antiderivative_call_per_mesh_point_with_a_float(self):
+        calls = []
+
+        def antiderivative(t):
+            calls.append(t)
+            return math.sin(t)
+        process = nl.ScalarCoefficientProcess(math.cos, antiderivative=antiderivative)
+        grid = GridSpec(-5.0, 5.0, 0.25)
+        nl.sample_norm_grid(process, None, grid)
+        assert calls == grid.mesh().tolist()
+        assert {type(t) for t in calls} == {float}
+
+    def test_math_only_antiderivative_on_grids_paths_and_single_queries(self):
+        process = nl.ScalarCoefficientProcess(
+            math.cos, antiderivative=lambda t: math.sin(t) - 0.5 * t)
+        grid = GridSpec(-2.0, 2.0, 0.5)
+        for part in ("stable", "unstable"):
+            assert len(nl.sample_norm_grid(process, None, grid, part=part).samples) > 0
+        taus = np.linspace(0.0, 1.0, 5)
+        stack = process.matrix_path(0.0, 1.0)(taus)
+        want = [math.exp(math.sin(t) - 0.5 * t) for t in taus]
+        assert np.array_equal(stack[:, 0, 0], want)
+        assert nl.operator_norm(process, 1.0, 0.0, log=True) == math.sin(1.0) - 0.5
+        assert process.propagate(1.0, 0.0, 2.0)[0] == 2.0 * math.exp(math.sin(1.0) - 0.5)
+        dual = nl.dual_process(process)
+        assert len(nl.sample_norm_grid(dual, None, grid, part="unstable").samples) > 0
+
+
+class TestLogCosh:
+    def test_matches_log_cosh_and_stays_finite(self):
+        for x in (0.0, 1e-3, 0.5, -2.0, 20.0, -300.0):
+            assert nl.process._lncosh(x) == pytest.approx(math.log(math.cosh(x)),
+                                                          rel=1e-14, abs=1e-15)
+        for x in (710.0, -800.0, 1e6):
+            assert nl.process._lncosh(x) == abs(x) - math.log(2.0)
+
+    def test_tanh_coefficient_no_longer_overflows(self):
+        f, big_f = nl.process.named_coefficient("tanh", {"scale": 0.01})
+        assert big_f(8.0) == pytest.approx(8.0 - 0.01 * math.log(2.0), rel=1e-15)
+        process = nl.load_process_config({"backend": "numerically-integrated",
+                                          "coefficient": "tanh", "params": {"scale": 0.01}})
+        grid = GridSpec(0.0, 10.0, 1.0)
+        sampled = nl.sample_norm_grid(process, None, grid)
+        assert sampled.poisoned == [] and len(sampled.samples) == 66
+        cert = nl.DichotomyCertificate("II", nl.HALF_LINE_PLUS, 1.0, nl.ExponentPair(0.5, 2.0))
+        assert nl.check_certificate(process, cert, grid) <= 0.0
 
 
 class TestWriteText:
