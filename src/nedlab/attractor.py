@@ -22,8 +22,6 @@ from scipy.integrate import quad
 # Kept bound although unused: perfbench's tracer wraps
 # nedlab.attractor.solve_ivp by name.
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .dichotomy import DichotomyCertificate, InapplicableError
 from .process import _SOLVER, GridSpec, ScalarExponentProcess, TimeDomain, FULL_LINE
@@ -194,7 +192,11 @@ class CooperativeSpec:
         if not callable(self.a_matrix):
             m = np.asarray(self.a_matrix, dtype=float)
             self.a_matrix = lambda t: m
-        if not callable(self.b_vector):
+        # The field reads b_vector(t) as a float array without converting it.
+        if callable(self.b_vector):
+            forcing = self.b_vector
+            self.b_vector = lambda t: np.asarray(forcing(t), dtype=float)
+        else:
             v = np.asarray(self.b_vector, dtype=float)
             self.b_vector = lambda t: v
         if self.field is None:
@@ -202,8 +204,8 @@ class CooperativeSpec:
 
     def _affine_field(self, t, x):
         # A single state is an (n,) vector, a batch an (n, k) array.
-        b = np.asarray(self.b_vector(t), dtype=float)
-        return self.a_matrix(t) @ x + (b if np.ndim(x) == 1 else b[:, None])
+        b = self.b_vector(t)
+        return self.a_matrix(t) @ x + (b if x.ndim == 1 else b[:, None])
 
     def certify(self, t_samples, x_radius=1.0, n_samples: int = 200, seed: int = 0):
         """Sampled checks of the structure: nonnegative off-diagonals,
@@ -385,6 +387,14 @@ _BATCH_CONTRACT = ("the field must accept an (n, k) array whose columns are k "
                    "acting on each column as on a single state")
 
 
+def _agree(got: np.ndarray, ref: np.ndarray, tol: float) -> bool:
+    """``np.allclose(got, ref, rtol=0, atol=tol, equal_nan=True)`` for a
+    finite tol, written out: every entry equal, within tol, or NaN in both."""
+    with np.errstate(invalid="ignore"):   # inf - inf
+        close = (got == ref) | (np.abs(got - ref) <= tol)
+    return bool(np.all(close | (np.isnan(got) & np.isnan(ref))))
+
+
 def _check_batch_field(field, t0: float, points: np.ndarray) -> None:
     """Evaluate the field once as a batch and once per seed on the
     initial cloud; raise TypeError unless both agree to 1e-12 times the
@@ -398,8 +408,7 @@ def _check_batch_field(field, t0: float, points: np.ndarray) -> None:
                     for p in points], axis=1)
     finite = np.abs(ref[np.isfinite(ref)])
     tol = 1e-12 * float(np.max(finite, initial=0.0))
-    if not np.allclose(got.reshape(n, k), ref, rtol=0.0, atol=tol,
-                       equal_nan=True):
+    if not _agree(got.reshape(n, k), ref, tol):
         raise TypeError("batched field disagrees with per-state evaluation "
                         "(does it reduce over x?); %s" % _BATCH_CONTRACT)
 
@@ -413,9 +422,13 @@ def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
     """Integrate x' = f(t, x) for every row of `points` as one stacked
     system with compiled DOP853 at rtol 1e-10, atol 1e-12, calling the
     field once per right-hand-side evaluation on the (n, k) array of all
-    states (see _BATCH_CONTRACT).  The ensemble escapes, raising
-    TrajectoryEscapeError, at the end of the first step where some
-    |x_i| >= _ESCAPE_RADIUS (at once for a seed that starts there).
+    states (see _BATCH_CONTRACT), through the driver's per-thread
+    closures: a float64 result with n * k entries goes to the compiled
+    wrapper as it is, any other result is converted to float, and one
+    with the wrong number of entries raises ValueError.  The ensemble
+    escapes, raising TrajectoryEscapeError, at the end of the first step
+    where some |x_i| >= _ESCAPE_RADIUS (at once for a seed that starts
+    there).
 
     Returns the final ensemble, or, when t_eval is given, the list of
     ensembles at the times t_eval, ordered from t0 toward t1 and ending
@@ -443,13 +456,31 @@ def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
 def _single_linkage(points: np.ndarray, eps: float):
     """Cluster labels by single linkage at radius eps: connected
     components of the graph joining points at distance <= eps, numbered
-    in order of their first point."""
+    in order of their first point.
+
+    Every point carries the label of the root of its tree, and each
+    point starts as its own root.  A round hooks every root onto the
+    smallest label next to any point of its tree, then jumps pointers
+    until every point again carries a root.  Roots only move to smaller
+    labels, so the rounds stop when no tree has a neighbour with a
+    smaller label: one tree per component, rooted at its first point."""
     d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-    _, raw = connected_components(csr_matrix(d2 <= eps * eps), directed=False)
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse]
+    adjacent = d2 <= eps * eps
+    np.fill_diagonal(adjacent, True)   # a NaN point is its own component
+    labels = np.arange(len(points))
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels, np.where(adjacent, labels, labels.size).min(axis=1))
+        new = hooked[labels]
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return np.unique(labels, return_inverse=True)[1]
 
 
 @dataclasses.dataclass

@@ -552,12 +552,14 @@ def parabolic_attractor_demo(laplacian: DiscreteLaplacian,
     rng = np.random.default_rng(seed)
     base_cloud = rng.uniform(-1.0, 1.0, size=(seeds_per_time, n))
 
+    a_h = laplacian.matrix
+
     def field(t, u):
         # u is one state (n,) or a batch (n, k) with one state per column.
         forcing = np.asarray(b(t), dtype=float)
-        if np.ndim(u) == 2 and forcing.ndim == 1:
+        if u.ndim == 2 and forcing.ndim == 1:
             forcing = forcing[:, None]
-        out = laplacian.matrix @ u + separable_g(t) * u + forcing
+        out = a_h @ u + separable_g(t) * u + forcing
         if cubic:
             out = out - u ** 3
         return out

@@ -85,6 +85,18 @@ _DOP853_FAILURES = {-1: "input is not consistent",
                     -2: "larger nsteps is needed",
                     -3: "step size becomes too small",
                     -4: "problem is probably stiff"}
+_FLOAT = np.dtype(float)
+
+
+class _Run:
+    """What one thread's callbacks read during a solve: the field, the
+    state's shape and size, the step-end norm, its guard and running
+    peak, and the exception the field raised, if any."""
+
+    __slots__ = ("field", "shape", "size", "norm", "guard", "peak", "error")
+
+    def __init__(self):
+        self.field = self.norm = self.error = None
 
 
 class _Dop853(threading.local):
@@ -93,41 +105,52 @@ class _Dop853(threading.local):
     serves the integrated linear processes and the attractor ensembles.
 
     The compiled wrapper keeps a reference to every callback it is
-    handed, so each thread hands it the same two bound methods on every
-    solve: a trampoline to the current field and a step callback.  The
-    wrapper also ignores exceptions raised in a callback, so the
-    trampoline records the field's exception and returns zeros until the
-    step callback stops the run; the exception is then raised again.
+    handed, so each thread builds its two callbacks once, in
+    ``__init__``, and hands the same two on every solve: ``fcn`` calls
+    the current field and ``solout`` tracks the peak norm at the step
+    ends.  They are closures over a plain :class:`_Run`, so a right-hand
+    side reads no thread-local attribute.  A field result that is a
+    float64 ``ndarray`` with as many entries as the state goes to the
+    wrapper as it is (the wrapper reads any shape in C order); anything
+    else is converted with ``np.asarray(..., dtype=float).reshape(size)``,
+    which raises for a result of the wrong size, since the wrapper
+    would take it without complaint.  The wrapper also ignores
+    exceptions raised in a callback, so ``fcn`` records the field's
+    exception and returns zeros until ``solout`` stops the run; the
+    exception is then raised again.
 
     ``solves`` counts this thread's solves; ``stats`` sums their
     right-hand-side evaluations, steps, accepted and rejected steps.
     """
 
     def __init__(self):
-        self.field = self.norm = self.error = None
+        run = self.run = _Run()
         self.busy = False
         self.solves = 0
         self.stats = np.zeros(4, dtype=np.int64)
-        self.fcn, self.solout = self._fcn, self._solout
 
-    def _fcn(self, tau, y):
-        if self.error is None:
-            try:
-                out = np.asarray(self.field(tau, y.reshape(self.shape)), dtype=float)
-                return out.reshape(y.size)
-            except BaseException as exc:
-                self.error = exc
-        return np.zeros(y.size)
+        def fcn(tau, y):
+            if run.error is None:
+                try:
+                    out = run.field(tau, y.reshape(run.shape))
+                    if type(out) is np.ndarray and out.dtype == _FLOAT and out.size == run.size:
+                        return out
+                    return np.asarray(out, dtype=float).reshape(run.size)
+                except BaseException as exc:
+                    run.error = exc
+            return np.zeros(run.size)
 
-    def _solout(self, tau, y):
-        if self.error is not None:
-            return -1
-        value = self.norm(y)
-        if not (value <= self.peak):   # a NaN norm is a new peak, and stops
-            self.peak = value
-            if not (value < self.guard):
+        def solout(tau, y):
+            if run.error is not None:
                 return -1
-        return 0
+            value = run.norm(y)
+            if not (value <= run.peak):   # a NaN norm is a new peak, and stops
+                run.peak = value
+                if not (value < run.guard):
+                    return -1
+            return 0
+
+        self.fcn, self.solout = fcn, solout
 
     def solve(self, field, t0: float, t1: float, y: np.ndarray, shape,
               rtol: float, atol: float, norm, guard: float):
@@ -144,8 +167,9 @@ class _Dop853(threading.local):
         work[1:4] = 0.9, 0.3, 6.0  # ode("dop853") defaults: safety, step limits
         iwork = np.zeros(21, dtype=np.int32)
         iwork[3] = -1  # never run the stiffness test, which stops the solve
-        self.field, self.shape, self.norm, self.guard = field, shape, norm, guard
-        self.peak, self.busy = -math.inf, True
+        run = self.run
+        run.field, run.shape, run.size, run.norm, run.guard = field, shape, y.size, norm, guard
+        run.peak, self.busy = -math.inf, True
         try:
             # Pass the trailing tuple of extra field arguments even though
             # it is empty: left out, the wrapper can crash the interpreter.
@@ -153,8 +177,8 @@ class _Dop853(threading.local):
                                      self.solout, 1, work, iwork,
                                      np.iinfo(np.int32).max, -1, ())
         finally:
-            error = self.error
-            self.field = self.norm = self.error = None
+            error, peak = run.error, run.peak
+            run.field = run.norm = run.error = None
             self.busy = False
             self.solves += 1
             self.stats += iwork[16:20]  # nfev, steps, accepted, rejected
@@ -162,10 +186,10 @@ class _Dop853(threading.local):
             raise error
         # A stop at t0 reports idid -3, so a run that reached the guard
         # never counts as failed.
-        if idid < 0 and self.peak < guard:
+        if idid < 0 and peak < guard:
             raise RuntimeError("integration failed: %s"
                                % _DOP853_FAILURES.get(idid, "code %d" % idid))
-        return tau, y, self.peak
+        return tau, y, peak
 
 
 _SOLVER = _Dop853()
@@ -624,7 +648,7 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
             t, s = np.broadcast_arrays(t, s)
             times, index = np.unique(np.concatenate([t.ravel(), s.ravel()]),
                                      return_inverse=True)
-            values = np.array([self._cumulative(v) for v in times])[index]
+            values = np.array([self._cumulative(v) for v in times.tolist()])[index]
             return (values[:t.size] - values[t.size:]).reshape(t.shape)
         return self._cumulative(t) - self._cumulative(s)
 
@@ -827,13 +851,23 @@ def dual_process(process: EvolutionProcess) -> EvolutionProcess:
     scalar process with exponent ``E(s, t)`` (the adjoint of ``x' = a x``
     is ``x' = -a x``), so its grids and paths read the exponent itself
     and a norm below ``e^-745`` is sampled rather than lost to underflow.
-    Every other backend gets a transposing wrapper of one primal
+    For a :class:`ScalarCoefficientProcess` that is the coefficient
+    process of ``-f`` with antiderivative ``-F``, from the primal's
+    closed form or its cached quadrature, so its grids read F once per
+    mesh point too; ``(-F(t)) - (-F(s))`` is ``F(s) - F(t)`` bit for
+    bit.  Every other backend gets a transposing wrapper of one primal
     ``matrix`` (or ``_log_matrix``) call per pair.
     """
     if not process.invertible:
         raise DomainError("dual process requires an invertible process")
     base = process
-    if isinstance(base, ScalarExponentProcess):
+    if isinstance(base, ScalarCoefficientProcess):
+        f, big_f = base.coefficient, base.antiderivative
+        if big_f is None:   # the primal's cached quadrature
+            big_f = base._cumulative
+        d = ScalarCoefficientProcess(lambda t: -f(t), domain=base.domain,
+                                     antiderivative=lambda t: -big_f(t))
+    elif isinstance(base, ScalarExponentProcess):
         d = ScalarExponentProcess(lambda t, s: base.log_propagator(s, t), domain=base.domain)
     elif isinstance(base, IntegratedLinearProcess):
         d = IntegratedLinearProcess(

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 import nedlab as nl
 from nedlab import GridSpec, InapplicableError, WeightedFunction
-from nedlab.attractor import _integrate_ensemble, _single_linkage
+from nedlab.attractor import _agree, _integrate_ensemble, _single_linkage
 from nedlab.gallery import make_barreira
 
 from conftest import constant_scalar, decay_cert
@@ -378,6 +379,40 @@ class TestBatchedField:
                                        s_schedule=[-1.0, -2.0])
 
 
+@st.composite
+def _tolerance_cases(draw):
+    """(got, ref, tol) with infinities, NaNs, signed zeros and entries at,
+    just inside and just outside the tolerance."""
+    tol = draw(st.sampled_from([0.0, 1e-12, 0.5]) | st.floats(0.0, 1e3))
+    special = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])
+    ref = draw(st.lists(st.floats(-1e3, 1e3) | special, min_size=1, max_size=8))
+    got = []
+    for r in ref:
+        kind = draw(st.sampled_from(["same", "edge", "outside", "inside", "any"]))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        if kind == "same":
+            got.append(r)
+        elif kind == "any":
+            got.append(draw(st.floats(allow_nan=True, allow_infinity=True)))
+        else:
+            edge = r + sign * tol
+            got.append(edge if kind == "edge" else
+                       float(np.nextafter(edge, sign * (math.inf if kind == "outside" else -math.inf))))
+    return np.array(got), np.array(ref), tol
+
+
+class TestBatchTolerance:
+    @settings(max_examples=300, deadline=None)
+    @given(_tolerance_cases())
+    def test_agrees_with_allclose(self, case):
+        got, ref, tol = case
+        want = np.allclose(got, ref, rtol=0.0, atol=tol, equal_nan=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _agree(got, ref, tol) is want
+            assert _agree(got.reshape(1, -1), ref.reshape(1, -1), tol) is want
+
+
 class _FieldFailure(Exception):
     pass
 
@@ -497,6 +532,63 @@ class TestCompiledEnsemble:
         assert all(ref() is None for ref in refs)
         assert growth < 512 * 1024
 
+    def test_wrong_size_field_result_raises(self):
+        # The compiled wrapper takes a derivative of the wrong length
+        # without complaint; the field passes the batch check at t0.
+        def field(t, x):
+            return -x if t == 0.0 else np.zeros(x.size + 1)
+        with pytest.raises(ValueError):
+            _integrate_ensemble(field, 0.0, 1.0, self.SEEDS)
+        got = _integrate_ensemble(_decay(1.0), 0.0, 1.0, self.SEEDS)
+        assert np.max(np.abs(got - math.exp(-1.0) * self.SEEDS)) <= 1e-10
+
+    @pytest.mark.parametrize("convert", [
+        lambda out: out.tolist(),
+        lambda out: out.astype(np.int64),
+        lambda out: np.asfortranarray(out),
+        lambda out: out[..., ::-1].copy()[..., ::-1],
+    ], ids=["list", "int", "fortran", "reversed-view"])
+    def test_result_types_give_the_float_bits(self, convert):
+        # Integer-valued so that the int conversion keeps every value.
+        def field(t, x):
+            return np.rint(4.0 * np.cos(t + x))
+        seeds = np.array([[0.0, 1.0], [0.5, -1.0], [-2.0, 0.25]])
+        want = _integrate_ensemble(field, 0.0, 1.5, seeds)
+        got = _integrate_ensemble(lambda t, x: convert(field(t, x)), 0.0, 1.5, seeds)
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_coordinate_batch_result_gives_the_float_bits(self):
+        def field(t, x):
+            return -x - x ** 3 + math.cos(t)   # (1, k)
+        want = _integrate_ensemble(field, 0.0, 2.0, self.SEEDS)
+        got = _integrate_ensemble(lambda t, x: field(t, x)[0], 0.0, 2.0, self.SEEDS)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pullback_counts_are_pinned(self):
+        # Solves and (nfev, steps, accepted, rejected) of the driver as
+        # recorded before its callbacks became closures: a cheaper
+        # evaluation, not fewer of them.
+        def g(t):
+            return -2.0 - t * math.sin(t)
+        cases = [
+            (nl.DissipativitySpec(
+                field=lambda t, x: g(t) * x - x ** 3 + 0.75 * math.exp(-2.0 * abs(t)),
+                a=lambda t: 2.0 * g(t) + 1.0, b=lambda t: 0.0, dimension=1),
+             -5.3, [[0.0], [1.0], [-1.0]], 4, [3382, 283, 261, 22]),
+            (nl.DissipativitySpec(field=lambda t, x: -x + 1.3 * math.cos(t),
+                                  a=lambda t: -1.0, b=lambda t: 1.0, dimension=1),
+             0.7, [[0.0], [3.0]], 6, [3518, 294, 272, 22]),
+            (nl.CooperativeSpec(a_matrix=np.array([[-2.0, 1.0], [1.0, -2.0]]),
+                                b_vector=np.array([1.0, 1.5]), dimension=2),
+             -1.0, [[0.0, 0.0], [2.0, 3.0], [-1.0, 4.0]], 6, [2015, 167, 166, 1]),
+        ]
+        solver = nl.process._SOLVER
+        for spec, t, seeds, solves, stats in cases:
+            before, counted = solver.solves, solver.stats.copy()
+            nl.simulate_pullback_omega(spec, t, np.array(seeds))
+            assert solver.solves - before == solves
+            assert (solver.stats - counted).tolist() == stats
+
     def test_tracer_counts_field_calls(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("_nedlab_tracing", path)
@@ -556,6 +648,31 @@ class TestSingleLinkage:
         assert np.array_equal(labels, _closure_labels(points, eps))
         assert labels.max() + 1 < len(points)   # some links were found
 
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+    def test_long_chain_takes_few_rounds(self, order, monkeypatch):
+        # A 400-point chain is one component of diameter 399; labels that
+        # only spread to neighbours would need hundreds of rounds.
+        m, eps = 400, 0.1
+        points = np.outer(np.arange(m) * 0.09, [0.6, 0.8])
+        points = {"sorted": points, "reversed": points[::-1],
+                  "shuffled": points[np.random.default_rng(7).permutation(m)]}[order]
+
+        class Counting:
+            rounds = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def where(self, *args):
+                Counting.rounds += 1
+                return np.where(*args)
+        monkeypatch.setattr(nl.attractor, "np", Counting())
+        labels = _single_linkage(points, eps)
+        monkeypatch.undo()
+        assert np.array_equal(labels, _closure_labels(points, eps))
+        assert labels.max() == 0
+        assert Counting.rounds <= 2 * math.ceil(math.log2(m))
+
 
 class TestForwardSimulation:
     def test_contraction_to_origin(self):
@@ -593,6 +710,17 @@ class TestCooperative:
     def test_nan_is_reported(self, a, b, field):
         spec = nl.CooperativeSpec(a_matrix=a, b_vector=b, dimension=2, field=field)
         assert math.isnan(spec.certify([0.0, 1.0], n_samples=20))
+
+    def test_callable_forcing_is_read_as_floats(self):
+        a = np.array([[-2.0, 1.0], [1.0, -2.0]])
+        seeds = np.array([[0.0, 0.0], [2.0, 3.0], [-1.0, 4.0]])
+        want = nl.simulate_pullback_omega(
+            nl.CooperativeSpec(a_matrix=a, b_vector=np.array([1.0, 2.0]), dimension=2),
+            0.0, seeds)
+        got = nl.simulate_pullback_omega(
+            nl.CooperativeSpec(a_matrix=a, b_vector=lambda t: [1, 2], dimension=2),
+            0.0, seeds)
+        assert got.points.tobytes() == want.points.tobytes()
 
     def test_certify_needs_a_time_and_a_state(self):
         # The negative off-diagonal must not pass for want of samples.

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nedlab as nl
+from nedlab.gallery import make_entry
 from nedlab import (
     DomainError,
     FiniteEscapeError,
@@ -235,6 +236,75 @@ class TestDualProcess:
         assert sampled.samples[:, 2].tolist() == [-800.0, -1600.0, -800.0]
         assert sampled.poisoned == []
         assert nl.operator_norm(d, 0.0, 1.0, log=True) == -800.0
+
+
+def _exponent_dual(process):
+    """The dual of a coefficient process as a per-pair exponent wrapper."""
+    return ScalarExponentProcess(lambda t, s: process.log_propagator(s, t),
+                                 domain=process.domain)
+
+
+def _poisoned_coefficient():
+    # F is inf from t = 2 on and NaN at t = -1: the stable dual part has
+    # vanished (-inf) and NaN pairs, the unstable part inf and NaN pairs.
+    return nl.ScalarCoefficientProcess(
+        lambda t: -1.0,
+        antiderivative=lambda t: math.inf if t >= 2.0 else (math.nan if t == -1.0 else -t))
+
+
+class TestCoefficientDual:
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    @pytest.mark.parametrize("make", [
+        lambda: make_entry("barreira").process,
+        lambda: make_entry("smooth-limits").process,
+        _poisoned_coefficient,
+    ], ids=["closed-form", "quadrature", "inf-nan"])
+    def test_grids_match_the_exponent_wrapper(self, make, part):
+        primal = make()
+        dual = nl.dual_process(primal)
+        assert isinstance(dual, nl.ScalarCoefficientProcess) and dual.primal is primal
+        grid = GridSpec(-4.0, 4.0, 0.25)
+        got = nl.sample_norm_grid(dual, None, grid, part)
+        with np.errstate(invalid="ignore"):   # the wrapper's inf - inf
+            want = nl.sample_norm_grid(_exponent_dual(primal), None, grid, part)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.poisoned == want.poisoned
+        tv, sv = grid.pairs(part)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(dual.log_propagator(tv, sv),
+                                  _exponent_dual(primal).log_propagator(tv, sv), equal_nan=True)
+
+    def test_poisoned_case_has_every_kind_of_pair(self):
+        grid = GridSpec(-4.0, 4.0, 0.25)
+        dual = nl.dual_process(_poisoned_coefficient())
+        stable = nl.sample_norm_grid(dual, None, grid, "stable")
+        unstable = nl.sample_norm_grid(dual, None, grid, "unstable")
+        assert stable.poisoned and unstable.poisoned
+        # Pairs with s < 2 <= t vanished from the stable part.
+        assert len(stable.samples) + len(stable.poisoned) < grid.pairs("stable")[0].size
+
+    def test_reads_F_once_per_mesh_point(self):
+        calls = []
+
+        def antiderivative(t):
+            calls.append(t)
+            return math.sin(t) - t
+        primal = nl.ScalarCoefficientProcess(lambda t: math.cos(t) - 1.0,
+                                             antiderivative=antiderivative)
+        grid = GridSpec(-3.0, 3.0, 0.5, extra_points=(0.3,))
+        for part in ("stable", "unstable"):
+            calls.clear()
+            nl.sample_norm_grid(nl.dual_process(primal), None, grid, part)
+            assert sorted(calls) == sorted(grid.mesh().tolist())
+
+    def test_quadrature_is_shared_with_the_primal(self):
+        primal = make_entry("smooth-limits").process
+        grid = GridSpec(-2.0, 2.0, 0.5)
+        nl.sample_norm_grid(primal, None, grid, "stable")
+        cached = dict(primal._cache)
+        dual = nl.dual_process(primal)
+        nl.sample_norm_grid(dual, None, grid, "unstable")
+        assert primal._cache == cached and dual._cache == {}
 
 
 class TestNormGrid:
@@ -853,6 +923,15 @@ class TestCompiledSolves:
         with pytest.raises(_CoefficientFailure) as err:
             nl.IntegratedLinearProcess(coefficient, 1).matrix(5.0, 0.0)
         assert err.value is failure and calls[0] == 30
+        planted = PlantedIntegrated(invertible=True)
+        want = planted.matrix(2.0, 0.5)
+        assert np.max(np.abs(planted.process.matrix(2.0, 0.5) - want)) <= 1e-9 * np.max(want)
+
+    def test_wrong_size_coefficient_result_raises(self):
+        # The compiled wrapper takes a derivative of the wrong length
+        # without complaint; (3, 2) @ (2, 2) has six entries for four.
+        with pytest.raises(ValueError):
+            nl.IntegratedLinearProcess(lambda t: np.ones((3, 2)), 2).matrix(1.0, 0.0)
         planted = PlantedIntegrated(invertible=True)
         want = planted.matrix(2.0, 0.5)
         assert np.max(np.abs(planted.process.matrix(2.0, 0.5) - want)) <= 1e-9 * np.max(want)
