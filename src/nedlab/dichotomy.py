@@ -179,8 +179,9 @@ class ParetoFrontier:
                                     projection=descriptor, projection_family=family)
 
 
-def _sample_columns(grid: NormGrid):
-    """The t, s and log-norm columns of a norm grid.
+def _sample_columns(grid: NormGrid, kind: str):
+    """``(anchors, t - s, log-norms)`` of a norm grid's samples, where the
+    anchor is ``|t|`` for kind II and ``|s|`` for kind I.
 
     Raises DataError when a sample has a non-finite t, s or log-norm: a NaN
     would drop out of every maximum and certify a bound it never met.
@@ -190,7 +191,8 @@ def _sample_columns(grid: NormGrid):
         bad = int(np.count_nonzero(~finite.all(axis=1)))
         raise DataError("%d of %d norm samples have a non-finite t, s or "
                         "log-norm" % (bad, grid.samples.shape[0]))
-    return grid.samples.T
+    tv, sv, logn = grid.samples.T
+    return np.abs(tv if kind == "II" else sv), tv - sv, logn
 
 
 def _least_ln_m(grid: NormGrid, kind: str, rate: float, delta: float) -> float:
@@ -201,9 +203,8 @@ def _least_ln_m(grid: NormGrid, kind: str, rate: float, delta: float) -> float:
     the expression :class:`_AnchorEnvelope` reduces, so the value equals
     ``max(envelope.heights(rate) - delta * envelope.anchors)`` bit for bit.
     """
-    tv, sv, logn = _sample_columns(grid)
-    anchors = np.abs(tv) if kind == "II" else np.abs(sv)
-    y = rate * (tv - sv)
+    anchors, dts, logn = _sample_columns(grid, kind)
+    y = rate * dts
     y += logn
     y -= delta * anchors
     return float(np.max(y, initial=-np.inf))
@@ -223,15 +224,14 @@ class _AnchorEnvelope:
     """
 
     def __init__(self, grid: NormGrid, kind: str):
-        tv, sv, logn = _sample_columns(grid)
-        anchors = np.abs(tv) if kind == "II" else np.abs(sv)
+        anchors, dts, logn = _sample_columns(grid, kind)
         order = np.argsort(anchors, kind="stable")
         anchors = anchors[order]
         self._starts = np.flatnonzero(np.r_[True, anchors[1:] != anchors[:-1]])
         #: distinct anchors, ascending
         self.anchors = anchors[self._starts]
         self._logn = logn[order]
-        self._dts = (tv - sv)[order]
+        self._dts = dts[order]
 
     def heights(self, rate: float) -> np.ndarray:
         """Highest ``logNorm + rate * (t - s)`` at each of `anchors`."""
@@ -338,15 +338,12 @@ def check_certificate(process: EvolutionProcess, cert: DichotomyCertificate,
     """
     grid = _clip_grid(grid, cert.domain)
     ln_m = math.log(cert.m)
-    family = cert.projection_family
-    if family is None and cert.projection == "zero":
-        family = ProjectionFamily.zero(process.dimension)
-    elif family is None:
-        family = ProjectionFamily.identity(process.dimension)
     worst = -math.inf
 
     def part_violation(part, pair):
-        sampled = sample_norm_grid(process, family, grid, part=part)
+        # Without a family, the "zero" stable and "identity" unstable parts
+        # both read the full norm, which is what None samples.
+        sampled = sample_norm_grid(process, cert.projection_family, grid, part=part)
         if sampled.poisoned:
             return math.inf
         rate = pair.rate if part == "stable" else -pair.rate

@@ -31,7 +31,7 @@ from .process import (
     TimeDomain,
     _LOG_GUARD,
     _TransposedProcess,
-    _chained_log_norms,
+    _chained_anchor_matrices,
     _escaped,
     _max_norm,
     _spectral_norms,
@@ -230,29 +230,33 @@ class PDEProcess(EvolutionProcess):
         """A_h + diag(a(t, x)) at time t."""
         return self.laplacian.matrix + np.diag(self._reaction(t))
 
-    def _log_norms(self, grid, part, tv, sv, factor):
-        """Strang grids chain one product per mesh interval, where a Strang
-        product would restart from s for every pair.  Separable grids take
-        the default per-anchor stacks under an explicit family, and else
-        one norm per distinct lag: ``log ||S(t, s)||`` is ``G(t) - G(s) +
-        lambda_1 d + log ||e^{(A_h - lambda_1) d}||`` with ``d = t - s``,
-        the float :meth:`matrix` hands to ``expm``.  Read in the log, a
-        pair whose factor ``e^{G(t) - G(s)}`` or ``e^{A_h d}`` underflows
-        still carries its sample."""
-        if not self.separable:
-            return _chained_log_norms(self, grid, part, tv, sv, factor)
-        if factor is not None:
-            return super()._log_norms(grid, part, tv, sv, factor)
-        lags, lag_of = np.unique(tv - sv, return_inverse=True)
+    def _log_norms(self, mesh, part, i, j, factor):
+        """Separable grids under the identity factor read one norm per
+        distinct lag: ``log ||S(t, s)||`` is ``G(t) - G(s) + lambda_1 d +
+        log ||e^{(A_h - lambda_1) d}||`` with ``d = t - s``, the float
+        :meth:`matrix` hands to ``expm``.  Read in the log, a pair whose
+        factor ``e^{G(t) - G(s)}`` or ``e^{A_h d}`` underflows still
+        carries its sample.  Every other grid takes the per-anchor kernel,
+        with the stacks of :meth:`_anchor_matrices`."""
+        if factor is not None or not self.separable:
+            return super()._log_norms(mesh, part, i, j, factor)
+        lags, lag_of = np.unique(mesh[i] - mesh[j], return_inverse=True)
         scale, log_norm, log_frobenius = (np.empty(len(lags)) for _ in range(3))
         for k in range(0, len(lags), _LAG_BLOCK):
             block = slice(k, k + _LAG_BLOCK)
             scale[block], stack = self._shifted_diffusion(lags[block])
             log_norm[block] = np.log(_spectral_norms(stack))
             log_frobenius[block] = np.log(np.linalg.norm(stack, axis=(1, 2)))
-        g = self._time_factor._grid_exponents(grid, part, tv, sv)
+        g = self._time_factor._grid_exponents(mesh, i, j)
         escaped = _separable_escaped(g, (scale + log_frobenius)[lag_of])
         return np.where(escaped, math.nan, g + (scale + log_norm)[lag_of])
+
+    def _anchor_matrices(self, mesh, part):
+        """Strang grids chain one product per mesh interval, where a Strang
+        product would restart from s for every pair."""
+        if self.separable:
+            return super()._anchor_matrices(mesh, part)
+        return _chained_anchor_matrices(self, mesh, part)
 
     def _shifted_diffusion(self, lags: np.ndarray):
         """``(lambda_1 d, e^{(A_h - lambda_1) d})`` over an array of lags d,
@@ -382,11 +386,13 @@ class PrincipalBundle:
     c2: float                  # max spectral norm of its complement
 
     def c(self, t: float, s: float) -> float:
-        """Cumulative leading factor c(t, s) along the sampled times."""
+        """Cumulative leading factor c(t, s) along the sampled times, for
+        bundle times s <= t; raises ValueError for any other pair."""
         i = int(np.searchsorted(self.times, s))
         j = int(np.searchsorted(self.times, t))
-        if not (np.isclose(self.times[i], s) and np.isclose(self.times[j], t)):
-            raise ValueError("c(t, s) is sampled on the bundle times only")
+        if not (s <= t and j < len(self.times) and np.isclose(self.times[i], s)
+                and np.isclose(self.times[j], t)):
+            raise ValueError("c(t, s) is sampled on bundle times s <= t only")
         return float(np.prod(self.c_increments[i:j]))
 
 

@@ -447,10 +447,10 @@ class EvolutionProcess:
     Subclasses implement :meth:`matrix`.  ``propagate`` applies the
     operator to a vector; scalar backends override it to avoid building
     1x1 matrices in inner loops.  :func:`sample_norm_grid` reads every
-    grid through :meth:`_log_norms`: one stacked norm call per anchor by
-    default, the exponent for scalar backends, one norm per distinct lag
-    for separable PDE processes, and a chain over the mesh for integrated
-    and Strang backends.
+    grid through :meth:`_log_norms`: one stacked norm call per anchor on
+    the stack :meth:`_anchor_matrices` reads, pair by pair or chained over
+    the mesh; under the identity factor, scalar backends read the exponent
+    and separable PDE processes one norm per distinct lag.
     """
 
     dimension: int = 1
@@ -477,32 +477,44 @@ class EvolutionProcess:
         that would underflow or overflow N."""
         return 0.0, self.matrix(t, s)
 
-    def _log_norms(self, grid: GridSpec, part: str, tv: np.ndarray, sv: np.ndarray,
+    def _log_norms(self, mesh: np.ndarray, part: str, i: np.ndarray, j: np.ndarray,
                    factor: Optional[Callable]) -> np.ndarray:
-        """``log ||S(t, s) P(s)||`` for the pairs ``(tv, sv) = grid.pairs(part)``,
-        NaN where a pair escaped and -inf where the product vanished;
-        ``factor`` is None for the identity, else ``s -> P(s)``.
+        """``log ||S(t, s) P(s)||`` for the pairs ``(mesh[i], mesh[j])`` of
+        ``GridSpec._pair_index(part)``, NaN where a pair escaped and -inf
+        where the product vanished; ``factor`` is None for the identity,
+        else ``s -> P(s)``.
 
-        The default works one anchor s at a time: one :meth:`_log_matrix`
-        call per pair, P(s) evaluated once and applied to the anchor's
-        stack of N, and one :func:`_spectral_norms` call for the stack, so
-        each value is bit for bit the :func:`operator_norm` of its pair.
-        Stacks never span more than one anchor, which bounds the memory
-        they hold."""
-        out = np.full(len(tv), -math.inf)
-        for s, index in _anchors(sv):
-            rows = []
-            for k, t in zip(index.tolist(), tv[index].tolist()):
-                try:
-                    rows.append((k, *self._log_matrix(t, s)))
-                except FiniteEscapeError:
-                    out[k] = math.nan
+        For each anchor ``s = mesh[a]``, P(s) is evaluated once and applied
+        to the ``(L, N)`` stack of :meth:`_anchor_matrices`, and one
+        :func:`_spectral_norms` call gives every ``L + log ||N P(s)||``.
+        Stacks never span more than one anchor, which bounds their memory."""
+        table = np.full((len(mesh), len(mesh)), -math.inf)   # [t index, s index]
+        for a, (rows, scales, mats, escaped) in enumerate(self._anchor_matrices(mesh, part)):
+            table[escaped, a] = math.nan
             if rows:
-                kept, scales, mats = zip(*rows)
                 stack = np.array(mats, dtype=float)
-                norms = _spectral_norms(stack if factor is None else stack @ factor(s))
-                out[list(kept)] = [a + _log(v) for a, v in zip(scales, norms.tolist())]
-        return out
+                norms = _spectral_norms(stack if factor is None else stack @ factor(float(mesh[a])))
+                table[rows, a] = [scale + _log(v) for scale, v in zip(scales, norms.tolist())]
+        return table[i, j]
+
+    def _anchor_matrices(self, mesh: np.ndarray, part: str):
+        """For each anchor index a of the mesh, in order, ``(t indices, L
+        values, N matrices, escaped t indices)`` with ``S(mesh[k], mesh[a])
+        = e^L N`` over the anchor's pairs: t >= s for "stable", t < s for
+        "unstable".  The default makes one :meth:`_log_matrix` call per
+        pair, t ascending, so each sample is bit for bit the
+        :func:`operator_norm` of its pair; a pair that raises
+        :class:`FiniteEscapeError` is escaped."""
+        times = mesh.tolist()
+        for a, s in enumerate(times):
+            rows, read, escaped = [], [], []
+            for k in (range(a, len(times)) if part == "stable" else range(a)):
+                try:
+                    read.append(self._log_matrix(times[k], s))
+                    rows.append(k)
+                except FiniteEscapeError:
+                    escaped.append(k)
+            yield rows, [scale for scale, _ in read], [m for _, m in read], escaped
 
     def matrix_path(self, s: float, t_end: float) -> Callable:
         """``tau -> S(tau, s)`` for tau between s and t_end, for callers
@@ -596,22 +608,21 @@ class ScalarExponentProcess(EvolutionProcess):
                             "ScalarExponentProcess once over an array: it must take "
                             "arrays of t and s") from exc
 
-    def _grid_exponents(self, grid: GridSpec, part: str, tv: np.ndarray,
-                        sv: np.ndarray) -> np.ndarray:
-        """E(t, s) over the pairs ``(tv, sv) = grid.pairs(part)``, unguarded."""
-        return self._array_exponent(tv, sv)
+    def _grid_exponents(self, mesh: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """E(t, s) over the pairs ``(mesh[i], mesh[j])``, unguarded."""
+        return self._array_exponent(mesh[i], mesh[j])
 
     def _log_matrix(self, t: float, s: float):
         # Read in the exponent: e^E underflows to 0 once E < -745.
         return self._guarded_exponent(t, s), np.ones((1, 1))
 
-    def _log_norms(self, grid, part, tv, sv, factor):
+    def _log_norms(self, mesh, part, i, j, factor):
         """Under the identity factor the exponent is read once over the
         whole grid (:meth:`_grid_exponents`); an explicit family takes the
-        default kernel, which reads it one pair at a time."""
+        per-anchor kernel, which reads it one pair at a time."""
         if factor is not None:
-            return super()._log_norms(grid, part, tv, sv, factor)
-        vals = self._grid_exponents(grid, part, tv, sv)
+            return super()._log_norms(mesh, part, i, j, factor)
+        vals = self._grid_exponents(mesh, i, j)
         return np.where(vals <= _LOG_GUARD, vals, math.nan)  # a NaN exponent too
 
 
@@ -649,13 +660,13 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
             times, index = np.unique(np.concatenate([t.ravel(), s.ravel()]),
                                      return_inverse=True)
             values = np.array([self._cumulative(v) for v in times.tolist()])[index]
-            return (values[:t.size] - values[t.size:]).reshape(t.shape)
+            with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
+                return (values[:t.size] - values[t.size:]).reshape(t.shape)
         return self._cumulative(t) - self._cumulative(s)
 
-    def _grid_exponents(self, grid, part, tv, sv):
-        """``F[i] - F[j]`` from one F per mesh point, for the mesh indices
-        ``(i, j)`` of the pairs; bit for bit the exponent of each pair."""
-        mesh, i, j = grid._pair_index(part)
+    def _grid_exponents(self, mesh, i, j):
+        """``F[i] - F[j]`` from one F per mesh point; bit for bit the
+        exponent of each pair."""
         values = np.array([self._cumulative(t) for t in mesh.tolist()])
         with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
             return values[i] - values[j]
@@ -708,11 +719,12 @@ class IntegratedLinearProcess(EvolutionProcess):
     ``matrix`` integrates the full matrix ODE from the identity, and
     ``propagate`` applies it.  Backward propagation (t < s) is available
     when ``invertible=True`` and simply integrates the ODE backward in
-    time.  Grid sampling integrates one step propagator per mesh interval
-    and chains them.  These solves run on the compiled DOP853 driver
-    shared with the attractor ensembles, so a coefficient must not start
-    another such solve.  Only ``matrix_path`` runs ``solve_ivp``, whose
-    dense output serves every point of one anchor from a single solve.
+    time.  Grid sampling chains one step per mesh interval through
+    :func:`_chained_anchor_matrices`.  These solves run on the compiled
+    DOP853 driver shared with the attractor ensembles, so a coefficient
+    must not start another such solve.  Only ``matrix_path`` runs
+    ``solve_ivp``, whose dense output serves every point of one anchor
+    from a single solve.
     """
 
     backend = "numerically-integrated"
@@ -789,11 +801,11 @@ class IntegratedLinearProcess(EvolutionProcess):
 
     def _step(self, t: float, s: float):
         """``(S(t, s), the largest Frobenius norm of S(tau, s) at the step
-        ends)`` for one mesh interval of :func:`_chained_log_norms`."""
+        ends)`` for one mesh interval of :func:`_chained_anchor_matrices`."""
         return self._solve(t, s, np.eye(self.dimension))
 
-    def _log_norms(self, grid, part, tv, sv, factor):
-        return _chained_log_norms(self, grid, part, tv, sv, factor)
+    def _anchor_matrices(self, mesh, part):
+        return _chained_anchor_matrices(self, mesh, part)
 
 
 # MODULE-LEVEL OPERATIONS ==============================================================
@@ -815,12 +827,6 @@ def _projection_factor(projection: Optional[ProjectionFamily], part: str):
     if (projection.descriptor == "zero") == (part == "stable"):
         return None
     return _ZERO_FACTOR
-
-
-def _anchors(sv: np.ndarray):
-    """``(s, indices of the pairs anchored at s)`` for each distinct anchor
-    of the flat pair array sv, in ascending order of s."""
-    return [(s, np.flatnonzero(sv == s)) for s in np.unique(sv).tolist()]
 
 
 def operator_norm(process: EvolutionProcess, t: float, s: float,
@@ -883,47 +889,46 @@ def sample_norm_grid(process: EvolutionProcess,
                      projection: Optional[ProjectionFamily],
                      grid: GridSpec, part: str = "stable") -> NormGrid:
     """Sample log ||S(t, s) P(s)|| over all grid pairs of the right
-    orientation, through the backend's ``_log_norms``, after one domain
-    check.  Escaped pairs are recorded as poisoned rather than aborting
-    the sweep; pairs where ``S(t, s) P(s)`` vanished carry no sample."""
+    orientation, through the backend's ``_log_norms`` on the pairs' mesh
+    indices, after one domain check.  Escaped pairs are recorded as
+    poisoned rather than aborting the sweep; pairs where ``S(t, s) P(s)``
+    vanished carry no sample."""
     factor = _projection_factor(projection, part)
     if factor is _ZERO_FACTOR:
         # Zero operator: satisfies every bound, so no pair carries a sample.
         return NormGrid(np.empty((0, 3), dtype=float), part=part)
-    tv, sv = grid.pairs(part)
-    if tv.size:   # domains are intervals: the outermost pair checks them all
-        process._check_args(*((tv.max(), sv.min()) if part == "stable" else (tv.min(), sv.max())))
-    vals = process._log_norms(grid, part, tv, sv, factor)
+    mesh, i, j = grid._pair_index(part)
+    # Domains are intervals, and a mesh has two points or more: the outermost pair checks all.
+    process._check_args(*((mesh[-1], mesh[0]) if part == "stable" else (mesh[0], mesh[-1])))
+    vals = process._log_norms(mesh, part, i, j, factor)
+    tv, sv = mesh[i], mesh[j]
     poison = ~(vals < math.inf)   # escaped, overflowed or NaN: surfaced, never dropped
     keep = ~poison & (vals > -math.inf)
     return NormGrid(np.column_stack([tv[keep], sv[keep], vals[keep]]), part=part,
                     poisoned=list(zip(tv[poison].tolist(), sv[poison].tolist())))
 
 
-def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, part: str, tv, sv,
-                       factor: Optional[Callable]) -> np.ndarray:
-    """The :meth:`EvolutionProcess._log_norms` of the mesh pairs (tv, sv)
-    from one step propagator ``process._step`` per mesh interval.
+def _chained_anchor_matrices(process: EvolutionProcess, mesh: np.ndarray, part: str):
+    """The :meth:`EvolutionProcess._anchor_matrices` of ``process`` from one
+    step propagator ``process._step`` per mesh interval.
 
     The stable part chains forward steps ``S(m_{k+1}, m_k)``, the unstable
     part backward solves ``S(m_k, m_{k+1})``; by the cocycle identity each
     ``S(t, s)`` is a running product over the intervals between s and t.
     The product is kept as ``e^L N`` with ``max|N| = 1``, renormalised
-    after every step, so it neither overflows nor underflows.  P(s) is
-    applied only when the pair's norm is taken: a product started from
-    P(s) would not bound the full propagator the escape guard watches.
-    The norms of one anchor's products ``N P(s)`` come from one
-    :func:`_spectral_norms` call.
+    after every step, so it neither overflows nor underflows.  The stable
+    diagonal is ``(0.0, I)``.  The kernel applies P(s) to the products: a
+    product started from P(s) would not bound the full propagator the
+    escape guard watches.
 
     The per-pair solve of ``S(t, s)`` escapes when the Frobenius norm of
     ``S(tau, s)`` passes ``ESCAPE_GUARD`` at some tau in between.  Over
     one interval, ``||S(tau, s)||_F <= ||S(tau, m_k)||_F ||S(m_k, s)||_F``,
     which is at most ``e^L ||N||_F`` times the step's peak Frobenius norm;
     once that bound passes the guard (or a step escapes), the pair and
-    every later pair from the same s are poisoned.  Chaining can poison
+    every later pair from the same s are escaped.  Chaining can escape
     more pairs than per-pair solves, never fewer.
     """
-    mesh = grid.mesh()
     count = len(mesh)
     forward = part == "stable"
     steps = []
@@ -934,25 +939,18 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, part: str, tv,
         except FiniteEscapeError:
             steps.append(None)
 
-    logn = np.full((count, count), -np.inf)   # [t index, s index]
-    bad = np.zeros((count, count), dtype=bool)
     eye = np.eye(process.dimension)
-    for j, s in enumerate(mesh):
-        proj = None if factor is None else factor(s)
-        if forward:
-            logn[j, j] = 0.0 if proj is None else _log(spectral_norm(proj))
+    for a in range(count):
         prod, log_scale, guard = eye, 0.0, -math.inf
-        rows, log_scales, prods = [], [], []   # the renormalised products from s
-        for k in (range(j, count - 1) if forward else range(j - 1, -1, -1)):
+        rows, scales, prods = ([a], [0.0], [eye]) if forward else ([], [], [])
+        escaped = []
+        for k in (range(a, count - 1) if forward else range(a - 1, -1, -1)):
             i = k + 1 if forward else k
             if steps[k] is not None:
                 step, peak = steps[k]
                 guard = max(guard, log_scale + math.log(np.linalg.norm(prod)) + _log(peak))
             if steps[k] is None or guard > _LOG_GUARD:
-                if forward:
-                    bad[i:, j] = True
-                else:
-                    bad[:i + 1, j] = True
+                escaped = range(i, count) if forward else range(i + 1)
                 break
             prod = step @ prod
             top = float(np.max(np.abs(prod)))
@@ -961,14 +959,9 @@ def _chained_log_norms(process: EvolutionProcess, grid: GridSpec, part: str, tv,
             prod = prod / top
             log_scale += math.log(top)
             rows.append(i)
-            log_scales.append(log_scale)
-            prods.append(prod if proj is None else prod @ proj)
-        if prods:
-            norms = _spectral_norms(np.array(prods)).tolist()
-            logn[rows, j] = [a + _log(v) for a, v in zip(log_scales, norms)]
-
-    logn[bad] = math.nan
-    return logn[np.searchsorted(mesh, tv), np.searchsorted(mesh, sv)]
+            scales.append(log_scale)
+            prods.append(prod)
+        yield rows, scales, prods, escaped
 
 
 # CONFIG LOADING =======================================================================

@@ -255,7 +255,7 @@ class TestSeparableKernel:
                                   g_antiderivative=g_antiderivative)
         factor = per_pair._time_factor
         factor._grid_exponents = (
-            lambda grid, part, tv, sv: np.asarray(factor.log_propagator(tv, sv), dtype=float))
+            lambda mesh, i, j: np.asarray(factor.log_propagator(mesh[i], mesh[j]), dtype=float))
         got = nl.sample_norm_grid(p, None, grid)
         want = nl.sample_norm_grid(per_pair, None, grid)
         assert np.array_equal(got.samples, want.samples) and got.poisoned == want.poisoned
@@ -364,6 +364,11 @@ class TestPrincipalBundle:
         expect = math.exp(dirichlet_31.leading_eigenvalue * 0.25)
         assert np.allclose(bundle.c_increments, expect, rtol=1e-9)
         assert bundle.c(0.5, 0.0) == pytest.approx(expect ** 2, rel=1e-9)
+        assert bundle.c(0.5, 0.5) == 1.0
+        # Past the last bundle time, and t < s: neither is a bundle pair.
+        for t, s in [(10.0, 0.0), (0.0, 0.5), (0.5, 1.0), (2.25, 2.0)]:
+            with pytest.raises(ValueError):
+                bundle.c(t, s)
 
     def test_projection_norms(self, dirichlet_31):
         p = nl.pde_process(dirichlet_31, separable_g=lambda t: 0.0,

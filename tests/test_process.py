@@ -497,10 +497,21 @@ def _closed_form(n, seed):
 
 
 def _escape_then_vanish(t, s):
-    """Escapes for 1.15 < t - s <= 1.5 and is exactly zero beyond."""
-    if t - s > 1.5:
+    """Escapes for 1.15 < |t - s| <= 1.5 and is exactly zero beyond."""
+    if abs(t - s) > 1.5:
         return np.zeros((2, 2))
-    return np.array([[math.exp(300.0 * (t - s)), 1.0], [0.0, 1.0]])
+    return np.array([[math.exp(300.0 * abs(t - s)), 1.0], [0.0, 1.0]])
+
+
+def _counted_family(fn, n):
+    """``(family, calls)``: a projection family whose every evaluation
+    appends its time to ``calls``."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+    return ProjectionFamily(counted, n), calls
 
 
 def _per_matrix_norms(stack):
@@ -544,13 +555,22 @@ class TestStackedNormKernels:
     def test_escape_and_exact_zero_mid_grid(self):
         process = nl.MatrixClosedFormProcess(_escape_then_vanish, 2)
         grid = GridSpec(-2.0, 2.0, 0.5)
-        sampled = self._assert_per_pair(process, None, grid, "stable")
-        assert len(sampled.poisoned) == 6 and len(sampled.samples) == 45 - 6 - 15
-        # The stable factor I - P(0.5) = 0 makes every product from s = 0.5 zero.
-        family = ProjectionFamily(
-            lambda t: np.eye(2) if t == 0.5 else np.array([[0.0, 0.0], [0.0, 1.0]]), 2)
-        sampled = self._assert_per_pair(process, family, grid, "stable")
-        assert not any(s == 0.5 for _, s, _ in sampled.samples)
+        for part, pairs in [("stable", 45), ("unstable", 36)]:
+            sampled = self._assert_per_pair(process, None, grid, part)
+            assert len(sampled.poisoned) == 6 and len(sampled.samples) == pairs - 6 - 15
+            # The stable factor I - P(0.5) = 0 makes every product from s = 0.5
+            # zero, the unstable factor P(-0.5) = 0 every product from s = -0.5.
+            family, calls = _counted_family(
+                lambda t: np.eye(2) if t == 0.5 else
+                np.zeros((2, 2)) if t == -0.5 else np.array([[0.0, 0.0], [0.0, 1.0]]), 2)
+            sampled = nl.sample_norm_grid(process, family, grid, part=part)
+            # P(s) is read once per anchor, in order, for every anchor whose
+            # pairs did not all escape.
+            assert calls == np.unique(grid.pairs(part)[1]).tolist()
+            samples, poisoned = _per_pair_norm_grid(process, family, grid, part)
+            assert np.array_equal(sampled.samples, samples) and sampled.poisoned == poisoned
+            assert len(poisoned) == 6
+            assert not any(s == (0.5 if part == "stable" else -0.5) for _, s, _ in samples)
 
     @pytest.mark.parametrize("backend, part", [("integrated", "stable"),
                                                ("integrated", "unstable"),
@@ -641,6 +661,24 @@ class TestLogMatrixContract:
                 nl.sample_norm_grid(process, family, grid, part=part)
 
     @pytest.mark.parametrize("name", _CONTRACT_BACKENDS)
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_one_pair_index_per_grid(self, monkeypatch, name, explicit):
+        # sample_norm_grid builds the mesh and the pair indices once; no
+        # kernel asks the grid again.
+        process = _contract_backend(name, nl.FULL_LINE)
+        n = process.dimension
+        family = ProjectionFamily(lambda t: np.full((n, n), 0.5 / n), n) if explicit else None
+        calls = []
+        pair_index, mesh = GridSpec._pair_index, GridSpec.mesh
+        monkeypatch.setattr(GridSpec, "_pair_index",
+                            lambda grid, part: calls.append("pairs") or pair_index(grid, part))
+        monkeypatch.setattr(GridSpec, "mesh", lambda grid: calls.append("mesh") or mesh(grid))
+        for part in ("stable", "unstable") if process.invertible else ("stable",):
+            calls.clear()
+            sampled = nl.sample_norm_grid(process, family, GridSpec(-1.0, 1.5, 0.5), part=part)
+            assert calls == ["pairs", "mesh"] and len(sampled.samples) > 0
+
+    @pytest.mark.parametrize("name", _CONTRACT_BACKENDS)
     def test_log_matrix_reproduces_matrix(self, name):
         process = _contract_backend(name, nl.FULL_LINE)
         pairs = [(1.0, 0.0), (2.5, -1.0), (0.25, 0.25), (6.0, 0.5)]
@@ -719,6 +757,44 @@ class TestChainedNormGrid:
         for t, s, v in chained.samples:
             assert v == pytest.approx(rows[(t, s)], abs=1e-8)
 
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    def test_escape_and_vanish_mid_anchor_under_a_family(self, part):
+        # A rate of +-500 past t = 2 grows e^250 per half step, forward in
+        # the first direction and backward in the second: one step stays
+        # under the guard, two pass it.  No solve vanishes exactly, so the
+        # step over [0.5, 1] is planted as zero.
+        grid = GridSpec(0.0, 3.0, 0.5)
+        q = np.array([[1.0, 0.5], [0.0, 1.0]])
+        q_inv = np.linalg.inv(q)
+        process = nl.IntegratedLinearProcess(
+            lambda t: q @ np.diag([1.0, -1.0]) @ q_inv * (500.0 if t > 2.0 else 1.0), 2,
+            invertible=True)
+        solve_step = process._step
+
+        def step(t, s):
+            m, peak = solve_step(t, s)
+            return (np.zeros_like(m) if {t, s} == {0.5, 1.0} else m), peak
+        process._step = step
+        unstable = q @ np.diag([0.0, 1.0]) @ q_inv
+        family, calls = _counted_family(lambda t: (1.0 + 0.2 * math.cos(t)) * unstable, 2)
+        sampled = nl.sample_norm_grid(process, family, grid, part=part)
+        assert sampled.poisoned == ([(3.0, 1.0), (3.0, 1.5), (3.0, 2.0)] if part == "stable"
+                                    else [(t, 3.0) for t in (0.0, 0.5, 1.0, 1.5, 2.0)])
+        # A pair whose product crosses the zero step carries no sample.
+        crossing = {(t, s) for t, s in zip(*grid.pairs(part))
+                    if min(t, s) <= 0.5 and max(t, s) >= 1.0}
+        kept = [(t, s) for t, s in zip(*grid.pairs(part))
+                if (t, s) not in sampled.poisoned and (t, s) not in crossing]
+        assert [(t, s) for t, s, _ in sampled.samples] == kept
+        # P(s) is read once per anchor with a pair to norm: on the unstable
+        # part, every product from s = 1 vanishes at its first step.
+        assert calls == sorted({s for _, s in kept})
+        # The per-pair solves know nothing of the planted step.
+        rows, poisoned = _per_pair_grid(process, family, grid, part)
+        assert poisoned - crossing <= set(sampled.poisoned)
+        for t, s, v in sampled.samples:
+            assert v == pytest.approx(rows[(t, s)], abs=1e-8)
+
 
 class TestAdjointDual:
     @staticmethod
@@ -756,12 +832,12 @@ class TestAdjointDual:
     def test_grid_is_chained_and_matches_per_pair(self, monkeypatch, part):
         dual = nl.dual_process(self.non_normal().process)
         chained = []
-        real = nl.process._chained_log_norms
+        real = nl.process._chained_anchor_matrices
 
         def spy(*args, **kwargs):
             chained.append(1)
             return real(*args, **kwargs)
-        monkeypatch.setattr(nl.process, "_chained_log_norms", spy)
+        monkeypatch.setattr(nl.process, "_chained_anchor_matrices", spy)
         grid = TestChainedNormGrid.IRREGULAR
         sampled = nl.sample_norm_grid(dual, None, grid, part=part)
         assert chained == [1]
@@ -1163,6 +1239,17 @@ class TestMeshRead:
             assert escaping.matrix(t, s)[0, 0] == math.exp(v)
         cert = nl.DichotomyCertificate("II", nl.HALF_LINE_PLUS, 1.0, nl.ExponentPair(1.0, 0.0))
         assert nl.check_certificate(escaping, cert, grid) == math.inf
+
+    def test_infinite_antiderivative_pairs_are_nan_without_a_warning(self):
+        # F is inf from t = 2 on: inf - inf is NaN, which the array exponent
+        # returns quietly and the path escapes through its per-time fallback.
+        process = nl.ScalarCoefficientProcess(
+            lambda t: 0.0, antiderivative=lambda t: math.inf if t >= 2.0 else t)
+        times = np.array([2.6, 3.0])
+        assert np.isnan(process.log_propagator(times, 2.5)).all()
+        assert np.isnan(process._array_exponent(times, 2.5)).all()
+        with pytest.raises(FiniteEscapeError):
+            process.matrix_path(2.5, 3.0)(times)
 
     def test_one_antiderivative_call_per_mesh_point_with_a_float(self):
         calls = []
