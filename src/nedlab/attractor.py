@@ -619,19 +619,26 @@ def verify_containment(clouds: SetFamily, envelope: RadiusEnvelope) -> MarginRep
     return MarginReport(margins)
 
 
-def hausdorff_semidistance(a, b) -> float:
-    """sup over a in A of inf over b in B of ||a - b||."""
+def _squared_distances(a, b) -> np.ndarray:
+    """``||a_i - b_j||^2`` over the points of two nonempty clouds."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("hausdorff semidistance needs nonempty clouds")
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    return float(np.max(np.sqrt(np.min(d2, axis=1))))
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+
+
+def hausdorff_semidistance(a, b) -> float:
+    """sup over a in A of inf over b in B of ||a - b||."""
+    return float(np.max(np.sqrt(np.min(_squared_distances(a, b), axis=1))))
 
 
 def _hausdorff_distance(a, b) -> float:
-    """The symmetric Hausdorff distance between two clouds."""
-    return max(hausdorff_semidistance(a, b), hausdorff_semidistance(b, a))
+    """The symmetric Hausdorff distance between two clouds, from one
+    squared-distance matrix reduced along both axes: ``(b_j - a_i)^2`` is
+    ``(a_i - b_j)^2`` bit for bit, so each side is its semidistance."""
+    d2 = _squared_distances(a, b)
+    return max(float(np.max(np.sqrt(np.min(d2, axis=axis)))) for axis in (1, 0))
 
 
 def universe_membership(family: SetFamily, gamma: float) -> float:

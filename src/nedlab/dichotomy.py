@@ -151,8 +151,6 @@ class ParetoFrontier:
     part: str
     entries: list
     infeasible: list = dataclasses.field(default_factory=list)
-    delta_max: float = 8.0
-    ln_m_max: float = 8.0
 
     def to_csv(self, path) -> None:
         _write_text(path, "".join(
@@ -308,8 +306,7 @@ def fit_bounds(grid: NormGrid, kind: str, part: str,
     infeasible = (floor > ln_m_max) | (delta_min > delta_max) | (ln_m > ln_m_max)
     ok = ~infeasible
     entries = list(zip(alphas[ok].tolist(), delta_min[ok].tolist(), ln_m[ok].tolist()))
-    return ParetoFrontier(kind, part, entries, alphas[infeasible].tolist(),
-                          delta_max=delta_max, ln_m_max=ln_m_max)
+    return ParetoFrontier(kind, part, entries, alphas[infeasible].tolist())
 
 
 # CHECKING =============================================================================

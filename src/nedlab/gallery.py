@@ -75,7 +75,6 @@ class GalleryEntry:
     process: object
     claims: list
     notes: str = ""
-    breakpoints: tuple = ()
 
     def claims_json(self) -> list:
         return [c.to_dict() for c in self.claims]
@@ -232,9 +231,7 @@ def make_factorial_steps(max_n: int = 6) -> GalleryEntry:
         DichotomyClaim(_cert("I", HALF_LINE_PLUS, 1.0, 1.0, 2.0), False,
                        note="e^{n n! (1+alpha) - delta n!} is unbounded over even n"),
     ]
-    return GalleryEntry("factorial-steps", process, claims,
-                        notes="max_n=%d" % max_n,
-                        breakpoints=tuple(bps.tolist()))
+    return GalleryEntry("factorial-steps", process, claims, notes="max_n=%d" % max_n)
 
 
 def make_piecewise_barreira(a: float, b: float, c: float, d: float) -> GalleryEntry:

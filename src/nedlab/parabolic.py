@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,9 +51,7 @@ __all__ = [
     "parabolic_attractor_demo",
 ]
 
-#: ``math.exp`` overflows above this exponent.
-_LOG_MAX = math.log(sys.float_info.max)
-#: A separable pair is poisoned where ``G + log ||e^{A_h d}||_F`` passes the
+#: A separable pair ``e^L N`` is poisoned where ``L + log ||N||_F`` passes the
 #: log guard less a few ulps, so it poisons every pair ``matrix`` poisons.
 _SEPARABLE_GUARD = _LOG_GUARD - 8 * math.ulp(_LOG_GUARD)
 #: Lags per stacked ``expm``, which bounds the stack at this many n x n matrices.
@@ -174,21 +171,22 @@ def discretize(grid: Grid1D, bc: BoundaryCondition) -> DiscreteLaplacian:
 # PDE PROCESS ==========================================================================
 
 def _separable_escaped(g, log_frobenius):
-    """Whether a separable pair, with G difference g and ``log ||e^{A_h d}||_F``,
-    is poisoned: for a NaN g, for one above the largest exponent ``math.exp``
-    takes, and at ``_SEPARABLE_GUARD``; so every pair ``matrix`` poisons is."""
-    with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
-        return np.logical_not((g <= _LOG_MAX) & (g + log_frobenius <= _SEPARABLE_GUARD))
+    """Whether a separable pair, with G difference g and ``lambda_1 d + log
+    ||e^{(A_h - lambda_1) d}||_F``, is poisoned: for a NaN g, and at
+    ``_SEPARABLE_GUARD``; so every pair ``matrix`` poisons is."""
+    return np.logical_not(g + log_frobenius <= _SEPARABLE_GUARD)
 
 
 class PDEProcess(EvolutionProcess):
     """Evolution process of u' = A_h u + a(t, x) u.
 
     Separable coefficients a(t, x) = g(t) factor exactly:
-    S(t, s) = e^{A_h (t-s)} e^{G(t) - G(s)}, where G(t) - G(s) is the
-    log-propagator of the held :class:`ScalarCoefficientProcess` of g
-    (a grid reads G once per mesh point, by quadrature unless
-    ``g_antiderivative`` gives it in closed form).  General coefficients use
+    S(t, s) = e^{G(t) - G(s) + lambda_1 d} e^{(A_h - lambda_1) d} with
+    d = t - s, where G(t) - G(s) is the log-propagator of the held
+    :class:`ScalarCoefficientProcess` of g (a grid reads G once per mesh
+    point, by quadrature unless ``g_antiderivative`` gives it in closed
+    form).  Every reading, :meth:`matrix` included, takes this ``e^L N``
+    form, whose shifted factor never underflows.  General coefficients use
     Strang splitting with the exact diffusion half-steps and a midpoint
     reaction factor; both branches keep all propagator entries
     nonnegative (discrete comparison principle).
@@ -213,6 +211,10 @@ class PDEProcess(EvolutionProcess):
         self.separable_g = separable_g
         self._time_factor = None if separable_g is None else ScalarCoefficientProcess(
             separable_g, antiderivative=g_antiderivative)
+        # A_h - lambda_1: its exponential keeps the leading mode at 1, so it
+        # never underflows as a whole.
+        self._shifted = dataclasses.replace(
+            laplacian, eigenvalues=laplacian.eigenvalues - laplacian.leading_eigenvalue)
         self.dt = dt
         self.domain = domain
 
@@ -233,20 +235,22 @@ class PDEProcess(EvolutionProcess):
     def _log_norms(self, mesh, part, i, j, factor):
         """Separable grids under the identity factor read one norm per
         distinct lag: ``log ||S(t, s)||`` is ``G(t) - G(s) + lambda_1 d +
-        log ||e^{(A_h - lambda_1) d}||`` with ``d = t - s``, the float
-        :meth:`matrix` hands to ``expm``.  Read in the log, a pair whose
-        factor ``e^{G(t) - G(s)}`` or ``e^{A_h d}`` underflows still
-        carries its sample.  Every other grid takes the per-anchor kernel,
-        with the stacks of :meth:`_anchor_matrices`."""
+        log ||e^{(A_h - lambda_1) d}||`` with ``d = t - s``, the lag
+        :meth:`_log_matrix` reads too.  Read in the log, a pair
+        whose factor ``e^{G(t) - G(s)}`` or ``e^{A_h d}`` would underflow
+        still carries its sample.  Every other grid takes the per-anchor
+        kernel, with the stacks of :meth:`_anchor_matrices`."""
         if factor is not None or not self.separable:
             return super()._log_norms(mesh, part, i, j, factor)
         lags, lag_of = np.unique(mesh[i] - mesh[j], return_inverse=True)
-        scale, log_norm, log_frobenius = (np.empty(len(lags)) for _ in range(3))
+        log_norm, log_frobenius = np.empty(len(lags)), np.empty(len(lags))
         for k in range(0, len(lags), _LAG_BLOCK):
             block = slice(k, k + _LAG_BLOCK)
-            scale[block], stack = self._shifted_diffusion(lags[block])
+            stack = self._shifted.expm(lags[block])
+            stack[lags[block] == 0.0] = np.eye(self.dimension)   # as in _log_matrix
             log_norm[block] = np.log(_spectral_norms(stack))
             log_frobenius[block] = np.log(np.linalg.norm(stack, axis=(1, 2)))
+        scale = self.laplacian.leading_eigenvalue * lags
         g = self._time_factor._grid_exponents(mesh, i, j)
         escaped = _separable_escaped(g, (scale + log_frobenius)[lag_of])
         return np.where(escaped, math.nan, g + (scale + log_norm)[lag_of])
@@ -258,44 +262,33 @@ class PDEProcess(EvolutionProcess):
             return super()._anchor_matrices(mesh, part)
         return _chained_anchor_matrices(self, mesh, part)
 
-    def _shifted_diffusion(self, lags: np.ndarray):
-        """``(lambda_1 d, e^{(A_h - lambda_1) d})`` over an array of lags d,
-        the identity at d = 0 as in :meth:`matrix`.  The shifted factor
-        keeps its leading mode at 1, so it never underflows as a whole."""
-        lap, lam1 = self.laplacian, self.laplacian.leading_eigenvalue
-        stack = dataclasses.replace(lap, eigenvalues=lap.eigenvalues - lam1).expm(lags)
-        stack[lags == 0.0] = np.eye(self.dimension)
-        return lam1 * lags, stack
-
     def _log_matrix(self, t: float, s: float):
-        """Separable: ``(G(t) - G(s) + lambda_1 d, e^{(A_h - lambda_1) d})``,
-        so neither factor underflows."""
+        """Separable: ``(G(t) - G(s) + lambda_1 d, e^{(A_h - lambda_1) d})``
+        with d = t - s, so neither factor underflows; the shifted factor is
+        the identity at d = 0.  The per-lag grid reads the same bits."""
         if not self.separable:
             return super()._log_matrix(t, s)
         self._check_args(t, s)
-        scale, stack = self._shifted_diffusion(np.array([t - s]))
+        d = t - s
+        stack = self._shifted.expm(d) if d else np.eye(self.dimension)
         g = float(self._time_factor.log_propagator(t, s))
-        if _separable_escaped(g, scale[0] + math.log(np.linalg.norm(stack[0]))):
+        scale = self.laplacian.leading_eigenvalue * d
+        if _separable_escaped(g, scale + math.log(np.linalg.norm(stack))):
             raise FiniteEscapeError(t, s, t)
-        return g + float(scale[0]), stack[0]
+        return g + scale, stack
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         """S(t, s); raises FiniteEscapeError when an entry is not finite
-        or the (Frobenius) norm passes ``ESCAPE_GUARD``."""
+        or the (Frobenius) norm passes ``ESCAPE_GUARD``.  Separable: ``e^L
+        N`` from :meth:`_log_matrix`, which raises at the guard."""
         self._check_args(t, s)
         if t == s:
             return np.eye(self.dimension)
+        if self.separable:
+            scale, m = self._log_matrix(t, s)
+            return math.exp(scale) * m
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.separable:
-                # No scalar guard on G(t) - G(s): e^{A_h (t-s)} can bring the
-                # product back under ESCAPE_GUARD, which _escaped checks.
-                try:
-                    m = (math.exp(self._time_factor.log_propagator(t, s))
-                         * self.laplacian.expm(t - s))
-                except OverflowError:
-                    raise FiniteEscapeError(t, s, t) from None
-            else:
-                m = self._strang(t, s)
+            m = self._strang(t, s)
         if _escaped(m):
             raise FiniteEscapeError(t, s, t)
         return m
@@ -387,11 +380,10 @@ class PrincipalBundle:
 
     def c(self, t: float, s: float) -> float:
         """Cumulative leading factor c(t, s) along the sampled times, for
-        bundle times s <= t; raises ValueError for any other pair."""
-        i = int(np.searchsorted(self.times, s))
-        j = int(np.searchsorted(self.times, t))
-        if not (s <= t and j < len(self.times) and np.isclose(self.times[i], s)
-                and np.isclose(self.times[j], t)):
+        bundle times s <= t, each matched to its nearest bundle time; raises
+        ValueError for any other pair."""
+        i, j = (int(np.argmin(np.abs(self.times - x))) for x in (s, t))
+        if not (i <= j and np.isclose(self.times[i], s) and np.isclose(self.times[j], t)):
             raise ValueError("c(t, s) is sampled on bundle times s <= t only")
         return float(np.prod(self.c_increments[i:j]))
 
@@ -436,7 +428,7 @@ def principal_bundle(process: PDEProcess, horizon: float = 2.0,
             raise InapplicableError("propagator lost positivity "
                                     "(min entry %.3g)" % float(w.min()))
     vectors = [_dominant_direction(w) for w in windows]
-    vectors.append(_dominant_direction(windows[-1]))  # tail window reuse
+    vectors.append(vectors[-1])  # tail window reuse
     vectors = np.stack(vectors)
     if np.min(vectors) < -_POSITIVITY_TOL:
         raise InapplicableError("principal direction is not positive")

@@ -581,9 +581,10 @@ class ScalarExponentProcess(EvolutionProcess):
             np.asarray(x, dtype=float))
 
     def matrix_path(self, s: float, t_end: float) -> Callable:
-        """Over an array of times the exponent is evaluated once and each
-        entry exponentiated with ``math.exp``, as :meth:`matrix` does.  If
-        a time fails the domain check or the guard, the whole array goes
+        """Over an array of times the exponents are one
+        :meth:`_grid_exponents` read, over the times followed by s, and each
+        entry is exponentiated with ``math.exp``, as :meth:`matrix` does.
+        If a time fails the domain check or the guard, the whole array goes
         through :meth:`matrix` one time at a time, which raises there."""
         per_time = super().matrix_path(s, t_end)
 
@@ -591,26 +592,26 @@ class ScalarExponentProcess(EvolutionProcess):
             if np.ndim(tau):
                 tau = np.asarray(tau, dtype=float)
                 if self.domain.contains(s) and np.all(self.domain.contains(tau)):
-                    e = self._array_exponent(tau, s)
+                    n = tau.size
+                    e = self._grid_exponents(np.append(tau, s), np.arange(n), np.full(n, n))
                     if np.all(e <= _LOG_GUARD):   # False for a NaN exponent too
                         return np.array([math.exp(v) for v in e.tolist()]).reshape(-1, 1, 1)
             return per_time(tau)
         return path
 
-    def _array_exponent(self, tv: np.ndarray, sv) -> np.ndarray:
-        """E(tv, sv) from one exponent call, broadcast to the shape of tv; a
-        TypeError names the array contract if E rejects arrays."""
+    def _grid_exponents(self, times: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """E(t, s) over the pairs ``(times[i], times[j])``, unguarded: the one
+        reader of a batch of exponents, behind grids and array paths.  Here
+        one exponent call, broadcast to the pairs; a TypeError names the
+        array contract if E rejects arrays."""
+        tv = times[i]
         try:
-            return np.broadcast_to(np.asarray(self.log_propagator(tv, sv), dtype=float),
+            return np.broadcast_to(np.asarray(self.exponent(tv, times[j]), dtype=float),
                                    tv.shape)
         except (TypeError, ValueError) as exc:
             raise TypeError("grids and paths read the exponent E(t, s) of a "
                             "ScalarExponentProcess once over an array: it must take "
                             "arrays of t and s") from exc
-
-    def _grid_exponents(self, mesh: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """E(t, s) over the pairs ``(mesh[i], mesh[j])``, unguarded."""
-        return self._array_exponent(mesh[i], mesh[j])
 
     def _log_matrix(self, t: float, s: float):
         # Read in the exponent: e^E underflows to 0 once E < -745.
@@ -632,7 +633,8 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
     ``antiderivative`` when it is given and else from adaptive quadrature
     of the coefficient, cached per time.  F is called with one Python
     float at a time.  A grid under the identity factor reads F once per
-    mesh point, an array of pairs once per distinct time.
+    mesh point, a path once per time and an array of pairs once per
+    distinct time, all through :meth:`_grid_exponents`.
     """
 
     backend = "numerically-integrated"
@@ -659,15 +661,13 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
             t, s = np.broadcast_arrays(t, s)
             times, index = np.unique(np.concatenate([t.ravel(), s.ravel()]),
                                      return_inverse=True)
-            values = np.array([self._cumulative(v) for v in times.tolist()])[index]
-            with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
-                return (values[:t.size] - values[t.size:]).reshape(t.shape)
+            return self._grid_exponents(times, index[:t.size], index[t.size:]).reshape(t.shape)
         return self._cumulative(t) - self._cumulative(s)
 
-    def _grid_exponents(self, mesh, i, j):
-        """``F[i] - F[j]`` from one F per mesh point; bit for bit the
-        exponent of each pair."""
-        values = np.array([self._cumulative(t) for t in mesh.tolist()])
+    def _grid_exponents(self, times, i, j):
+        """``F[i] - F[j]`` from one F per time; bit for bit the exponent of
+        each pair."""
+        values = np.array([self._cumulative(t) for t in times.tolist()])
         with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
             return values[i] - values[j]
 

@@ -159,6 +159,8 @@ def robustness_constants(m: float, omega: float, upsilon: float,
 # BAND SUPS ============================================================================
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Step of the band scan in both s and t - s, and half-width of the refinements.
+_BAND_STEP = 0.01
 
 
 def _golden_section_max(f, lo, hi):
@@ -183,9 +185,9 @@ def _golden_section_max(f, lo, hi):
     return x, f(x)
 
 
-def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01) -> float:
+def _band_sup(anchor_fn, grid: GridSpec) -> float:
     """Maximize a value v(t, s) over the band 0 <= t - s <= 1 with s in
-    the grid range: coarse scan at `band_step` in both s and t-s, then
+    the grid range: coarse scan at ``_BAND_STEP`` in both s and t-s, then
     golden-section refinement in each coordinate around the maximizer.
 
     ``anchor_fn(s, t_end)`` returns ``t -> v(t, s)`` for t from s to
@@ -195,8 +197,8 @@ def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01) -> float:
     refinement.  Only the anchor refinement builds one per point.
     """
     s_lo, s_hi = grid.start, grid.stop
-    s_vals = np.arange(s_lo, s_hi + band_step / 2, max(band_step, grid.step))
-    d_vals = np.arange(0.0, 1.0 + band_step / 2, band_step)
+    s_vals = np.arange(s_lo, s_hi + _BAND_STEP / 2, max(_BAND_STEP, grid.step))
+    d_vals = np.arange(0.0, 1.0 + _BAND_STEP / 2, _BAND_STEP)
     best, bs, bd, best_path = -math.inf, s_lo, 0.0, None
     for s in s_vals:
         path = anchor_fn(s, s + 1.0)
@@ -215,13 +217,13 @@ def _band_sup(anchor_fn, grid: GridSpec, band_step: float = 0.01) -> float:
             best, bs, bd, best_path = float(v[k]), float(s), float(d[k]), path
     # Refine the offset at the best anchor, then the anchor at the best
     # offset; either refinement can only improve on the grid value.
-    d_lo, d_hi = max(0.0, bd - band_step), min(1.0, bd + band_step)
+    d_lo, d_hi = max(0.0, bd - _BAND_STEP), min(1.0, bd + _BAND_STEP)
     if d_hi > d_lo:
         path = best_path or anchor_fn(bs, bs + 1.0)
         d_ref, v = _golden_section_max(lambda d: path(bs + d), d_lo, d_hi)
         if v > best:
             best, bd = v, d_ref
-    s_lo2, s_hi2 = max(s_lo, bs - band_step), min(s_hi - bd, bs + band_step)
+    s_lo2, s_hi2 = max(s_lo, bs - _BAND_STEP), min(s_hi - bd, bs + _BAND_STEP)
     if s_hi2 > s_lo2:
         s_ref, v = _golden_section_max(lambda s: anchor_fn(s, s + bd)(s + bd), s_lo2, s_hi2)
         if v > best:
@@ -238,14 +240,13 @@ def _exp(x):
 
 
 def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
-                          upsilon: float, grid: GridSpec,
-                          band_step: float = 0.01) -> float:
+                          upsilon: float, grid: GridSpec) -> float:
     """sup of e^{upsilon |s|} ||S(t,s) - T(t,s)|| over 0 <= t-s <= 1.
 
     The scan covers anchors s in [grid.start, grid.stop] and only the
-    pairs with t <= grid.stop, on a (s, t-s) grid with the given step,
-    then refines around the grid maximizer by golden section (the offset
-    refinement may read up to ``band_step`` past grid.stop).  The value
+    pairs with t <= grid.stop, on a (s, t-s) grid of step ``_BAND_STEP =
+    0.01``, then refines around the grid maximizer by golden section (the
+    offset refinement may read up to one step past grid.stop).  The value
     is therefore an estimate from below of the sup the robustness
     theorem assumes.  Both processes are evaluated along one
     ``matrix_path`` per anchor, and each anchor's norms are one stacked
@@ -259,11 +260,10 @@ def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
         weight = math.exp(upsilon * abs(s))
         return lambda t: weight * _spectral_norms(p_path(t) - q_path(t))
 
-    return _band_sup(anchor, grid, band_step=band_step)
+    return _band_sup(anchor, grid)
 
 
-def growth_constant(p: EvolutionProcess, upsilon: float, grid: GridSpec,
-                    band_step: float = 0.01) -> float:
+def growth_constant(p: EvolutionProcess, upsilon: float, grid: GridSpec) -> float:
     """sup of e^{-upsilon |t|} ||S(t,s)|| over 0 <= t-s <= 1, scanned and
     refined over the band :func:`perturbation_distance` states (t <=
     grid.stop), so again an estimate from below."""
@@ -272,7 +272,7 @@ def growth_constant(p: EvolutionProcess, upsilon: float, grid: GridSpec,
         path = p.matrix_path(s, t_end)
         return lambda t: _exp(-upsilon * np.abs(t)) * _spectral_norms(path(t))
 
-    return _band_sup(anchor, grid, band_step=band_step)
+    return _band_sup(anchor, grid)
 
 
 # DUAL-ROUTE PIPELINE ==================================================================

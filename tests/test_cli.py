@@ -10,6 +10,9 @@ from nedlab.cli import run
 
 #: ``nedlab gallery list``; CI diffs the installed script's output against it too.
 GALLERY_LIST = pathlib.Path(__file__).parent / "data" / "gallery_list.txt"
+#: Fixed configs, the commands of ``commands.txt`` and their outputs in ``golden/``;
+#: CI runs the same commands through the installed script (``run.sh``).
+CLI_DATA = pathlib.Path(__file__).parent / "data" / "cli"
 
 
 CONSTANT_DECAY = {"backend": "numerically-integrated",
@@ -388,3 +391,24 @@ class TestDeterminism:
         # Timestamps live only in the sidecars, never in the artifact.
         assert "created" not in a.read_text()
 
+
+
+def _golden_commands():
+    lines = (CLI_DATA / "commands.txt").read_text().splitlines()
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("line", _golden_commands(), ids=lambda line: line.split(" --out")[0])
+    def test_outputs_match_the_goldens(self, tmp_path, line):
+        argv = line.replace("{data}", str(CLI_DATA)).replace("{out}", str(tmp_path)).split()
+        assert run(argv) == 0
+        written = sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".meta.json"))
+        assert written
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (CLI_DATA / "golden" / name).read_bytes(), name
+
+    def test_every_golden_is_written(self):
+        names = {part.split("/")[-1] for line in _golden_commands()
+                 for part in line.split() if part.startswith("{out}/")}
+        assert names == {p.name for p in (CLI_DATA / "golden").iterdir()}

@@ -212,8 +212,8 @@ class TestSeparableKernel:
     @pytest.mark.parametrize("length, g, grid", [
         # The norm passes the guard.
         (1.0, lambda t: 50.0 + math.sin(t), GridSpec(0.0, 10.0, 0.5)),
-        # e^{G(t) - G(s)} overflows where the strong diffusion keeps the
-        # product under the guard: matrix raises there too.
+        # G(t) - G(s) passes exp's range at lags where the strong diffusion
+        # keeps the product under the guard; the longer lags pass the guard.
         (0.1, lambda t: 1500.0, GridSpec(0.0, 1.0, 0.25)),
     ])
     def test_growth_poisons_at_least_the_per_pair_set(self, length, g, grid):
@@ -247,18 +247,50 @@ class TestSeparableKernel:
                              ids=["quadrature", "antiderivative"])
     def test_time_factor_mesh_read_is_the_per_pair_exponent(self, g_antiderivative):
         # The grid reads G once per mesh point; the values are bit for bit
-        # those of the array exponent over every pair.
+        # those of the float exponent of every pair.
         p = nl.pde_process(_dirichlet(9), separable_g=lambda t: 3.0 * math.cos(t) - 0.5,
                            g_antiderivative=g_antiderivative)
         grid = GridSpec(-2.0, 6.0, 0.5, extra_points=(0.3,))
         per_pair = nl.pde_process(_dirichlet(9), separable_g=p.separable_g,
                                   g_antiderivative=g_antiderivative)
         factor = per_pair._time_factor
-        factor._grid_exponents = (
-            lambda mesh, i, j: np.asarray(factor.log_propagator(mesh[i], mesh[j]), dtype=float))
+        factor._grid_exponents = lambda mesh, i, j: np.array(
+            [factor.log_propagator(t, s) for t, s in zip(mesh[i].tolist(), mesh[j].tolist())])
         got = nl.sample_norm_grid(p, None, grid)
         want = nl.sample_norm_grid(per_pair, None, grid)
         assert np.array_equal(got.samples, want.samples) and got.poisoned == want.poisoned
+
+    def test_decaying_pairs_past_the_exp_range_are_read(self):
+        # g = 5 on 31 Dirichlet nodes: G(t) - G(s) = 5 d passes the 709.78
+        # that math.exp takes from d = 145 on, while the norm e^{(5 + lambda_1) d}
+        # decays.  Every reading takes e^{G - G + lambda_1 d} e^{(A_h - lambda_1) d}.
+        lap = _dirichlet(31)
+        p = nl.pde_process(lap, separable_g=lambda t: 5.0,
+                           g_antiderivative=lambda t: 5.0 * t)
+        rate = 5.0 + lap.leading_eigenvalue
+        for process, grid in [(p, GridSpec(0.0, 200.0, 5.0)),
+                              (nl.adjoint_process(p), GridSpec(-200.0, 0.0, 5.0))]:
+            sampled = nl.sample_norm_grid(process, None, grid)
+            assert len(sampled.samples) == 861 and sampled.poisoned == []
+            t, s, v = sampled.samples.T
+            assert np.all(np.abs(v - rate * (t - s)) <= 1e-14 * np.abs(rate * (t - s)))
+        cert = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0, nl.ExponentPair(4.8, 0.0),
+                                       projection="zero")
+        assert nl.check_certificate(p, cert, GridSpec(0.0, 200.0, 5.0)) <= 0.0
+        assert nl.operator_norm(p, 150.0, 0.0, log=True) == pytest.approx(rate * 150.0,
+                                                                          rel=1e-12)
+        assert np.linalg.norm(p.matrix(100.0, 0.0), 2) == pytest.approx(
+            math.exp(rate * 100.0), rel=1e-12)
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition("dirichlet"),
+                                    BoundaryCondition("neumann"),
+                                    BoundaryCondition("robin", robin_alpha=0.7)])
+    def test_matrix_is_the_log_matrix_pair(self, bc):
+        p = nl.pde_process(nl.discretize(Grid1D(1.0, 9), bc),
+                           separable_g=lambda t: 3.0 * math.cos(t) - 0.5)
+        for t, s in [(0.3, 0.0), (2.5, -1.0), (40.0, 1.5)]:
+            scale, stack = p._log_matrix(t, s)
+            assert np.array_equal(p.matrix(t, s), math.exp(scale) * stack)
 
     def test_domain_errors(self):
         half = nl.pde_process(_dirichlet(5), separable_g=lambda t: -1.0,
@@ -365,6 +397,10 @@ class TestPrincipalBundle:
         assert np.allclose(bundle.c_increments, expect, rtol=1e-9)
         assert bundle.c(0.5, 0.0) == pytest.approx(expect ** 2, rel=1e-9)
         assert bundle.c(0.5, 0.5) == 1.0
+        # Each argument matches its nearest bundle time, from either side.
+        for t, s in [(1.0, 0.25 - 1e-12), (1.0, 0.25 + 1e-12),
+                     (1.0 + 1e-12, 0.25), (1.0 - 1e-12, 0.25)]:
+            assert bundle.c(t, s) == bundle.c(1.0, 0.25)
         # Past the last bundle time, and t < s: neither is a bundle pair.
         for t, s in [(10.0, 0.0), (0.0, 0.5), (0.5, 1.0), (2.25, 2.0)]:
             with pytest.raises(ValueError):

@@ -1246,10 +1246,38 @@ class TestMeshRead:
         process = nl.ScalarCoefficientProcess(
             lambda t: 0.0, antiderivative=lambda t: math.inf if t >= 2.0 else t)
         times = np.array([2.6, 3.0])
+        assert np.isnan([process.log_propagator(t, 2.5) for t in times.tolist()]).all()
         assert np.isnan(process.log_propagator(times, 2.5)).all()
-        assert np.isnan(process._array_exponent(times, 2.5)).all()
         with pytest.raises(FiniteEscapeError):
             process.matrix_path(2.5, 3.0)(times)
+
+    @pytest.mark.parametrize("process", [
+        ScalarExponentProcess(lambda t, s: np.sin(t) - np.sin(s) - 0.3 * (t - s)),
+        nl.ScalarCoefficientProcess(lambda t: math.cos(t) - 0.3),
+        nl.ScalarCoefficientProcess(math.cos, antiderivative=lambda t: math.sin(t) - 0.3 * t)],
+        ids=["closed-form", "quadrature", "antiderivative"])
+    def test_one_batch_read_per_grid_path_and_array_exponent(self, monkeypatch, process):
+        batches = []
+        for cls in (ScalarExponentProcess, nl.ScalarCoefficientProcess):
+            def spy(self, times, i, j, read=cls.__dict__["_grid_exponents"]):
+                batches.append(len(i))
+                return read(self, times, i, j)
+            monkeypatch.setattr(cls, "_grid_exponents", spy)
+        grid = GridSpec(-2.0, 2.0, 0.5)
+        nl.sample_norm_grid(process, None, grid)
+        assert batches == [45]
+        taus = np.linspace(0.0, 1.0, 7)
+        stack = process.matrix_path(0.0, 1.0)(taus)
+        assert batches == [45, 7]
+        # Bit for bit the float exponent of each time.
+        want = [math.exp(process.log_propagator(t, 0.0)) for t in taus.tolist()]
+        assert np.array_equal(stack[:, 0, 0], want)
+        if isinstance(process, nl.ScalarCoefficientProcess):
+            tv, sv = grid.pairs("stable")
+            values = process.log_propagator(tv, sv)
+            assert batches == [45, 7, 45]
+            assert np.array_equal(values, [process.log_propagator(t, s)
+                                           for t, s in zip(tv.tolist(), sv.tolist())])
 
     def test_one_antiderivative_call_per_mesh_point_with_a_float(self):
         calls = []

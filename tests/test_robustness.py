@@ -115,13 +115,6 @@ class TestPerturbationDistance:
         # e^{0.5 |s|} amplifies the far ends of the window.
         assert weighted > flat
 
-    def test_refinement_residual(self):
-        p = constant_scalar(-1.0)
-        q = constant_scalar(-1.1)
-        val = nl.perturbation_distance(
-            p, q, 0.0, GridSpec(-2.0, 2.0, 0.5), band_step=0.05)
-        assert val == pytest.approx(0.1 * 1.1 ** -11, rel=1e-9)
-
     def test_growth_constant(self):
         p = constant_scalar(-1.0)
         # sup over the band of e^{-(t-s)} is 1 (at t = s).
@@ -191,10 +184,12 @@ class TestPipeline:
 
 # BAND SUPS ALONG ANCHOR PATHS =========================================================
 
-def _per_point_band_sup(value_fn, grid, band_step):
-    """Reference band sup: the library's coarse scan and golden-section
-    refinements, with value_fn(t, s) evaluated afresh at every point."""
+def _per_point_band_sup(value_fn, grid):
+    """Reference band sup: the library's coarse scan at step 0.01 and
+    golden-section refinements, with value_fn(t, s) evaluated afresh at
+    every point."""
     golden = nl.robustness._golden_section_max
+    band_step = 0.01
     s_vals = np.arange(grid.start, grid.stop + band_step / 2, max(band_step, grid.step))
     d_vals = np.arange(0.0, 1.0 + band_step / 2, band_step)
     best, bs, bd = -math.inf, grid.start, 0.0
@@ -215,16 +210,16 @@ def _per_point_band_sup(value_fn, grid, band_step):
     return best
 
 
-def _reference_distance(p, q, upsilon, grid, band_step=0.01):
+def _reference_distance(p, q, upsilon, grid):
     return _per_point_band_sup(
         lambda t, s: math.exp(upsilon * abs(s)) * nl.spectral_norm(p.matrix(t, s) - q.matrix(t, s)),
-        grid, band_step)
+        grid)
 
 
-def _reference_growth(p, upsilon, grid, band_step=0.01):
+def _reference_growth(p, upsilon, grid):
     return _per_point_band_sup(
         lambda t, s: math.exp(-upsilon * abs(t)) * nl.spectral_norm(p.matrix(t, s)),
-        grid, band_step)
+        grid)
 
 
 def _integrated(shift, scale=1.0):
@@ -285,8 +280,8 @@ class TestBandPaths:
     @pytest.mark.parametrize("backend", ["scalar", "closed-form", "integrated"])
     def test_escape_mid_band_raises_as_per_point(self, backend):
         # The anchor s = 0 escapes mid-band: q passes the guard between
-        # t = 0.6 and 0.7, p between 0.7 and 0.8.  A per-point scan reads p
-        # then q at each t, so the distance raises from q at t = 0.7.
+        # t = 0.69 and 0.70, p between 0.71 and 0.72.  A per-point scan reads
+        # p then q at each t, so the distance raises from q at t = 0.7.
         def make(rate):
             if backend == "scalar":
                 return nl.ScalarExponentProcess(lambda t, s: rate * (t - s))
@@ -296,10 +291,10 @@ class TestBandPaths:
             return nl.IntegratedLinearProcess(lambda t: np.diag([rate, -1.0]), 2)
         p, q = make(480.0), make(500.0)
         grid = GridSpec(0.0, 1.0, 0.5)
-        cases = [(lambda: nl.growth_constant(p, 0.0, grid, band_step=0.1),
-                  lambda: _reference_growth(p, 0.0, grid, band_step=0.1)),
-                 (lambda: nl.perturbation_distance(p, q, 0.0, grid, band_step=0.1),
-                  lambda: _reference_distance(p, q, 0.0, grid, band_step=0.1))]
+        cases = [(lambda: nl.growth_constant(p, 0.0, grid),
+                  lambda: _reference_growth(p, 0.0, grid)),
+                 (lambda: nl.perturbation_distance(p, q, 0.0, grid),
+                  lambda: _reference_distance(p, q, 0.0, grid))]
         for run, reference in cases:
             with pytest.raises(nl.FiniteEscapeError) as got:
                 run()
@@ -314,14 +309,14 @@ class TestBandPaths:
         q = nl.IntegratedLinearProcess(lambda t: np.diag([499.0, -1.0]), 2)
         long_grid = GridSpec(0.0, 1.0, 0.5)   # the scan reaches t - s = 1
         with pytest.raises(nl.FiniteEscapeError):
-            _reference_growth(p, 0.0, long_grid, band_step=0.1)
+            _reference_growth(p, 0.0, long_grid)
         with pytest.raises(nl.FiniteEscapeError):
-            nl.growth_constant(p, 0.0, long_grid, band_step=0.1)
+            nl.growth_constant(p, 0.0, long_grid)
         with pytest.raises(nl.FiniteEscapeError):
-            nl.perturbation_distance(p, q, 0.0, long_grid, band_step=0.1)
+            nl.perturbation_distance(p, q, 0.0, long_grid)
         # Paths cover the whole band, but an escape past every visited
         # point raises nothing, as with per-point solves: here the scan
-        # stops at t - s = 0.5 and the offset refinement at 0.6.
+        # stops at t - s = 0.5 and the offset refinement one step past it.
         short_grid = GridSpec(0.0, 0.5, 0.5)
-        assert nl.growth_constant(p, 0.0, short_grid, band_step=0.1) == pytest.approx(
-            math.exp(500.0 * 0.6), rel=1e-6)
+        assert nl.growth_constant(p, 0.0, short_grid) == pytest.approx(
+            math.exp(500.0 * 0.51), rel=1e-6)
