@@ -59,7 +59,6 @@ from .attractor import (
     RadiusEnvelope,
     SetFamily,
     TrajectoryEscapeError,
-    UniverseFamily,
     WeightedFunction,
     attractor_coincidence,
     comparison_bound,

@@ -1,14 +1,19 @@
 """Pullback/forward attraction for dissipative nonautonomous ODE fields.
 
-Provides the weighted-function spaces C_eta, the tempered universes
-D_gamma, scalar comparison bounds under the dissipativity assumption
-2 <f(t,x), x> <= a(t)|x|^2 + b(t), closed-form radius envelopes for
-pullback and forward attractors, and Monte-Carlo simulation of pullback
-and forward omega-limit sets with single-linkage clustering.  The
-simulations integrate whole seed clouds with Hairer's compiled DOP853 on
-the per-thread driver of nedlab.process, which the integrated linear
-processes share (see _integrate_ensemble).  A field therefore must not
-start another compiled solve, such as an IntegratedLinearProcess matrix.
+Provides the weighted-function spaces C_eta, scalar comparison bounds
+under the dissipativity assumption 2 <f(t,x), x> <= a(t)|x|^2 + b(t),
+closed-form radius envelopes for pullback and forward attractors, and
+Monte-Carlo simulation of pullback and forward omega-limit sets with
+single-linkage clustering.  Pullback seeds are either one fixed (m, n)
+cloud or a function s -> (m, n) cloud of the start time s; a tempered
+universe D_gamma enters as such a function, whose growth
+:func:`universe_membership` measures on a sampled family.  A forward
+cloud is ``converged`` only when its last two horizon clouds agree
+within the cluster tolerance.  The simulations integrate whole seed
+clouds with Hairer's compiled DOP853 on the per-thread driver of
+nedlab.process, which the integrated linear processes share (see
+_integrate_ensemble).  A field therefore must not start another
+compiled solve, such as an IntegratedLinearProcess matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .process import _SOLVER, GridSpec, ScalarExponentProcess, TimeDomain, FULL_
 __all__ = [
     "WeightedFunction",
     "SetFamily",
-    "UniverseFamily",
     "RadiusEnvelope",
     "DissipativitySpec",
     "CooperativeSpec",
@@ -95,24 +99,6 @@ class SetFamily:
 
     def section(self, t: float) -> np.ndarray:
         return self.sections[float(t)]
-
-
-@dataclasses.dataclass
-class UniverseFamily:
-    """Tempered universe D_gamma: families growing at most like C e^{gamma |t|}.
-
-    ``representative`` supplies seed points per time: either a SetFamily
-    or a callable t -> point cloud.  :func:`universe_membership` gives the
-    constant C of a sampled family.
-    """
-
-    gamma: float
-    representative: object
-
-    def sample(self, t: float) -> np.ndarray:
-        if callable(self.representative):
-            return np.atleast_2d(np.asarray(self.representative(t), dtype=float))
-        return self.representative.section(t)
 
 
 @dataclasses.dataclass
@@ -243,8 +229,7 @@ def weighted_norm(b: WeightedFunction, grid: GridSpec) -> float:
 
 
 def comparison_bound(scalar_process: ScalarExponentProcess, b: WeightedFunction,
-                     t: float, s: float, x0_norm_sq: float,
-                     cert: Optional[DichotomyCertificate] = None) -> float:
+                     t: float, s: float, x0_norm_sq: float) -> float:
     """Right-hand side of the scalar comparison:
     T(t,s) x0_norm_sq + int_s^t T(t,tau) b(tau) dtau.
 
@@ -252,9 +237,7 @@ def comparison_bound(scalar_process: ScalarExponentProcess, b: WeightedFunction,
     witness coefficient a, and must be a :class:`ScalarExponentProcess`
     (such as a :class:`ScalarCoefficientProcess`): T(t, tau) is read as
     ``exp`` of its guarded exponent, with the domain check and the
-    :class:`FiniteEscapeError` guard of ``propagate``.  The optional
-    certificate is only sanity checked (kind II, zero unstable
-    projection) since the numbers come from the process itself.
+    :class:`FiniteEscapeError` guard of ``propagate``.
     """
     if t < s:
         raise ValueError("comparison bound needs t >= s")
@@ -263,9 +246,6 @@ def comparison_bound(scalar_process: ScalarExponentProcess, b: WeightedFunction,
     if not isinstance(scalar_process, ScalarExponentProcess):
         raise TypeError("comparison propagator must be a ScalarExponentProcess, "
                         "not %s" % type(scalar_process).__name__)
-    if cert is not None and (cert.kind != "II" or cert.projection != "zero"):
-        raise InapplicableError("comparison certificate must be kind II with "
-                               "zero unstable projection")
     exponent = scalar_process._guarded_exponent
     homogeneous = math.exp(exponent(t, s))
 
@@ -464,8 +444,7 @@ def _single_linkage(points: np.ndarray, eps: float):
     until every point again carries a root.  Roots only move to smaller
     labels, so the rounds stop when no tree has a neighbour with a
     smaller label: one tree per component, rooted at its first point."""
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-    adjacent = d2 <= eps * eps
+    adjacent = _squared_distances(points, points) <= eps * eps
     np.fill_diagonal(adjacent, True)   # a NaN point is its own component
     labels = np.arange(len(points))
     while True:
@@ -485,21 +464,27 @@ def _single_linkage(points: np.ndarray, eps: float):
 
 @dataclasses.dataclass
 class OmegaCloud:
-    """Clustered endpoint cloud approximating an omega-limit section."""
+    """Clustered endpoint cloud approximating an omega-limit section.
+
+    ``depth_used`` counts the pullback depths (forward: horizons)
+    integrated, ``poisoned`` the pullback depths skipped because their
+    cloud escaped (forward: always 0), and ``converged`` says whether the
+    last two of those clouds agreed within the cluster tolerance.
+    """
 
     points: np.ndarray
     labels: np.ndarray
     representatives: np.ndarray
-    converged: bool = True
-    depth_used: int = 0
-    poisoned: int = 0
+    converged: bool
+    depth_used: int
+    poisoned: int
 
     def section(self) -> np.ndarray:
         return self.representatives
 
 
-def _cluster(points: np.ndarray, eps: float, converged=True, depth=0,
-             poisoned=0) -> OmegaCloud:
+def _cluster(points: np.ndarray, eps: float, converged: bool, depth: int,
+             poisoned: int) -> OmegaCloud:
     labels = _single_linkage(points, eps)
     reps = np.stack([points[labels == c].mean(axis=0)
                      for c in range(labels.max() + 1)])
@@ -514,26 +499,24 @@ def _field_of(spec):
 
 
 def _seeds_at(seeds, s: float) -> np.ndarray:
-    if isinstance(seeds, UniverseFamily):
-        return seeds.sample(s)
-    if isinstance(seeds, SetFamily):
-        return seeds.section(s)
-    if callable(seeds):
-        return np.atleast_2d(np.asarray(seeds(s), dtype=float))
-    return np.atleast_2d(np.asarray(seeds, dtype=float))
+    """The seed cloud at start time s: ``seeds(s)`` for a function, else
+    the fixed ``(m, n)`` cloud ``seeds``."""
+    return np.atleast_2d(np.asarray(seeds(s) if callable(seeds) else seeds, dtype=float))
 
 
 def simulate_pullback_omega(spec, t: float, seeds, s_schedule=None,
                             cluster_eps: float = 1e-4) -> OmegaCloud:
     """Approximate the pullback omega-limit section at time t.
 
-    Integrates seed clouds from ever-earlier start times s_k = t - 2^k,
-    k = 0, ..., 20 (or an explicit decreasing schedule) up to t, each cloud as one
-    compiled DOP853 solve (_integrate_ensemble); a depth whose cloud
-    escapes |x| >= 1e8 is counted in ``poisoned`` and skipped.  Depth
-    scanning stops early once consecutive depth clouds agree within
-    cluster_eps (horizon-doubling convergence); the first half of the
-    processed schedule is discarded as burn-in before clustering.
+    Integrates seed clouds (``seeds``: one (m, n) cloud, or a function
+    s -> (m, n) cloud of the start time) from ever-earlier start times
+    s_k = t - 2^k, k = 0, ..., 20 (or an explicit decreasing schedule) up
+    to t, each cloud as one compiled DOP853 solve (_integrate_ensemble);
+    a depth whose cloud escapes |x| >= 1e8 is counted in ``poisoned`` and
+    skipped.  Depth scanning stops early, ``converged``, once consecutive
+    depth clouds agree within cluster_eps (horizon-doubling convergence);
+    the first half of the processed schedule is discarded as burn-in
+    before clustering.
     """
     field, _ = _field_of(spec)
     if s_schedule is None:
@@ -575,7 +558,9 @@ def simulate_forward_omega(spec, initial_cloud, tau: float,
                            cluster_eps: float = 1e-4) -> OmegaCloud:
     """Approximate the forward omega-limit of a bounded set B from time
     tau: states S(tau + h, tau) B at increasing horizons h (by default
-    h = 2^k, k = 0, ..., 7), late-time half clustered."""
+    h = 2^k, k = 0, ..., 7), late-time half clustered.  ``converged`` is
+    True only when there are at least two horizons and the clouds of the
+    last two lie within Hausdorff distance cluster_eps of each other."""
     field, _ = _field_of(spec)
     if horizon_schedule is None:
         horizon_schedule = [2.0 ** k for k in range(8)]
@@ -584,9 +569,10 @@ def simulate_forward_omega(spec, initial_cloud, tau: float,
     cloud = np.atleast_2d(np.asarray(initial_cloud, dtype=float))
     t_eval = [tau + h for h in horizon_schedule]
     states = _integrate_ensemble(field, tau, t_eval[-1], cloud, t_eval=t_eval)
-    keep = states[len(states) // 2:]
-    points = np.vstack(keep)
-    return _cluster(points, cluster_eps, depth=len(states))
+    converged = len(states) >= 2 and _hausdorff_distance(states[-1], states[-2]) <= cluster_eps
+    points = np.vstack(states[len(states) // 2:])
+    return _cluster(points, cluster_eps, converged=converged,
+                    depth=len(states), poisoned=0)
 
 
 # REPORTS ==============================================================================
@@ -672,9 +658,7 @@ def attractor_coincidence(spec, t_grid, gamma0: float, gammas,
     seed_cap = 1e6
 
     def universe(gamma):
-        return UniverseFamily(
-            gamma,
-            lambda s, g=gamma: min(math.exp(min(g * abs(s), 700.0)), seed_cap) * directions)
+        return lambda s: min(math.exp(min(gamma * abs(s), 700.0)), seed_cap) * directions
 
     base_sections = {t: simulate_pullback_omega(spec, t, universe(gamma0)).section()
                      for t in t_grid}

@@ -80,6 +80,8 @@ def _parse_range(text: str, name: str):
 
 def _range(start: float, stop: float, step: float, name: str):
     """Points start + k*step up to stop inclusive (1e-12 slack)."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("%s needs finite start, stop and step" % name)
     if step <= 0 or stop < start:
         raise ValueError("%s needs stop >= start and step > 0" % name)
     n = int(math.floor((stop - start) / step + 1e-12))

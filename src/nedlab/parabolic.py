@@ -192,7 +192,6 @@ class PDEProcess(EvolutionProcess):
     nonnegative (discrete comparison principle).
     """
 
-    backend = "discretized-pde"
     invertible = False
 
     def __init__(self, laplacian: DiscreteLaplacian,
@@ -540,7 +539,7 @@ def parabolic_attractor_demo(laplacian: DiscreteLaplacian,
     from the transferred certificate; order preservation of the
     propagator justifies the componentwise comparison.
     """
-    from .attractor import (SetFamily, UniverseFamily, make_linear_envelope,
+    from .attractor import (SetFamily, make_linear_envelope,
                             simulate_pullback_omega, verify_containment)
 
     cert = scalar_to_pde_transfer(scalar_cert, laplacian)
@@ -565,9 +564,7 @@ def parabolic_attractor_demo(laplacian: DiscreteLaplacian,
     spec_obj = _PlainField(field, n)
     sections = {}
     for t in t_grid:
-        cloud = simulate_pullback_omega(spec_obj, t,
-                                        UniverseFamily(0.0, lambda s: base_cloud))
-        sections[t] = cloud.section()
+        sections[t] = simulate_pullback_omega(spec_obj, t, base_cloud).section()
     family = SetFamily(sections)
     report = verify_containment(family, envelope)
     return {"certificate": cert, "envelope": envelope,

@@ -370,6 +370,8 @@ class GridSpec:
     extra_points: tuple = ()
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise ValueError("grid start, stop and step must be finite")
         if not (self.stop > self.start):
             raise ValueError("empty grid: stop must exceed start")
         if not (self.step > 0):
@@ -456,7 +458,6 @@ class EvolutionProcess:
     dimension: int = 1
     domain: TimeDomain = FULL_LINE
     invertible: bool = False
-    backend: str = "closed-form-exponent"
 
     def _check_args(self, t: float, s: float) -> None:
         if not (self.domain.contains(t) and self.domain.contains(s)):
@@ -465,7 +466,7 @@ class EvolutionProcess:
             )
         if t < s and not self.invertible:
             raise DomainError(
-                "t < s requires an invertible process (backend %s)" % self.backend
+                "t < s requires an invertible process (%s)" % type(self).__name__
             )
 
     def matrix(self, t: float, s: float) -> np.ndarray:
@@ -637,8 +638,6 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
     distinct time, all through :meth:`_grid_exponents`.
     """
 
-    backend = "numerically-integrated"
-
     def __init__(self, coefficient: Callable, domain: TimeDomain = FULL_LINE,
                  antiderivative: Optional[Callable] = None):
         self.coefficient = coefficient
@@ -678,13 +677,11 @@ class MatrixClosedFormProcess(EvolutionProcess):
     basis, duals, and adjoints."""
 
     def __init__(self, matrix_fn: Callable, dimension: int,
-                 domain: TimeDomain = FULL_LINE, invertible: bool = True,
-                 backend: str = "piecewise-closed-form"):
+                 domain: TimeDomain = FULL_LINE, invertible: bool = True):
         self._matrix_fn = matrix_fn
         self.dimension = dimension
         self.domain = domain
         self.invertible = invertible
-        self.backend = backend
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         self._check_args(t, s)
@@ -702,7 +699,7 @@ class _TransposedProcess(MatrixClosedFormProcess):
     def __init__(self, primal: EvolutionProcess, sign: int):
         super().__init__(lambda t, s: primal.matrix(sign * s, sign * t).T,
                          primal.dimension, domain=primal.domain,
-                         invertible=primal.invertible, backend=primal.backend)
+                         invertible=primal.invertible)
         self.primal, self._sign = primal, sign
 
     def _log_matrix(self, t: float, s: float):
@@ -726,8 +723,6 @@ class IntegratedLinearProcess(EvolutionProcess):
     ``solve_ivp``, whose dense output serves every point of one anchor
     from a single solve.
     """
-
-    backend = "numerically-integrated"
 
     def __init__(self, coefficient_matrix: Callable, dimension: int,
                  domain: TimeDomain = FULL_LINE, invertible: bool = False):

@@ -100,6 +100,13 @@ class RobustnessReport:
         return d
 
 
+def _quotient(a: float, b: float) -> float:
+    """a / b under IEEE rules: a signed inf for a nonzero a over zero, NaN
+    for 0 / 0, and bit for bit ``a / b`` otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(a, b))
+
+
 def robustness_constants(m: float, omega: float, upsilon: float,
                          eps: float) -> RobustnessReport:
     """Evaluate the perturbation constants exactly as stated.
@@ -113,7 +120,8 @@ def robustness_constants(m: float, omega: float, upsilon: float,
 
     Inadmissible inputs (negative radical, rho >= 1, nonpositive
     denominators, upsilon >= omega) are not errors: the literal values
-    are reported with the corresponding flag cleared.
+    are reported with the corresponding flag cleared.  A zero denominator,
+    as where e^{-w} rounds to 1, gives the IEEE quotient (inf or NaN).
 
     The radical is evaluated as sinh^2 w - 2 e sinh w (identical by
     cosh^2 - 1 = sinh^2) and the outer log via
@@ -137,15 +145,15 @@ def robustness_constants(m: float, omega: float, upsilon: float,
     flags["log_argument_positive"] = log_arg_positive
     beta_tilde = omega_tilde + math.log1p(2.0 * eps * sh)
     emw = math.exp(-omega)
-    rho = eps * (1.0 + emw) / (1.0 - emw)
+    rho = _quotient(eps * (1.0 + emw), 1.0 - emw)
     flags["rho_below_one"] = rho < 1.0
-    d1 = 1.0 - eps * emw / -math.expm1(-omega - omega_tilde)
-    d2 = 1.0 - eps * math.exp(-beta_tilde) / -math.expm1(-omega - beta_tilde)
+    d1 = 1.0 - _quotient(eps * emw, -math.expm1(-omega - omega_tilde))
+    d2 = 1.0 - _quotient(eps * math.exp(-beta_tilde), -math.expm1(-omega - beta_tilde))
     flags["m1_positive"] = d1 > 0.0
     flags["m2_positive"] = d2 > 0.0
     m1 = 1.0 / d1 if d1 != 0.0 else math.inf
     m2 = 1.0 / d2 if d2 != 0.0 else math.inf
-    m_hat = m * (1.0 + eps / ((1.0 - rho) * (1.0 - emw))) * max(m1, m2)
+    m_hat = m * (1.0 + _quotient(eps, (1.0 - rho) * (1.0 - emw))) * max(m1, m2)
     return RobustnessReport(
         m=m, omega=omega, upsilon=upsilon, eps=eps,
         omega_tilde=omega_tilde, beta_tilde=beta_tilde, rho=rho,

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import gc
 import importlib.util
 import math
@@ -64,12 +65,6 @@ class TestComparisonBound:
         got = nl.comparison_bound(constant_process, b, 3.0, 0.0, 4.0)
         # e^{-3} * 4 + int_0^3 e^{-(3-r)} dr = 1 + 3 e^{-3}
         assert got == pytest.approx(1.0 + 3 * math.exp(-3.0), rel=1e-10)
-
-    def test_certificate_sanity_check(self, constant_process):
-        b = WeightedFunction(lambda t: 1.0, eta=0.0, domain=nl.FULL_LINE)
-        with pytest.raises(InapplicableError):
-            nl.comparison_bound(constant_process, b, 1.0, 0.0, 1.0,
-                                cert=decay_cert(1.0, kind="I"))
 
     def test_orientation(self, constant_process):
         b = WeightedFunction(lambda t: 1.0, eta=0.0, domain=nl.FULL_LINE)
@@ -675,11 +670,48 @@ class TestSingleLinkage:
 
 
 class TestForwardSimulation:
-    def test_contraction_to_origin(self):
-        spec = nl.DissipativitySpec(field=lambda t, x: -x, a=lambda t: -1.0,
+    @staticmethod
+    def _decay(rate):
+        return nl.DissipativitySpec(field=lambda t, x: -rate * x, a=lambda t: -2.0 * rate,
                                     b=lambda t: 0.0, dimension=1)
-        cloud = nl.simulate_forward_omega(spec, np.array([[1.0], [-1.0]]), 0.0)
+
+    def test_contraction_to_origin(self):
+        cloud = nl.simulate_forward_omega(self._decay(1.0), np.array([[1.0], [-1.0]]), 0.0)
         assert np.max(np.abs(cloud.representatives)) <= 1e-6
+        assert cloud.converged
+        assert (cloud.depth_used, cloud.poisoned) == (8, 0)
+
+    def test_slow_decay_is_not_converged(self):
+        # x' = -0.01 x: the clouds at horizons 64 and 128 are e^{-0.64} and
+        # e^{-1.28} from {+-1}, 0.249 apart, while the omega-limit is {0}.
+        cloud = nl.simulate_forward_omega(self._decay(0.01), np.array([[1.0], [-1.0]]), 0.0)
+        assert not cloud.converged
+        assert np.min(np.abs(cloud.representatives)) > 0.2
+
+    def test_one_horizon_is_not_converged(self):
+        cloud = nl.simulate_forward_omega(self._decay(1.0), np.array([[1.0]]), 0.0,
+                                          horizon_schedule=[64.0])
+        assert not cloud.converged
+        assert cloud.depth_used == 1
+
+
+class TestTrimmedSurface:
+    def test_seed_forms(self):
+        # A fixed cloud and a function of the start time are the two forms;
+        # a constant function gives the fixed cloud's section bit for bit.
+        spec = nl.DissipativitySpec(field=lambda t, x: -x + math.cos(t),
+                                    a=lambda t: -1.0, b=lambda t: 1.0, dimension=1)
+        seeds = np.array([[0.0], [2.0]])
+        fixed = nl.simulate_pullback_omega(spec, -1.0, seeds)
+        called = nl.simulate_pullback_omega(spec, -1.0, lambda s: seeds)
+        assert np.array_equal(fixed.points, called.points)
+        with pytest.raises(TypeError):
+            nl.simulate_pullback_omega(spec, -1.0, nl.SetFamily({-2.0: seeds}))
+
+    def test_omega_cloud_fields_are_required(self):
+        fields = {f.name: f for f in dataclasses.fields(nl.OmegaCloud)}
+        for name in ("converged", "depth_used", "poisoned"):
+            assert fields[name].default is dataclasses.MISSING, name
 
 
 class TestCooperative:
@@ -790,3 +822,6 @@ class TestCoincidence:
                                          [0.25, 0.5], seeds_per_time=4)
         for gamma, d in dists.items():
             assert d <= 1e-4, (gamma, d)
+        # Recorded values: a change in how seeds are read, integrated or
+        # clustered shows here.
+        assert dists == {0.25: 2.5044055070866378e-06, 0.5: 3.130001335893695e-08}

@@ -277,6 +277,19 @@ class TestRobustness:
         assert payload["admissible"] is False
         assert math.isfinite(payload["rho"])
 
+    @pytest.mark.parametrize("omega", ["0", "1e-300"])
+    def test_degenerate_omega_is_a_strict_report(self, capsys, omega):
+        # 1 - e^{-omega} is 0: the quotients are inf/NaN, written as null.
+        assert run(["robustness", "--M", "1", "--omega", omega,
+                    "--upsilon", "0", "--eps", "0.1"]) == 0
+
+        def reject(token):
+            raise ValueError("non-strict JSON token %s" % token)
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert (payload["rho"], payload["M_hat"]) == (None, None)
+        assert payload["admissible"] is False
+        assert not payload["flags"]["rho_below_one"]
+
     def test_pipeline_mode(self, tmp_path):
         base = _write(tmp_path, "p.json",
                       {"backend": "numerically-integrated",
@@ -377,6 +390,54 @@ class TestPde:
         bundle = nl.principal_bundle(nl.pde_process(lap, separable_g=g))
         got = json.loads(out.read_text())["bundle"]
         assert (got["m_sep"], got["nu_sep"]) == (bundle.m_sep, bundle.nu_sep)
+
+
+def _degenerate_cases():
+    """(argv, exit code) of every subcommand on degenerate numbers: omega 0
+    or 1e-300, and inf or nan grid, t-grid and window bounds.  {data} is
+    the CLI data folder and {tmp} a scratch folder."""
+    d = "{data}/"
+    pipeline = ["--process", d + "base.json", "--perturbed", d + "perturbed.json",
+                "--cert", d + "cert_ii_full.json"]
+    constants = ["robustness", "--M", "1", "--upsilon", "0", "--eps", "0.1"]
+    classify = ["classify", "--process", d + "decay.json", "--kind", "II", "--side", "plus",
+                "--out", "{tmp}/f.csv"]
+    check = ["check", "--process", d + "decay.json", "--cert", d + "cert_ii_plus.json"]
+    attract = ["attract", "--cert", d + "cert_attract.json", "--bnorm", "1"]
+    return [
+        (["gallery", "eval", "--entry", "barreira", "--grid", "0:inf:0.5",
+          "--norms-out", "{tmp}/n.csv"], 2),
+        (["gallery", "eval", "--entry", "barreira", "--grid", "nan:1:0.5",
+          "--norms-out", "{tmp}/n.csv"], 2),
+        (classify + ["--alpha-grid", "0:inf:0.25", "--grid", "0:10:0.5"], 2),
+        (classify + ["--alpha-grid", "0:3:0.25", "--grid", "0:nan:0.5"], 2),
+        (check + ["--grid", "0:inf:0.5"], 2),
+        (check + ["--grid", "0:1:inf"], 2),
+        (["convert", "--cert", "{tmp}/nan_cert.json"], 2),
+        (["reject", "--process", d + "sign_switch.json", "--windows", "0:10,0:inf"], 2),
+        (["reject", "--process", d + "sign_switch.json", "--windows", "0:nan,0:20"], 2),
+        (constants + ["--omega", "0"], 0),
+        (constants + ["--omega", "1e-300"], 0),
+        (constants + ["--omega", "0"] + pipeline + ["--grid=-3:3:0.5"], 0),
+        (constants + ["--omega", "1"] + pipeline + ["--grid=-3:inf:0.5"], 2),
+        (attract + ["--t-grid=-inf:0:0.5"], 2),
+        (attract + ["--t-grid=-4:0:nan"], 2),
+        (["pde", "--config", "{tmp}/pde.json", "--radii-out", "{tmp}/r.csv"], 2),
+    ]
+
+
+class TestDegenerateNumbers:
+    @pytest.mark.parametrize("argv, code", _degenerate_cases(),
+                             ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_exit_code_contract(self, tmp_path, argv, code):
+        # A non-finite bound is a validation failure (2); no exception escapes.
+        _write(tmp_path, "nan_cert.json", _cert_dict(math.nan, m=math.inf))
+        _write(tmp_path, "pde.json", {"N": 5, "g": {"name": "constant", "rate": -1.0},
+                                      "scalar_certificate": _cert_dict(1.0, domain="full"),
+                                      "bundle": False, "t_grid": [-math.inf, 0.0, 0.5]})
+        argv = [a.replace("{data}", str(CLI_DATA)).replace("{tmp}", str(tmp_path))
+                for a in argv]
+        assert run(argv) == code
 
 
 class TestDeterminism:

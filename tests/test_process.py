@@ -64,6 +64,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, -0.5)
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf, 1.0), (0.0, 1.0, math.inf),
+                                        (-math.inf, 0.0, 0.5), (0.0, math.nan, 0.5),
+                                        (math.nan, 1.0, 0.5), (0.0, 1.0, math.nan)])
+    def test_non_finite_bounds_are_rejected(self, bounds):
+        # A non-finite bound has no mesh: an infinite stop is no count of
+        # steps, and an infinite step would leave only the stop point.
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(*bounds)
+
 
 class TestSpectralNorm:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 31])

@@ -90,6 +90,17 @@ class TestConstants:
         assert not rep2.admissible
         assert not rep2.flags["upsilon_below_omega"]
 
+    @pytest.mark.parametrize("omega", [0.0, 1e-300, 5e-17])
+    def test_zero_denominators_give_ieee_values(self, omega):
+        # e^{-omega} rounds to 1, so 1 - e^{-omega} is 0: rho is inf and
+        # the report comes back with its flags cleared, not an exception.
+        rep = nl.robustness_constants(1.0, omega, 0.0, 0.1)
+        assert rep.rho == math.inf
+        assert not (rep.flags["rho_below_one"] or rep.flags["m1_positive"]
+                    or rep.flags["m2_positive"] or rep.admissible)
+        assert math.isnan(rep.m_hat)
+        assert math.isnan(nl.robustness_constants(1.0, omega, 0.0, 0.0).rho)   # 0 / 0
+
     def test_report_serialization(self):
         rep = nl.robustness_constants(1.0, 1.0, 0.2, 0.1)
         d = rep.to_dict()
