@@ -29,7 +29,8 @@ from scipy.integrate import quad
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from .dichotomy import DichotomyCertificate, InapplicableError
-from .process import _SOLVER, GridSpec, ScalarExponentProcess, TimeDomain, FULL_LINE
+from .process import (_SOLVER, FULL_LINE, GridSpec, ScalarExponentProcess, TimeDomain,
+                      _StepSizeCollapse)
 
 __all__ = [
     "WeightedFunction",
@@ -408,7 +409,8 @@ def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
     with the wrong number of entries raises ValueError.  The ensemble
     escapes, raising TrajectoryEscapeError, at the end of the first step
     where some |x_i| >= _ESCAPE_RADIUS (at once for a seed that starts
-    there).
+    there), and where DOP853's step collapses below the rounding floor of
+    t first, as on the way to a blow-up far from t = 0.
 
     Returns the final ensemble, or, when t_eval is given, the list of
     ensembles at the times t_eval, ordered from t0 toward t1 and ending
@@ -423,8 +425,12 @@ def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
     y, tau, states = points.T.ravel(), t0, []
     for t in ([t1] if t_eval is None else t_eval):
         if t != tau:
-            reach, y, peak = _SOLVER.solve(field, tau, t, y, (n, k), 1e-10, 1e-12,
-                                           _max_abs, _ESCAPE_RADIUS)
+            try:
+                reach, y, peak = _SOLVER.solve(field, tau, t, y, (n, k), 1e-10, 1e-12,
+                                               _max_abs, _ESCAPE_RADIUS)
+            except _StepSizeCollapse as exc:
+                raise TrajectoryEscapeError("ensemble from t=%r toward t=%r: %s"
+                                            % (tau, t, exc)) from exc
             if not (peak < _ESCAPE_RADIUS):
                 raise TrajectoryEscapeError(
                     "ensemble escaped |x| >= %g at t=%r" % (_ESCAPE_RADIUS, reach))

@@ -10,9 +10,18 @@ pipeline), ``attract`` (attractor radius envelopes), and ``pde``
 (discretized parabolic demo).
 
 Artifacts are deterministic byte-for-byte for a fixed config;
-wall-clock metadata goes to a ``<out>.meta.json`` sidecar only.  Exit
-codes: 0 success, 2 validation failure, 3 numeric failure, 64 usage
-error.
+wall-clock metadata goes to a ``<out>.meta.json`` sidecar only.
+
+``--grid start:stop:step`` is ``GridSpec(start, stop, step)``, so both
+ends are always sampled, an off-lattice stop too.  ``--alpha-grid``,
+``--t-grid`` and the ``pde`` ``t_grid`` are the points
+``start + k*step`` up to stop.
+
+Exit codes follow the exception class: 0 success; 2 validation failure
+(``OSError``, ``KeyError``, ``TypeError``, ``ValueError``: a missing or
+unwritable file, malformed JSON, a bad grid, an inapplicable bound);
+3 numeric failure (``ArithmeticError``, ``RuntimeError``: an overflow
+or an escaped solve); 64 usage error.
 """
 
 from __future__ import annotations
@@ -27,9 +36,7 @@ import sys
 from . import gallery
 from .attractor import make_linear_envelope, make_pullback_envelope
 from .dichotomy import (
-    DataError,
     DichotomyCertificate,
-    InapplicableError,
     check_certificate,
     classify,
     convert_halfline,
@@ -45,8 +52,6 @@ from .parabolic import (
     scalar_to_pde_transfer,
 )
 from .process import (
-    DomainError,
-    FiniteEscapeError,
     GridSpec,
     ProjectionFamily,
     TimeDomain,
@@ -70,12 +75,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _parse_range(text: str, name: str):
-    """Parse 'start:stop:step' into the points of :func:`_range`."""
+def _split(text: str, name: str):
+    """The three floats of 'start:stop:step'."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("%s must look like start:stop:step" % name)
-    return _range(*(float(p) for p in parts), name)
+    return [float(p) for p in parts]
+
+
+def _parse_range(text: str, name: str):
+    """Parse 'start:stop:step' into the points of :func:`_range`."""
+    return _range(*_split(text, name), name)
 
 
 def _range(start: float, stop: float, step: float, name: str):
@@ -89,10 +99,13 @@ def _range(start: float, stop: float, step: float, name: str):
 
 
 def _grid_spec(text: str) -> GridSpec:
-    lo_hi_step = _parse_range(text, "--grid")
-    lo, hi = lo_hi_step[0], lo_hi_step[-1]
-    step = lo_hi_step[1] - lo_hi_step[0] if len(lo_hi_step) > 1 else hi - lo
-    return GridSpec(lo, hi, step)
+    """``GridSpec(start, stop, step)`` of '--grid start:stop:step'."""
+    return GridSpec(*_split(text, "--grid"))
+
+
+def _json(payload) -> str:
+    """Strict JSON text of a payload: every non-finite float is null."""
+    return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _strict(value):
@@ -107,9 +120,8 @@ def _strict(value):
     return value
 
 
-def _write_json(path, payload, argv) -> None:
-    text = json.dumps(_strict(payload), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+def _emit(path, text: str, argv) -> None:
+    """Write text to stdout without a path, else to the file and its sidecar."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -123,15 +135,6 @@ def _write_sidecar(path, argv) -> None:
         "argv": list(argv),
     }
     _write_text(str(path) + ".meta.json", json.dumps(meta, indent=2, allow_nan=False) + "\n")
-
-
-def _projection(name: str, dimension: int):
-    if name == "zero":
-        return ProjectionFamily.zero(dimension)
-    if name == "identity":
-        return ProjectionFamily.identity(dimension)
-    raise ValueError("projection must be zero or identity (explicit "
-                     "families are library-level only)")
 
 
 # SUBCOMMANDS ==========================================================================
@@ -155,12 +158,12 @@ def _cmd_gallery(args, argv):
             print(fmt % r)
         return EXIT_OK
     # eval
+    grid = _grid_spec(args.grid)
     entry = gallery.make_entry(args.entry, **json.loads(args.params))
     payload = {"name": entry.name, "claims": entry.claims_json(),
                "notes": entry.notes}
-    _write_json(args.out, payload, argv)
+    _emit(args.out, _json(payload), argv)
     if args.norms_out:
-        grid = _grid_spec(args.grid) if args.grid else GridSpec(-10.0, 10.0, 0.5)
         sampled = sample_norm_grid(entry.process, None, grid, part="stable")
         sampled.to_csv(args.norms_out)
         _write_sidecar(args.norms_out, argv)
@@ -172,7 +175,7 @@ def _cmd_classify(args, argv):
     domain = TimeDomain(args.side)
     grid = _grid_spec(args.grid)
     alphas = _parse_range(args.alpha_grid, "--alpha-grid")
-    projection = _projection(args.projection, process.dimension)
+    projection = getattr(ProjectionFamily, args.projection)(process.dimension)
     frontier, cert = classify(process, projection, args.kind, grid, alphas,
                               part=args.part, domain=domain,
                               delta_max=args.delta_max, ln_m_max=args.ln_m_max)
@@ -181,7 +184,7 @@ def _cmd_classify(args, argv):
     if cert is None:
         print("no feasible certificate within the caps", file=sys.stderr)
         return EXIT_VALIDATION
-    _write_json(args.cert_out, cert.to_dict(), argv)
+    _emit(args.cert_out, _json(cert.to_dict()), argv)
     return EXIT_OK
 
 
@@ -193,14 +196,14 @@ def _cmd_check(args, argv):
     payload = {"violation": violation, "tolerance": args.tol,
                "holds": bool(violation <= args.tol),
                "certificate": cert.to_dict()}
-    _write_json(args.out, payload, argv)
+    _emit(args.out, _json(payload), argv)
     return EXIT_OK
 
 
 def _cmd_convert(args, argv):
     cert = DichotomyCertificate.from_json(args.cert)
     out = unify_exponents(cert) if args.unify else convert_halfline(cert)
-    _write_json(args.out, out.to_dict(), argv)
+    _emit(args.out, _json(out.to_dict()), argv)
     return EXIT_OK
 
 
@@ -222,7 +225,7 @@ def _cmd_reject(args, argv):
                            for k in evidence.min_ln_m},
         "rejected": evidence.rejected(),
     }
-    _write_json(args.out, payload, argv)
+    _emit(args.out, _json(payload), argv)
     return EXIT_OK
 
 
@@ -248,7 +251,7 @@ def _cmd_robustness(args, argv):
             "dual_violation": result.dual_violation,
             "primal_violation": result.primal_violation,
         }
-    _write_json(args.out, payload, argv)
+    _emit(args.out, _json(payload), argv)
     return EXIT_OK
 
 
@@ -259,12 +262,8 @@ def _radius_table(envelope, times) -> str:
 def _cmd_attract(args, argv):
     cert = DichotomyCertificate.from_json(args.cert)
     times = _parse_range(args.t_grid, "--t-grid")
-    text = _radius_table(make_pullback_envelope(cert, args.lam, args.bnorm), times)
-    if args.out:
-        _write_text(args.out, text)
-        _write_sidecar(args.out, argv)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _radius_table(make_pullback_envelope(cert, args.lam, args.bnorm), times),
+          argv)
     return EXIT_OK
 
 
@@ -290,14 +289,12 @@ def _cmd_pde(args, argv):
     if bundle is not None:
         payload["bundle"] = {"m_sep": bundle.m_sep, "nu_sep": bundle.nu_sep,
                              "c1": bundle.c1, "c2": bundle.c2}
-    _write_json(args.out, payload, argv)
-    if args.radii_out:
+    if args.radii_out:   # before the report, so that a bad t_grid writes nothing
         envelope = make_linear_envelope(transferred, float(cfg.get("lambda", 0.0)),
                                         float(cfg.get("bnorm", 1.0)))
         t0, t1, step = (float(v) for v in cfg.get("t_grid", [-10.0, 0.0, 0.5]))
-        text = _radius_table(envelope, _range(t0, t1, step, "t_grid"))
-        _write_text(args.radii_out, text)
-        _write_sidecar(args.radii_out, argv)
+        _emit(args.radii_out, _radius_table(envelope, _range(t0, t1, step, "t_grid")), argv)
+    _emit(args.out, _json(payload), argv)
     return EXIT_OK
 
 
@@ -311,7 +308,8 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=["list", "eval"])
     p.add_argument("--entry", help="fixture name (for eval)")
     p.add_argument("--params", default="{}", help="JSON parameter overrides")
-    p.add_argument("--grid", help="norm sampling window start:stop:step")
+    p.add_argument("--grid", default="-10:10:0.5",
+                   help="norm sampling window start:stop:step")
     p.add_argument("--out", help="claims JSON path (default stdout)")
     p.add_argument("--norms-out", help="optional sampled norm grid CSV")
     p.set_defaults(fn=_cmd_gallery)
@@ -401,12 +399,10 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args, argv)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError,
-            DomainError, InapplicableError, DataError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except (FiniteEscapeError, FloatingPointError, OverflowError,
-            RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 

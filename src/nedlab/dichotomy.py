@@ -546,9 +546,15 @@ def classify(process: EvolutionProcess, projection, kind: str,
     extracts the feasible entry with the largest decay rate.  Under an
     explicit family the stable part's certificate carries the family.
     The unstable part fits no stable pair there, so it returns no
-    certificate; the frontier still carries the fit."""
+    certificate; the frontier still carries the fit.  Raises DataError
+    when any pair escaped: a certificate fitted around it would fail
+    :func:`check_certificate` on the same grid."""
     domain = domain or process.domain
     sampled = sample_norm_grid(process, projection, grid, part=part)
+    if sampled.poisoned:
+        raise DataError("%d sampled pairs escaped, the first at (t, s) = (%g, %g); "
+                        "no certificate bounds an escaped pair"
+                        % ((len(sampled.poisoned),) + sampled.poisoned[0]))
     frontier = fit_bounds(sampled, kind, part, list(alpha_grid),
                           delta_max=delta_max, ln_m_max=ln_m_max)
     explicit = projection is not None and projection.descriptor == "explicit"

@@ -88,6 +88,12 @@ _DOP853_FAILURES = {-1: "input is not consistent",
 _FLOAT = np.dtype(float)
 
 
+class _StepSizeCollapse(RuntimeError):
+    """DOP853 stopped because its step fell below the rounding floor of t
+    (code -3) before the step-end norm reached the guard, as on the way to
+    a finite-time blow-up far from t = 0."""
+
+
 class _Run:
     """What one thread's callbacks read during a solve: the field, the
     state's shape and size, the step-end norm, its guard and running
@@ -158,8 +164,10 @@ class _Dop853(threading.local):
         from y at t0, where peak is the largest ``norm`` of the flat state
         over the step ends, t0 included.  tau is t1 unless the run stopped
         at the end of the first step where the peak reached ``guard``;
-        callers map that stop to their own error.  Not re-entrant: a field
-        that starts another solve on the same thread raises RuntimeError."""
+        callers map that stop to their own error.  A failed run raises
+        RuntimeError, :class:`_StepSizeCollapse` for a collapsed step.  Not
+        re-entrant: a field that starts another solve on the same thread
+        raises RuntimeError."""
         if self.busy:
             raise RuntimeError("the compiled DOP853 driver was re-entered from "
                                "inside a right-hand side")
@@ -187,8 +195,8 @@ class _Dop853(threading.local):
         # A stop at t0 reports idid -3, so a run that reached the guard
         # never counts as failed.
         if idid < 0 and peak < guard:
-            raise RuntimeError("integration failed: %s"
-                               % _DOP853_FAILURES.get(idid, "code %d" % idid))
+            raise (_StepSizeCollapse if idid == -3 else RuntimeError)(
+                "integration failed: %s" % _DOP853_FAILURES.get(idid, "code %d" % idid))
         return tau, y, peak
 
 

@@ -107,6 +107,17 @@ def _quotient(a: float, b: float) -> float:
         return float(np.divide(a, b))
 
 
+def _ieee(fn, x: float) -> float:
+    """``fn(x)`` for a one-argument :mod:`math` function, bit for bit where
+    it returns, and under IEEE rules where it raises: a signed inf for an
+    overflow, NaN outside the domain."""
+    try:
+        return fn(x)
+    except (OverflowError, ValueError):
+        with np.errstate(all="ignore"):
+            return float(getattr(np, fn.__name__)(x))
+
+
 def robustness_constants(m: float, omega: float, upsilon: float,
                          eps: float) -> RobustnessReport:
     """Evaluate the perturbation constants exactly as stated.
@@ -121,15 +132,18 @@ def robustness_constants(m: float, omega: float, upsilon: float,
     Inadmissible inputs (negative radical, rho >= 1, nonpositive
     denominators, upsilon >= omega) are not errors: the literal values
     are reported with the corresponding flag cleared.  A zero denominator,
-    as where e^{-w} rounds to 1, gives the IEEE quotient (inf or NaN).
+    as where e^{-w} rounds to 1, gives the IEEE quotient (inf or NaN); an
+    overflow, as of sinh w once |w| passes about 710, gives inf, and the
+    log of a negative argument NaN.
 
     The radical is evaluated as sinh^2 w - 2 e sinh w (identical by
     cosh^2 - 1 = sinh^2) and the outer log via
     ln(cosh w - r) = ln1p(2 e sinh w) - ln(cosh w + r), which avoids the
     catastrophic cancellation of cosh w - sinh w at small eps.
     """
-    sh, ch = math.sinh(omega), math.cosh(omega)
+    sh, ch = _ieee(math.sinh, omega), _ieee(math.cosh, omega)
     radical = sh * sh - 2.0 * eps * sh
+    log_growth = _ieee(math.log1p, 2.0 * eps * sh)   # ln(1 + 2 e sinh w)
     flags = {
         "radical_nonnegative": radical >= 0.0,
         "upsilon_below_omega": 0.0 <= upsilon < omega,
@@ -137,18 +151,19 @@ def robustness_constants(m: float, omega: float, upsilon: float,
     if radical >= 0.0:
         r = math.sqrt(radical)
         # cosh w - r = (1 + 2 eps sinh w) / (cosh w + r) exactly.
-        log_arg_positive = True
-        omega_tilde = math.log(ch + r) - math.log1p(2.0 * eps * sh)
+        log_arg_positive = 1.0 + 2.0 * eps * sh > 0.0
+        omega_tilde = math.log(ch + r) - log_growth
     else:
         log_arg_positive = False
         omega_tilde = math.nan
     flags["log_argument_positive"] = log_arg_positive
-    beta_tilde = omega_tilde + math.log1p(2.0 * eps * sh)
-    emw = math.exp(-omega)
+    beta_tilde = omega_tilde + log_growth
+    emw = _ieee(math.exp, -omega)
     rho = _quotient(eps * (1.0 + emw), 1.0 - emw)
     flags["rho_below_one"] = rho < 1.0
-    d1 = 1.0 - _quotient(eps * emw, -math.expm1(-omega - omega_tilde))
-    d2 = 1.0 - _quotient(eps * math.exp(-beta_tilde), -math.expm1(-omega - beta_tilde))
+    d1 = 1.0 - _quotient(eps * emw, -_ieee(math.expm1, -omega - omega_tilde))
+    d2 = 1.0 - _quotient(eps * _ieee(math.exp, -beta_tilde),
+                         -_ieee(math.expm1, -omega - beta_tilde))
     flags["m1_positive"] = d1 > 0.0
     flags["m2_positive"] = d2 > 0.0
     m1 = 1.0 / d1 if d1 != 0.0 else math.inf

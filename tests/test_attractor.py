@@ -328,6 +328,24 @@ class TestPullbackSimulation:
             nl.simulate_pullback_omega(spec, 0.0, np.array([[3.0]]),
                                        s_schedule=[-1.0, -2.0, -4.0])
 
+    def test_far_blow_up_is_an_escape(self):
+        # x' = x^2 from 1 blows up one time unit after its start.  From
+        # s = -2^18 on, DOP853's step collapses at the rounding floor of t
+        # before |x| reaches the escape radius; that is an escape too.
+        square = lambda t, x: x ** 2
+        for k in (8, 17, 18, 20):
+            s = -2.0 ** k
+            with pytest.raises(nl.TrajectoryEscapeError):
+                _integrate_ensemble(square, s, s + 2.0, [[1.0]])
+        spec = nl.DissipativitySpec(field=square, a=lambda t: 1.0, b=lambda t: 0.0,
+                                    dimension=1)
+        with pytest.raises(nl.TrajectoryEscapeError, match="every pullback depth escaped"):
+            nl.simulate_pullback_omega(spec, 0.0, np.array([[1.0]]))
+        cloud = nl.simulate_pullback_omega(spec, 0.0, np.array([[1.0]]),
+                                           s_schedule=[-0.5, -2.0 ** 18, -2.0 ** 20])
+        assert (cloud.depth_used, cloud.poisoned) == (1, 2)
+        assert cloud.representatives[0, 0] == pytest.approx(2.0, rel=1e-8)
+
 
 def _duffing(t, x):
     # Component-indexed on purpose: x is one state (2,) or a batch (2, k).

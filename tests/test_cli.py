@@ -374,6 +374,7 @@ class TestPde:
         cfg = self._config(tmp_path, t_grid=[-2.0, 0.0, 0.0])
         assert run(["pde", "--config", cfg, "--out", str(tmp_path / "o.json"),
                     "--radii-out", str(tmp_path / "r.csv")]) == 2
+        assert not (tmp_path / "o.json").exists()   # a failed command writes nothing
 
     def test_unknown_coefficient_exits_2(self, tmp_path):
         cfg = self._config(tmp_path, g={"name": "chaotic"})
@@ -393,9 +394,10 @@ class TestPde:
 
 
 def _degenerate_cases():
-    """(argv, exit code) of every subcommand on degenerate numbers: omega 0
-    or 1e-300, and inf or nan grid, t-grid and window bounds.  {data} is
-    the CLI data folder and {tmp} a scratch folder."""
+    """(argv, exit code) of every subcommand on degenerate inputs: omega 0,
+    1e-300 or +-1000; inf or nan grid, t-grid and window bounds; JSON of
+    the wrong shape; an output path that is a folder.  {data} is the CLI
+    data folder and {tmp} a scratch folder."""
     d = "{data}/"
     pipeline = ["--process", d + "base.json", "--perturbed", d + "perturbed.json",
                 "--cert", d + "cert_ii_full.json"]
@@ -404,7 +406,14 @@ def _degenerate_cases():
                 "--out", "{tmp}/f.csv"]
     check = ["check", "--process", d + "decay.json", "--cert", d + "cert_ii_plus.json"]
     attract = ["attract", "--cert", d + "cert_attract.json", "--bnorm", "1"]
+    barreira = ["gallery", "eval", "--entry", "barreira"]
     return [
+        (barreira + ["--params", '{"zz": 1}'], 2),
+        (barreira + ["--params", "[1]"], 2),
+        (barreira + ["--params", '{"a": "x"}'], 2),
+        (barreira + ["--grid", "0:inf:0.5"], 2),
+        (["check", "--process", "{tmp}/list_params.json", "--cert", d + "cert_ii_plus.json"], 2),
+        (["convert", "--cert", d + "cert_i_plus.json", "--out", "{tmp}"], 2),
         (["gallery", "eval", "--entry", "barreira", "--grid", "0:inf:0.5",
           "--norms-out", "{tmp}/n.csv"], 2),
         (["gallery", "eval", "--entry", "barreira", "--grid", "nan:1:0.5",
@@ -418,6 +427,8 @@ def _degenerate_cases():
         (["reject", "--process", d + "sign_switch.json", "--windows", "0:nan,0:20"], 2),
         (constants + ["--omega", "0"], 0),
         (constants + ["--omega", "1e-300"], 0),
+        (constants + ["--omega", "1000"], 0),
+        (constants + ["--omega", "-1000"], 0),
         (constants + ["--omega", "0"] + pipeline + ["--grid=-3:3:0.5"], 0),
         (constants + ["--omega", "1"] + pipeline + ["--grid=-3:inf:0.5"], 2),
         (attract + ["--t-grid=-inf:0:0.5"], 2),
@@ -432,12 +443,35 @@ class TestDegenerateNumbers:
     def test_exit_code_contract(self, tmp_path, argv, code):
         # A non-finite bound is a validation failure (2); no exception escapes.
         _write(tmp_path, "nan_cert.json", _cert_dict(math.nan, m=math.inf))
+        _write(tmp_path, "list_params.json", dict(CONSTANT_DECAY, params=[1]))
         _write(tmp_path, "pde.json", {"N": 5, "g": {"name": "constant", "rate": -1.0},
                                       "scalar_certificate": _cert_dict(1.0, domain="full"),
                                       "bundle": False, "t_grid": [-math.inf, 0.0, 0.5]})
         argv = [a.replace("{data}", str(CLI_DATA)).replace("{tmp}", str(tmp_path))
                 for a in argv]
         assert run(argv) == code
+
+
+class TestGrid:
+    def test_grid_is_the_spec(self):
+        spec = cli._grid_spec("0:10:0.3")
+        assert spec == nl.GridSpec(0.0, 10.0, 0.3)
+        assert spec.mesh()[-1] == 10.0   # the off-lattice stop is sampled
+        assert cli._grid_spec("0:1:2").mesh().tolist() == [0.0, 1.0]
+
+    def test_off_lattice_stop_is_checked(self, tmp_path):
+        # x' = 0.5 x on R+ against ln M = 4.97, alpha = delta = 1: the bound
+        # fails only at t = 10, by 0.03, off the lattice 0, 0.3, ..., 9.9.
+        process, cert = CLI_DATA / "growth.json", CLI_DATA / "cert_growth.json"
+        out = tmp_path / "check.json"
+        assert run(["check", "--process", str(process), "--cert", str(cert),
+                    "--grid", "0:10:0.3", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        library = nl.check_certificate(nl.load_process_config(str(process)),
+                                       nl.DichotomyCertificate.from_json(str(cert)),
+                                       nl.GridSpec(0.0, 10.0, 0.3))
+        assert payload["violation"] == library == pytest.approx(0.03, abs=1e-12)
+        assert payload["holds"] is False
 
 
 class TestDeterminism:

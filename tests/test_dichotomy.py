@@ -645,3 +645,18 @@ class TestClassify:
         frontier, cert = nl.classify(process, family, "II", GridSpec(0.0, 4.0, 0.5),
                                      [0.5, 1.0], part="unstable")
         assert cert is None and frontier.entries
+
+    def test_escaped_pairs_refuse_a_certificate(self):
+        # x' = f(t) x with f = -1 but +1000 on (8, 8.5]: every pair across the
+        # burst escapes.  Fitted around them the frontier offers M = 1,
+        # alpha = 1, delta = 0, which check_certificate rejects with inf.
+        def antiderivative(t):
+            if t <= 8.0:
+                return -t
+            return -8.0 + 1000.0 * (min(t, 8.5) - 8.0) - max(t - 8.5, 0.0)
+        burst = nl.ScalarCoefficientProcess(lambda t: 1000.0 if 8.0 < t <= 8.5 else -1.0,
+                                            antiderivative=antiderivative)
+        grid = GridSpec(0.0, 10.0, 0.5)
+        assert len(nl.sample_norm_grid(burst, None, grid).poisoned) == 68
+        with pytest.raises(DataError, match="68 sampled pairs escaped"):
+            nl.classify(burst, None, "II", grid, [0.5, 1.0])

@@ -101,6 +101,24 @@ class TestConstants:
         assert math.isnan(rep.m_hat)
         assert math.isnan(nl.robustness_constants(1.0, omega, 0.0, 0.0).rho)   # 0 / 0
 
+    @pytest.mark.parametrize("omega", [1000.0, -1000.0])
+    def test_overflow_gives_ieee_values(self, omega):
+        # sinh, cosh and e^{-omega} overflow to inf past |omega| ~ 710; at
+        # -1000, 1 + 2 eps sinh omega is -inf, so the log argument is negative.
+        rep = nl.robustness_constants(1.0, omega, 0.0, 0.1)
+        assert not (rep.admissible or rep.flags["m1_positive"]
+                    or rep.flags["log_argument_positive"])
+        assert math.isnan(rep.omega_tilde) and math.isnan(rep.m_hat)
+        # rho is 0.1 (1 + 0) / (1 - 0) at 1000, and inf / -inf at -1000.
+        assert rep.rho == 0.1 if omega > 0 else math.isnan(rep.rho)
+
+    def test_negative_log_argument_clears_its_flag(self):
+        # 1 + 2 eps sinh(-5) < 0: the radical is positive but cosh w - r is not.
+        rep = nl.robustness_constants(1.0, -5.0, 0.0, 0.1)
+        assert rep.flags["radical_nonnegative"]
+        assert not rep.flags["log_argument_positive"]
+        assert math.isnan(rep.omega_tilde)
+
     def test_report_serialization(self):
         rep = nl.robustness_constants(1.0, 1.0, 0.2, 0.1)
         d = rep.to_dict()
