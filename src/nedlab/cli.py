@@ -233,7 +233,13 @@ def _cmd_robustness(args, argv):
     report = robustness_constants(args.big_m, args.omega, args.upsilon,
                                   args.eps)
     payload = report.to_dict()
-    if args.process and args.perturbed:
+    pipeline = {"--process": args.process, "--perturbed": args.perturbed,
+                "--cert": args.cert, "--grid": args.grid}
+    missing = [name for name, value in pipeline.items() if value is None]
+    if 0 < len(missing) < len(pipeline):
+        raise ValueError("the pipeline needs --process, --perturbed, --cert and --grid "
+                         "together; missing %s" % ", ".join(missing))
+    if not missing:
         p = load_process_config(args.process)
         q = load_process_config(args.perturbed)
         cert = DichotomyCertificate.from_json(args.cert)
@@ -361,10 +367,11 @@ def build_parser() -> _Parser:
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--upsilon", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--process", help="base process config (pipeline mode)")
+    p.add_argument("--process", help="base process config (pipeline mode: with "
+                   "--perturbed, --cert and --grid)")
     p.add_argument("--perturbed", help="perturbed process config")
     p.add_argument("--cert", help="kind-II certificate of the base process")
-    p.add_argument("--grid", default="-5:5:0.5")
+    p.add_argument("--grid", help="start:stop:step of the pipeline's checks")
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.set_defaults(fn=_cmd_robustness)
 

@@ -231,11 +231,13 @@ class _AnchorEnvelope:
         self._logn = logn[order]
         self._dts = dts[order]
 
-    def heights(self, rate: float) -> np.ndarray:
-        """Highest ``logNorm + rate * (t - s)`` at each of `anchors`."""
-        y = rate * self._dts
+    def heights(self, rates) -> np.ndarray:
+        """Highest ``logNorm + rate * (t - s)`` at each of `anchors`: a
+        vector for one rate, a (rate x anchor) table for a 1-d array of
+        rates, reduced by one ``reduceat`` over the last axis."""
+        y = np.multiply.outer(rates, self._dts)
         y += self._logn
-        return np.maximum.reduceat(y, self._starts)
+        return np.maximum.reduceat(y, self._starts, axis=-1)
 
 
 def fit_bounds(grid: NormGrid, kind: str, part: str,
@@ -254,11 +256,12 @@ def fit_bounds(grid: NormGrid, kind: str, part: str,
     no admissible pair exists within the caps are reported infeasible.
 
     Every alpha is solved at once from one (alpha x distinct anchor)
-    table of the highest shifted log-norm per anchor, in O(pairs + alphas
-    x anchors) time and memory.  Both maxima, the least delta
-    ``max_a (h_a - ln_m_max) / a`` over positive anchors and the least
-    ln M ``max_a (h_a - delta * a)``, run over every distinct anchor: the
-    upper hull of the points (a, h_a) attains them in exact arithmetic,
+    table of the highest shifted log-norm per anchor, which one
+    ``reduceat`` takes from the (alpha x sample) array of shifted
+    log-norms, in O(alphas x pairs) time and memory.  Both maxima, the
+    least delta ``max_a (h_a - ln_m_max) / a`` over positive anchors and
+    the least ln M ``max_a (h_a - delta * a)``, run over every distinct
+    anchor: the upper hull of the points (a, h_a) attains them in exact arithmetic,
     but a point on a hull edge can round one ulp above it, and the full
     maximum keeps that larger, safe value.  Where that value lands over
     ``ln_m_max``, delta rises by ulps until ln M fits under the cap, so an
@@ -282,8 +285,7 @@ def fit_bounds(grid: NormGrid, kind: str, part: str,
     sign = -1.0 if part == "stable" else 1.0
     # heights[i, k] = max logn - sign * alpha_i * dts at anchor k must lie
     # below the line ln M + delta * anchors[k].
-    heights = np.array([envelope.heights(-sign * alpha) for alpha in alphas])
-    heights = heights.reshape(alphas.size, anchors.size)
+    heights = envelope.heights(-sign * alphas)
     # ln M >= the height at a sampled zero anchor, whatever delta is.
     floor = heights[:, 0] if anchors[0] == 0.0 else np.full(alphas.size, -np.inf)
     pos = anchors > 0.0

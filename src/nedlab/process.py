@@ -13,6 +13,7 @@ projection families, operator-norm evaluation, and grid sampling of
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -332,6 +333,23 @@ def _max_norm(stack) -> float:
     return float(np.max(_spectral_norms(stack), initial=0.0))
 
 
+#: Bytes of ``N P(s)`` matrices the per-anchor kernel gathers per norm call.
+_NORM_BLOCK_BYTES = 1 << 20
+
+
+def _log_norm_block(table: np.ndarray, block: list) -> None:
+    """Write ``L + log ||N P(s)||`` into ``table[t index, anchor index]``
+    for a block of ``(anchor index, t indices, L values, N P(s) stack)``,
+    from one :func:`_spectral_norms` call over all its stacks."""
+    if not block:
+        return
+    norms = _spectral_norms(np.concatenate([stack for *_, stack in block])).tolist()
+    end = 0
+    for a, rows, scales, _ in block:
+        start, end = end, end + len(rows)
+        table[rows, a] = [scale + _log(v) for scale, v in zip(scales, norms[start:end])]
+
+
 def _log(value: float) -> float:
     """Natural log with an exact zero mapped to -inf; NaN stays NaN."""
     return -math.inf if value == 0.0 else math.log(value)
@@ -363,13 +381,64 @@ def _write_text(path, text: str) -> None:
 
 # GRIDS ================================================================================
 
+class _ArrayMemo:
+    """Least-recently-used memo of tuples of read-only arrays, bounded in
+    bytes: a value larger than the whole budget is built and returned but
+    never kept."""
+
+    def __init__(self, budget: int):
+        self.budget, self.nbytes = budget, 0
+        self._values = collections.OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build: Callable[[], tuple]) -> tuple:
+        with self._lock:
+            value = self._values.get(key)
+            if value is not None:
+                self._values.move_to_end(key)
+                return value
+        value = build()
+        for array in value:
+            array.flags.writeable = False
+        size = sum(array.nbytes for array in value)
+        with self._lock:
+            if size <= self.budget and key not in self._values:
+                self._values[key] = value
+                self.nbytes += size
+                while self.nbytes > self.budget:
+                    self.nbytes -= sum(a.nbytes for a in self._values.popitem(last=False)[1])
+        return value
+
+
+#: Memo of grid structure: each grid value's mesh, and the triangle index
+#: arrays of each (mesh size, part), shared by equal-size grids.
+_GRID_MEMO = _ArrayMemo(4 << 20)
+
+
+def _triangle_indices(size: int, part: str) -> tuple:
+    """``(i, j)`` of the mesh pairs of ``part`` on a mesh of ``size`` points."""
+    if part == "stable":
+        return np.tril_indices(size)
+    return np.triu_indices(size, 1)
+
+
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
     """Uniform time mesh on [start, stop] with the origin pinned.
 
-    The mesh always contains both endpoints, and contains 0 whenever
-    0 lies in [start, stop], so that half-line anchors e^{delta |t|}
-    are sampled where they are smallest.
+    The mesh always contains both endpoints exactly, and contains 0
+    whenever 0 lies in [start, stop], so that half-line anchors
+    e^{delta |t|} are sampled where they are smallest.  The other points,
+    the lattice ``start + k * step`` and the extra points inside the
+    window, are rounded to 12 decimals; one that rounds to an endpoint's
+    12-decimal value merges into that endpoint.
+
+    Grid structure is memoised in a module-wide least-recently-used memo
+    of about 4 MB: the mesh of each grid value (equal grids share it),
+    and the pair index arrays of each mesh size and part (equal-size
+    grids share them).  Memoised arrays are read-only; ``mesh`` and
+    ``pairs`` return fresh arrays.  A structure larger than the whole
+    memo is rebuilt on every call.
     """
 
     start: float
@@ -384,18 +453,27 @@ class GridSpec:
             raise ValueError("empty grid: stop must exceed start")
         if not (self.step > 0):
             raise ValueError("grid step must be positive")
+        object.__setattr__(self, "extra_points", tuple(self.extra_points))
 
     def mesh(self) -> np.ndarray:
+        return self._mesh().copy()
+
+    def _mesh(self) -> np.ndarray:
+        """The memoised, read-only mesh; strictly increasing."""
+        return _GRID_MEMO.get(self, self._build_mesh)[0]
+
+    def _build_mesh(self) -> tuple:
         n = int(round((self.stop - self.start) / self.step))
-        pts = self.start + self.step * np.arange(n + 1)
-        pts = pts[pts <= self.stop + 1e-12 * max(1.0, abs(self.stop))]
-        extras = [self.stop]
-        if self.start < 0.0 < self.stop:
-            extras.append(0.0)
-        extras.extend(p for p in self.extra_points if self.start <= p <= self.stop)
-        pts = np.concatenate([pts, np.asarray(extras, dtype=float)])
-        pts = np.unique(np.round(pts, 12))
-        return pts
+        inner = np.concatenate([self.start + self.step * np.arange(1, n + 1),
+                                np.asarray([p for p in self.extra_points
+                                            if self.start <= p <= self.stop], dtype=float)])
+        inner = np.round(inner, 12)
+        ends = np.round([self.start, self.stop], 12)
+        inner = inner[(self.start < inner) & (inner < self.stop)
+                      & (inner != ends[0]) & (inner != ends[1])]
+        pinned = [self.start, self.stop] + ([0.0] if self.start < 0.0 < self.stop else [])
+        # Adding 0.0 turns -0.0 into 0.0, so that equal grids mesh to the same bits.
+        return (np.unique(np.concatenate([pinned, inner])) + 0.0,)
 
     def pairs(self, part: str = "stable"):
         """All ordered mesh pairs: (t >= s) for "stable", (t < s) for
@@ -405,14 +483,13 @@ class GridSpec:
 
     def _pair_index(self, part: str):
         """``(mesh, i, j)`` with ``pairs(part) == (mesh[i], mesh[j])``: the
-        pairs in row-major order of (t, s), t ascending, then s."""
-        mesh = self.mesh()   # strictly increasing
-        if part == "stable":
-            i, j = np.tril_indices(len(mesh))
-        elif part == "unstable":
-            i, j = np.triu_indices(len(mesh), 1)
-        else:
+        pairs in row-major order of (t, s), t ascending, then s.  All three
+        are the read-only memoised arrays."""
+        if part not in ("stable", "unstable"):
             raise ValueError("part must be 'stable' or 'unstable'")
+        mesh = self._mesh()
+        size = len(mesh)
+        i, j = _GRID_MEMO.get((size, part), lambda: _triangle_indices(size, part))
         return mesh, i, j
 
 
@@ -457,10 +534,11 @@ class EvolutionProcess:
     Subclasses implement :meth:`matrix`.  ``propagate`` applies the
     operator to a vector; scalar backends override it to avoid building
     1x1 matrices in inner loops.  :func:`sample_norm_grid` reads every
-    grid through :meth:`_log_norms`: one stacked norm call per anchor on
-    the stack :meth:`_anchor_matrices` reads, pair by pair or chained over
-    the mesh; under the identity factor, scalar backends read the exponent
-    and separable PDE processes one norm per distinct lag.
+    grid through :meth:`_log_norms`: the stacks :meth:`_anchor_matrices`
+    reads per anchor, pair by pair or chained over the mesh, gathered into
+    one stacked norm call per block of consecutive anchors; under the
+    identity factor, scalar backends read the exponent and separable PDE
+    processes one norm per distinct lag.
     """
 
     dimension: int = 1
@@ -494,16 +572,25 @@ class EvolutionProcess:
         else ``s -> P(s)``.
 
         For each anchor ``s = mesh[a]``, P(s) is evaluated once and applied
-        to the ``(L, N)`` stack of :meth:`_anchor_matrices`, and one
-        :func:`_spectral_norms` call gives every ``L + log ||N P(s)||``.
-        Stacks never span more than one anchor, which bounds their memory."""
+        to the ``(L, N)`` stack of :meth:`_anchor_matrices`.  Consecutive
+        anchors' ``N P(s)`` stacks are gathered into blocks of about
+        ``_NORM_BLOCK_BYTES``, and one :func:`_spectral_norms` call per
+        block gives every ``L + log ||N P(s)||`` in it.  The stacked SVD
+        treats each matrix on its own, so the blocking changes no bit."""
         table = np.full((len(mesh), len(mesh)), -math.inf)   # [t index, s index]
+        block, size = [], 0   # (anchor index, t indices, L values, N P(s) stack)
         for a, (rows, scales, mats, escaped) in enumerate(self._anchor_matrices(mesh, part)):
             table[escaped, a] = math.nan
             if rows:
                 stack = np.array(mats, dtype=float)
-                norms = _spectral_norms(stack if factor is None else stack @ factor(float(mesh[a])))
-                table[rows, a] = [scale + _log(v) for scale, v in zip(scales, norms.tolist())]
+                if factor is not None:
+                    stack = stack @ factor(float(mesh[a]))
+                block.append((a, rows, scales, stack))
+                size += stack.nbytes
+                if size >= _NORM_BLOCK_BYTES:
+                    _log_norm_block(table, block)
+                    block, size = [], 0
+        _log_norm_block(table, block)
         return table[i, j]
 
     def _anchor_matrices(self, mesh: np.ndarray, part: str):
@@ -892,10 +979,10 @@ def sample_norm_grid(process: EvolutionProcess,
                      projection: Optional[ProjectionFamily],
                      grid: GridSpec, part: str = "stable") -> NormGrid:
     """Sample log ||S(t, s) P(s)|| over all grid pairs of the right
-    orientation, through the backend's ``_log_norms`` on the pairs' mesh
-    indices, after one domain check.  Escaped pairs are recorded as
-    poisoned rather than aborting the sweep; pairs where ``S(t, s) P(s)``
-    vanished carry no sample."""
+    orientation, through the backend's ``_log_norms`` on the grid's
+    memoised mesh and pair indices, after one domain check.  Escaped pairs
+    are recorded as poisoned rather than aborting the sweep; pairs where
+    ``S(t, s) P(s)`` vanished carry no sample."""
     factor = _projection_factor(projection, part)
     if factor is _ZERO_FACTOR:
         # Zero operator: satisfies every bound, so no pair carries a sample.
@@ -904,11 +991,16 @@ def sample_norm_grid(process: EvolutionProcess,
     # Domains are intervals, and a mesh has two points or more: the outermost pair checks all.
     process._check_args(*((mesh[-1], mesh[0]) if part == "stable" else (mesh[0], mesh[-1])))
     vals = process._log_norms(mesh, part, i, j, factor)
-    tv, sv = mesh[i], mesh[j]
     poison = ~(vals < math.inf)   # escaped, overflowed or NaN: surfaced, never dropped
     keep = ~poison & (vals > -math.inf)
-    return NormGrid(np.column_stack([tv[keep], sv[keep], vals[keep]]), part=part,
-                    poisoned=list(zip(tv[poison].tolist(), sv[poison].tolist())))
+    poisoned = list(zip(mesh[i[poison]].tolist(), mesh[j[poison]].tolist()))
+    if not keep.all():
+        i, j, vals = i[keep], j[keep], vals[keep]
+    samples = np.empty((vals.size, 3))   # rows (t, s, log-norm), written in place
+    np.take(mesh, i, out=samples[:, 0])
+    np.take(mesh, j, out=samples[:, 1])
+    samples[:, 2] = vals
+    return NormGrid(samples, part=part, poisoned=poisoned)
 
 
 def _chained_anchor_matrices(process: EvolutionProcess, mesh: np.ndarray, part: str):

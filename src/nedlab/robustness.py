@@ -133,26 +133,45 @@ def robustness_constants(m: float, omega: float, upsilon: float,
     denominators, upsilon >= omega) are not errors: the literal values
     are reported with the corresponding flag cleared.  A zero denominator,
     as where e^{-w} rounds to 1, gives the IEEE quotient (inf or NaN); an
-    overflow, as of sinh w once |w| passes about 710, gives inf, and the
-    log of a negative argument NaN.
+    overflow, as of sinh w once w falls below about -710, gives -inf, and
+    the log of a negative argument NaN.
 
     The radical is evaluated as sinh^2 w - 2 e sinh w (identical by
     cosh^2 - 1 = sinh^2) and the outer log via
     ln(cosh w - r) = ln1p(2 e sinh w) - ln(cosh w + r), which avoids the
-    catastrophic cancellation of cosh w - sinh w at small eps.
+    catastrophic cancellation of cosh w - sinh w at small eps.  Where
+    sinh^2 w would overflow (w above about 355), sinh w is factored out
+    of the radical and of both logs, where it cancels:
+
+        omega_tilde = ln(coth w + [1 - 2 e / sinh w]^{1/2}) - ln(2 e + 1 / sinh w)
+        ln(1 + 2 e sinh w) = ln sinh w + ln(2 e + 1 / sinh w)
+
+    with ln sinh w = w - ln 2 + ln1p(-e^{-2w}), so the constants stay
+    finite for every finite w > 0.
     """
     sh, ch = _ieee(math.sinh, omega), _ieee(math.cosh, omega)
-    radical = sh * sh - 2.0 * eps * sh
-    log_growth = _ieee(math.log1p, 2.0 * eps * sh)   # ln(1 + 2 e sinh w)
+    if 0.0 < omega < math.inf and not math.isfinite(sh * sh):
+        # Divide the radical by sinh^2 w, and cosh w + r and 1 + 2 e sinh w
+        # by sinh w; ln sinh w then cancels from omega_tilde.
+        inv_sh = 1.0 / sh if math.isfinite(sh) else 2.0 * math.exp(-omega)
+        radical = 1.0 - 2.0 * eps * inv_sh
+        log_arg = 2.0 * eps + inv_sh
+        log_scaled_growth = _ieee(math.log, log_arg)
+        log_growth = (omega - math.log(2.0) + math.log1p(-math.exp(-2.0 * omega))
+                      + log_scaled_growth)
+        ch = 1.0 / math.tanh(omega)   # cosh w / sinh w
+    else:
+        radical = sh * sh - 2.0 * eps * sh
+        log_arg = 1.0 + 2.0 * eps * sh
+        log_growth = log_scaled_growth = _ieee(math.log1p, 2.0 * eps * sh)
     flags = {
         "radical_nonnegative": radical >= 0.0,
         "upsilon_below_omega": 0.0 <= upsilon < omega,
     }
     if radical >= 0.0:
-        r = math.sqrt(radical)
         # cosh w - r = (1 + 2 eps sinh w) / (cosh w + r) exactly.
-        log_arg_positive = 1.0 + 2.0 * eps * sh > 0.0
-        omega_tilde = math.log(ch + r) - log_growth
+        log_arg_positive = log_arg > 0.0
+        omega_tilde = math.log(ch + math.sqrt(radical)) - log_scaled_growth
     else:
         log_arg_positive = False
         omega_tilde = math.nan

@@ -431,6 +431,9 @@ def _degenerate_cases():
         (constants + ["--omega", "-1000"], 0),
         (constants + ["--omega", "0"] + pipeline + ["--grid=-3:3:0.5"], 0),
         (constants + ["--omega", "1"] + pipeline + ["--grid=-3:inf:0.5"], 2),
+        (constants + ["--omega", "1", "--process", d + "base.json", "--grid", "0:inf:1"], 2),
+        (constants + ["--omega", "1"] + pipeline, 2),
+        (constants + ["--omega", "1", "--grid=-3:3:0.5"], 2),
         (attract + ["--t-grid=-inf:0:0.5"], 2),
         (attract + ["--t-grid=-4:0:nan"], 2),
         (["pde", "--config", "{tmp}/pde.json", "--radii-out", "{tmp}/r.csv"], 2),

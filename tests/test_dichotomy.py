@@ -220,6 +220,28 @@ class TestFitBounds:
             assert delta == pytest.approx(0.0, abs=1e-12)
             assert ln_m == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    def test_one_reduction_equals_the_per_alpha_loop(self, monkeypatch, kind, part):
+        # x' = +-(-1 - t sin t) x: decaying for the stable part, growing for the unstable.
+        sign = -1.0 if part == "stable" else 1.0
+        p = nl.ScalarCoefficientProcess(
+            lambda t: sign * (1.0 + t * math.sin(t)),
+            antiderivative=lambda t: sign * (t + math.sin(t) - t * math.cos(t)))
+        sampled = nl.sample_norm_grid(p, None, GridSpec(-6.0, 6.0, 0.25), part=part)
+        alphas = np.linspace(0.0, 6.0, 49)
+        table = nl.fit_bounds(sampled, kind, part, alphas, ln_m_max=6.0)
+        envelope = _AnchorEnvelope(sampled, kind)
+        rows = np.array([envelope.heights(-sign * alpha) for alpha in alphas])
+        assert np.array_equal(envelope.heights(-sign * alphas), rows)
+        # The per-alpha loop: one rate at a time, each reduced on its own.
+        heights = _AnchorEnvelope.heights
+        monkeypatch.setattr(_AnchorEnvelope, "heights", lambda self, rates: np.array(
+            [heights(self, rate) for rate in np.atleast_1d(rates).tolist()]))
+        looped = nl.fit_bounds(sampled, kind, part, alphas, ln_m_max=6.0)
+        assert table.entries == looped.entries and table.infeasible == looped.infeasible
+        assert len(table.entries) > 0
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_lp_oracle(self, seed):
         rng = np.random.default_rng(seed)

@@ -73,6 +73,88 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(*bounds)
 
+    @pytest.mark.parametrize("grid, want", [
+        (GridSpec(0.0, 1.0 / 3.0, 0.1), [0.0, 0.1, 0.2, 0.3, 1.0 / 3.0]),
+        (GridSpec(0.0, 1e-13, 1e-14), [0.0, 1e-13]),
+        (GridSpec(-1.0 / 3.0, 1.0 / 3.0, 0.25), [-1.0 / 3.0, -0.083333333333, 0.0,
+                                                0.166666666667, 1.0 / 3.0]),
+        (GridSpec(0.0, math.nextafter(1.0 / 3.0, 1.0), 1.0 / 30.0), None),
+    ])
+    def test_endpoints_are_exact(self, grid, want):
+        mesh = grid.mesh()
+        assert mesh[0] == grid.start and mesh[-1] == grid.stop
+        assert np.all(np.diff(mesh) > 0)
+        assert np.all((grid.start <= mesh) & (mesh <= grid.stop))
+        if want is not None:
+            assert mesh.tolist() == want
+        else:   # the last lattice point, 1/3, rounds as the stop does: they merge
+            assert len(mesh) == 11 and 1.0 / 3.0 not in mesh
+
+    def test_endpoint_collapse_does_not_hide_a_violation(self):
+        # x' = x against kind II with M = 1, rate 1, growth 0: the violation
+        # on a pair is 2 (t - s), so it is positive on every grid.
+        process = nl.ScalarCoefficientProcess(lambda t: 1.0, antiderivative=lambda t: t)
+        cert = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0, nl.ExponentPair(1.0, 0.0))
+        assert nl.check_certificate(process, cert, GridSpec(0.0, 1e-13, 1e-14)) == 2e-13
+        assert nl.check_certificate(process, cert, GridSpec(0.0, 2e-12, 1e-12)) == 4e-12
+
+    def test_signed_zero_start_meshes_to_the_same_bits(self, monkeypatch):
+        for first, second in [(-0.0, 0.0), (0.0, -0.0)]:
+            monkeypatch.setattr(nl.process, "_GRID_MEMO", nl.process._ArrayMemo(4 << 20))
+            a = GridSpec(first, 1.0, 0.5).mesh()
+            monkeypatch.setattr(nl.process, "_GRID_MEMO", nl.process._ArrayMemo(4 << 20))
+            b = GridSpec(second, 1.0, 0.5).mesh()
+            assert a.tobytes() == b.tobytes() == np.array([0.0, 0.5, 1.0]).tobytes()
+
+    def test_memoised_arrays_are_read_only(self):
+        grid = GridSpec(-2.0, 2.0, 0.5)
+        for part in ("stable", "unstable"):
+            for array in grid._pair_index(part):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 7
+        mesh = grid.mesh()
+        assert mesh.flags.writeable
+        mesh[0] = 7.0
+        assert grid.mesh()[0] == -2.0 and grid._pair_index("stable")[0][0] == -2.0
+
+    def test_memo_stays_under_its_byte_cap(self, monkeypatch):
+        memo = nl.process._ArrayMemo(nl.process._GRID_MEMO.budget)
+        monkeypatch.setattr(nl.process, "_GRID_MEMO", memo)
+        process = ScalarExponentProcess(lambda t, s: -(t - s))
+        # 401 to 801 points: up to 5.1 MB of stable indices for one grid.
+        for k, points in enumerate(range(401, 802, 50)):
+            grid = GridSpec(0.0, (points - 1) * 0.01, 0.01)
+            for part in ("stable", "unstable"):
+                sampled = nl.sample_norm_grid(process, None, grid, part=part)
+                assert len(sampled.samples) == len(grid.pairs(part)[0])
+                assert 0 < memo.nbytes <= memo.budget
+                assert memo.nbytes == sum(a.nbytes for v in memo._values.values() for a in v)
+        # The largest grid's indices were rebuilt, not kept.
+        assert (801, "stable") not in memo._values and (701, "unstable") in memo._values
+
+    def test_memo_keeps_its_count_under_threads(self, monkeypatch):
+        memo = nl.process._ArrayMemo(1 << 20)
+        monkeypatch.setattr(nl.process, "_GRID_MEMO", memo)
+        grids = [GridSpec(0.0, 0.5 * k, 0.05) for k in range(1, 41)]
+
+        def read(grid):
+            return [grid.pairs(part) for part in ("stable", "unstable")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(read, grid) for grid in grids * 4]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert memo.nbytes == sum(a.nbytes for v in memo._values.values() for a in v)
+        assert 0 < memo.nbytes <= memo.budget
+        for grid, pairs in zip(grids * 4, results):
+            for part, (tv, sv) in zip(("stable", "unstable"), pairs):
+                want = _meshgrid_pairs(grid, part)
+                assert np.array_equal(tv, want[0]) and np.array_equal(sv, want[1])
+
 
 class TestSpectralNorm:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 31])
@@ -672,20 +754,51 @@ class TestLogMatrixContract:
     @pytest.mark.parametrize("name", _CONTRACT_BACKENDS)
     @pytest.mark.parametrize("explicit", [False, True])
     def test_one_pair_index_per_grid(self, monkeypatch, name, explicit):
-        # sample_norm_grid builds the mesh and the pair indices once; no
-        # kernel asks the grid again.
+        # The mesh is built once per grid value and the pair indices once
+        # per mesh size and part; an equal grid sampled again builds nothing.
         process = _contract_backend(name, nl.FULL_LINE)
         n = process.dimension
         family = ProjectionFamily(lambda t: np.full((n, n), 0.5 / n), n) if explicit else None
-        calls = []
-        pair_index, mesh = GridSpec._pair_index, GridSpec.mesh
-        monkeypatch.setattr(GridSpec, "_pair_index",
-                            lambda grid, part: calls.append("pairs") or pair_index(grid, part))
-        monkeypatch.setattr(GridSpec, "mesh", lambda grid: calls.append("mesh") or mesh(grid))
+        builds = []
+        build_mesh, triangle = GridSpec._build_mesh, nl.process._triangle_indices
+        monkeypatch.setattr(nl.process, "_GRID_MEMO", nl.process._ArrayMemo(4 << 20))
+        monkeypatch.setattr(GridSpec, "_build_mesh",
+                            lambda grid: builds.append("mesh") or build_mesh(grid))
+        monkeypatch.setattr(nl.process, "_triangle_indices",
+                            lambda size, part: builds.append(part) or triangle(size, part))
         for part in ("stable", "unstable") if process.invertible else ("stable",):
-            calls.clear()
-            sampled = nl.sample_norm_grid(process, family, GridSpec(-1.0, 1.5, 0.5), part=part)
-            assert calls == ["pairs", "mesh"] and len(sampled.samples) > 0
+            for repeat in (False, True):
+                builds.clear()
+                sampled = nl.sample_norm_grid(process, family, GridSpec(-1.0, 1.5, 0.5),
+                                              part=part)
+                assert len(sampled.samples) > 0
+                first = (["mesh"] if part == "stable" else []) + [part]
+                assert builds == ([] if repeat else first)
+
+    @pytest.mark.parametrize("name", _CONTRACT_BACKENDS)
+    @pytest.mark.parametrize("explicit", [False, True])
+    @pytest.mark.parametrize("budget", ["one matrix", "everything"])
+    def test_norm_blocks_change_no_bit(self, monkeypatch, name, explicit, budget):
+        process = _contract_backend(name, nl.FULL_LINE)
+        n = process.dimension
+        family = ProjectionFamily(lambda t: np.array([[0.5 + 0.1 * math.sin(t + k) for k in
+                                                       range(n)]] * n) / n, n) \
+            if explicit else None
+        grid = GridSpec(-1.3, 3.1, 0.5, extra_points=(0.45, 2.95))
+        parts = ("stable", "unstable") if process.invertible else ("stable",)
+        default = [nl.sample_norm_grid(process, family, grid, part=part) for part in parts]
+        monkeypatch.setattr(nl.process, "_NORM_BLOCK_BYTES",
+                            8 * n * n if budget == "one matrix" else math.inf)
+        for part, want in zip(parts, default):
+            got = nl.sample_norm_grid(process, family, grid, part=part)
+            assert np.array_equal(got.samples, want.samples) and got.poisoned == want.poisoned
+            if name not in ("integrated", "strang"):   # chained readers differ per pair
+                samples, poisoned = _per_pair_norm_grid(process, family, grid, part)
+                if explicit or name in ("closed-form", "dual", "adjoint"):
+                    assert np.array_equal(got.samples, samples)
+                else:   # a fast path reads the exponent or the lag instead
+                    assert np.allclose(got.samples, samples, rtol=1e-12, atol=1e-12)
+                assert got.poisoned == poisoned
 
     @pytest.mark.parametrize("name", _CONTRACT_BACKENDS)
     def test_log_matrix_reproduces_matrix(self, name):

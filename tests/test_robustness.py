@@ -101,16 +101,30 @@ class TestConstants:
         assert math.isnan(rep.m_hat)
         assert math.isnan(nl.robustness_constants(1.0, omega, 0.0, 0.0).rho)   # 0 / 0
 
-    @pytest.mark.parametrize("omega", [1000.0, -1000.0])
+    @pytest.mark.parametrize("omega", [-1000.0])
     def test_overflow_gives_ieee_values(self, omega):
-        # sinh, cosh and e^{-omega} overflow to inf past |omega| ~ 710; at
-        # -1000, 1 + 2 eps sinh omega is -inf, so the log argument is negative.
+        # sinh, cosh and e^{omega} overflow past |omega| ~ 710; at -1000,
+        # 1 + 2 eps sinh omega is -inf, so the log argument is negative.
         rep = nl.robustness_constants(1.0, omega, 0.0, 0.1)
         assert not (rep.admissible or rep.flags["m1_positive"]
                     or rep.flags["log_argument_positive"])
         assert math.isnan(rep.omega_tilde) and math.isnan(rep.m_hat)
-        # rho is 0.1 (1 + 0) / (1 - 0) at 1000, and inf / -inf at -1000.
-        assert rep.rho == 0.1 if omega > 0 else math.isnan(rep.rho)
+        assert math.isnan(rep.rho)   # inf / -inf
+
+    @pytest.mark.parametrize("omega", [355.0, 356.0, 400.0, 709.0, 711.0, 1000.0])
+    def test_large_omega_matches_oracle(self, omega):
+        # Past omega ~ 355, sinh^2 omega overflows; the exact constants are
+        # finite: omega_tilde -> -ln eps, beta_tilde -> omega.
+        rep = nl.robustness_constants(1.0, omega, 0.0, 0.1)
+        ref = oracle_constants(1.0, omega, 0.0, 0.1)
+        for key in ("omega_tilde", "beta_tilde", "rho", "m1", "m2", "m_hat"):
+            assert getattr(rep, key) == pytest.approx(float(ref[key]), rel=1e-13), key
+        assert rep.admissible and math.isfinite(rep.positive_exponent)
+        assert rep.omega_tilde == pytest.approx(-math.log(0.1), rel=1e-13)
+
+    def test_infinite_omega_is_inadmissible(self):
+        rep = nl.robustness_constants(1.0, math.inf, 0.0, 0.1)
+        assert not rep.admissible and math.isnan(rep.omega_tilde)
 
     def test_negative_log_argument_clears_its_flag(self):
         # 1 + 2 eps sinh(-5) < 0: the radical is positive but cosh w - r is not.
