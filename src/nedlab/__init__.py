@@ -67,7 +67,6 @@ from .attractor import (
     hausdorff_semidistance,
     make_linear_envelope,
     make_pullback_envelope,
-    pullback_radius,
     simulate_forward_omega,
     simulate_pullback_omega,
     universe_membership,

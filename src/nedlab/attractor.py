@@ -29,8 +29,8 @@ from scipy.integrate import quad
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from .dichotomy import DichotomyCertificate, InapplicableError
-from .process import (_SOLVER, FULL_LINE, GridSpec, ScalarExponentProcess, TimeDomain,
-                      _StepSizeCollapse)
+from .process import (_ATOL, _RTOL, _SOLVER, FULL_LINE, GridSpec, ScalarExponentProcess,
+                      TimeDomain, _StepSizeCollapse)
 
 __all__ = [
     "WeightedFunction",
@@ -42,7 +42,6 @@ __all__ = [
     "MarginReport",
     "weighted_norm",
     "comparison_bound",
-    "pullback_radius",
     "make_pullback_envelope",
     "make_linear_envelope",
     "forward_bound",
@@ -264,17 +263,11 @@ def comparison_bound(scalar_process: ScalarExponentProcess, b: WeightedFunction,
     return homogeneous * x0_norm_sq + forced
 
 
-def pullback_radius(cert: DichotomyCertificate, lam: float, bnorm: float,
-                    t: float) -> float:
-    """Pullback attractor radius on R- under a kind-II dichotomy:
-    R(t) = [ (M/(alpha - delta*lam)) * ||b||_{lam*delta}
-             * e^{(lam+1) delta |t|} ]^{1/2}."""
-    return make_pullback_envelope(cert, lam, bnorm)(t)
-
-
 def make_pullback_envelope(cert: DichotomyCertificate, lam: float,
                            bnorm: float) -> RadiusEnvelope:
-    """The square root of :func:`make_linear_envelope`, in the Euclidean norm."""
+    """Pullback radius on R- under a kind-II dichotomy, the Euclidean square root
+    of :func:`make_linear_envelope`: R(t) = [ (M/(alpha - delta*lam))
+    * ||b||_{lam*delta} * e^{(lam+1) delta |t|} ]^{1/2}."""
     linear = make_linear_envelope(cert, lam, bnorm)
     return dataclasses.replace(linear, evaluator=lambda t: math.sqrt(linear(t)),
                                norm="euclidean")
@@ -401,7 +394,7 @@ def _max_abs(y: np.ndarray) -> float:
 def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
                         t_eval=None):
     """Integrate x' = f(t, x) for every row of `points` as one stacked
-    system with compiled DOP853 at rtol 1e-10, atol 1e-12, calling the
+    system with compiled DOP853 at the linear solves' ``_RTOL, _ATOL``, calling the
     field once per right-hand-side evaluation on the (n, k) array of all
     states (see _BATCH_CONTRACT), through the driver's per-thread
     closures: a float64 result with n * k entries goes to the compiled
@@ -426,7 +419,7 @@ def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
     for t in ([t1] if t_eval is None else t_eval):
         if t != tau:
             try:
-                reach, y, peak = _SOLVER.solve(field, tau, t, y, (n, k), 1e-10, 1e-12,
+                reach, y, peak = _SOLVER.solve(field, tau, t, y, (n, k), _RTOL, _ATOL,
                                                _max_abs, _ESCAPE_RADIUS)
             except _StepSizeCollapse as exc:
                 raise TrajectoryEscapeError("ensemble from t=%r toward t=%r: %s"

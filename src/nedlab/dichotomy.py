@@ -29,6 +29,7 @@ from .process import (
     NormGrid,
     ProjectionFamily,
     TimeDomain,
+    _PARTS,
     _write_text,
     sample_norm_grid,
 )
@@ -87,24 +88,30 @@ class DichotomyCertificate:
             raise ValueError("certificate kind must be 'I' or 'II'")
         if not (self.m >= 1.0):
             raise ValueError("certificate bound M must be >= 1")
-        if self.projection not in ("zero", "identity", "explicit"):
+        if self.projection not in _PARTS:
             raise ValueError("unknown projection descriptor %r" % (self.projection,))
         if self.projection == "explicit" and self.projection_family is None:
             raise ValueError("explicit projection requires a projection family")
+        if not self._bounds():
+            raise ValueError("an %r certificate needs an unstable pair, the only "
+                             "part it bounds" % (self.projection,))
+
+    def _bounds(self) -> list:
+        """``(part, pair)`` of each part the certificate bounds, stable first:
+        the parts ``_PARTS`` gives its descriptor that carry a pair.  The
+        stable pair of an "identity" certificate is a placeholder."""
+        pairs = {"stable": self.stable, "unstable": self.unstable}
+        return [(p, pairs[p]) for p in _PARTS[self.projection] if pairs[p] is not None]
 
     @property
     def upsilon(self) -> float:
         """Anchor growth of the combined bound M(t) = M e^{upsilon |t|}."""
-        if self.unstable is None:
-            return self.stable.growth
-        return max(self.stable.growth, self.unstable.growth)
+        return max(p.growth for p in (self.stable, self.unstable) if p is not None)
 
     @property
     def omega(self) -> float:
         """Combined exponent: min of the stable and unstable rates."""
-        if self.unstable is None:
-            return self.stable.rate
-        return min(self.stable.rate, self.unstable.rate)
+        return min(p.rate for p in (self.stable, self.unstable) if p is not None)
 
     def to_dict(self) -> dict:
         return {
@@ -116,9 +123,6 @@ class DichotomyCertificate:
                          {"beta": self.unstable.rate, "nu": self.unstable.growth}),
             "projection": self.projection,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @staticmethod
     def from_dict(d: dict) -> "DichotomyCertificate":
@@ -164,17 +168,20 @@ class ParetoFrontier:
         return self.entries[-1]
 
     def certificate(self, domain: TimeDomain,
-                    projection: Optional[ProjectionFamily]) -> DichotomyCertificate:
+                    projection: Optional[ProjectionFamily]) -> Optional[DichotomyCertificate]:
         """Certificate of the :meth:`best` entry under the family the grid
-        was sampled with; ``None`` is recorded as the zero descriptor, and
-        an explicit family travels with the certificate."""
+        was sampled with (``None``, which projects nothing, as the descriptor
+        of the fitted part alone), or None when the family also claims an
+        unfitted part.  An explicit family travels with the certificate."""
         a, d, lm = self.best()
         pair = ExponentPair(a, d)
-        descriptor = "zero" if projection is None else projection.descriptor
+        descriptor = (projection.descriptor if projection is not None else
+                      next(d for d, parts in _PARTS.items() if parts == (self.part,)))
         family = projection if descriptor == "explicit" else None
-        return DichotomyCertificate(self.kind, domain, math.exp(lm), pair,
+        cert = DichotomyCertificate(self.kind, domain, math.exp(lm), pair,
                                     unstable=None if self.part == "stable" else pair,
                                     projection=descriptor, projection_family=family)
+        return cert if [part for part, _ in cert._bounds()] == [self.part] else None
 
 
 def _sample_columns(grid: NormGrid, kind: str):
@@ -330,31 +337,25 @@ def check_certificate(process: EvolutionProcess, cert: DichotomyCertificate,
 
     Returns max over sampled pairs of
     ``log||S(t,s) P|| - (ln M + growth * anchor -/+ rate * (t-s))``
-    across the stable part (t >= s) and, when the certificate carries
-    one, the unstable part (t < s), each read as the least ln M of the
-    part's samples minus the certificate's.  A nonpositive value means
-    the certificate holds on the grid; poisoned samples count as +inf.
+    across the parts the certificate bounds: the stable part over t >= s,
+    the unstable part over t < s, each read as the least ln M of the
+    part's samples minus the certificate's.  A nonpositive value means the
+    certificate holds on the grid; poisoned samples count as +inf.  An
+    unstable part on a non-invertible process raises InapplicableError.
     """
     grid = _clip_grid(grid, cert.domain)
+    bounds = cert._bounds()
+    if not process.invertible and any(part == "unstable" for part, _ in bounds):
+        raise InapplicableError("unstable part requires an invertible process")
     ln_m = math.log(cert.m)
     worst = -math.inf
-
-    def part_violation(part, pair):
-        # Without a family, the "zero" stable and "identity" unstable parts
-        # both read the full norm, which is what None samples.
+    for part, pair in bounds:
+        # Without a family, a part the descriptor leaves whole reads the full
+        # norm, which is what None samples.
         sampled = sample_norm_grid(process, cert.projection_family, grid, part=part)
-        if sampled.poisoned:
-            return math.inf
         rate = pair.rate if part == "stable" else -pair.rate
-        return _least_ln_m(sampled, cert.kind, rate, pair.growth) - ln_m
-
-    if cert.projection != "identity":
-        worst = max(worst, part_violation("stable", cert.stable))
-    if cert.unstable is not None and cert.projection != "zero":
-        if not process.invertible:
-            raise InapplicableError(
-                "unstable part requires an invertible process")
-        worst = max(worst, part_violation("unstable", cert.unstable))
+        worst = max(worst, math.inf if sampled.poisoned else
+                    _least_ln_m(sampled, cert.kind, rate, pair.growth) - ln_m)
     return worst
 
 
@@ -384,13 +385,10 @@ def convert_halfline(cert: DichotomyCertificate) -> DichotomyCertificate:
     to_ii = cert.kind == "I"
     # Stable: +delta going I->II on R+ (and II->I on R-), -delta otherwise;
     # unstable shifts by nu in the opposite direction.
-    stable_shift = cert.stable.growth if (to_ii == on_plus) else -cert.stable.growth
-    new_stable = _shift_pair(cert.stable, stable_shift)
-    new_unstable = None
-    if cert.unstable is not None:
-        unstable_shift = (-cert.unstable.growth if (to_ii == on_plus)
-                          else cert.unstable.growth)
-        new_unstable = _shift_pair(cert.unstable, unstable_shift)
+    sign = 1.0 if to_ii == on_plus else -1.0
+    new_stable = _shift_pair(cert.stable, sign * cert.stable.growth)
+    new_unstable = (None if cert.unstable is None
+                    else _shift_pair(cert.unstable, -sign * cert.unstable.growth))
     return dataclasses.replace(cert, kind=("II" if to_ii else "I"),
                                stable=new_stable, unstable=new_unstable)
 
@@ -426,24 +424,25 @@ def dual_certificate(cert: DichotomyCertificate) -> DichotomyCertificate:
 
     Kind swaps, M and exponents carry over, and the roles of the parts
     swap along with the projections (dual stable projection is the
-    adjoint of the primal unstable one)."""
-    if cert.unstable is not None:
-        new_stable, new_unstable = cert.unstable, cert.stable
-    else:
-        # Only one part present; it becomes the dual's other part and the
-        # dual's own (trivial) part inherits the same numbers.
-        new_stable = new_unstable = cert.stable
+    adjoint of the primal unstable one).  Raises InapplicableError when
+    the dual would claim a part that the primal never bounded: the dual
+    of an explicit certificate with one part."""
+    bounds = dict(cert._bounds())
     new_proj = _PROJ_DUAL[cert.projection]
-    if new_proj == "zero":
-        new_unstable = None
+    pairs = {"stable": bounds.get("unstable"), "unstable": bounds.get("stable")}
+    if any(pairs[part] is None for part in _PARTS[new_proj]):
+        raise InapplicableError("the dual of a one-part explicit certificate would "
+                                "claim a part that the certificate does not bound")
     family = cert.projection_family
     if family is not None:
         base = family
         family = ProjectionFamily(lambda t: base.stable(t).T, base.dimension,
                                   descriptor="explicit")
+    # The stable pair of an identity dual is a placeholder.
     return dataclasses.replace(cert, kind=("II" if cert.kind == "I" else "I"),
-                               stable=new_stable, unstable=new_unstable,
-                               projection=new_proj, projection_family=family)
+                               stable=pairs["stable"] or cert.unstable or cert.stable,
+                               unstable=pairs["unstable"], projection=new_proj,
+                               projection_family=family)
 
 
 # REJECTION EVIDENCE ===================================================================
@@ -477,24 +476,25 @@ class RejectionEvidence:
         """True when every projection choice is defeated: each minimal-M
         sequence grows by at least a factor e between consecutive windows.
 
-        Never true when a window lost pairs to poisoning: a dropped
-        constraint lowers that window's minimal ln M, which can inflate
-        a growth factor."""
+        Never true without a projection kind or two windows, nor when a
+        window lost pairs to poisoning: a dropped constraint lowers that
+        window's minimal ln M, which can inflate a growth factor."""
         if any(any(counts) for counts in self.poisoned.values()):
             return False
-        return all(all(g >= math.e for g in self.growth_factors(kind))
-                   for kind in self.min_ln_m)
+        factors = [self.growth_factors(kind) for kind in self.min_ln_m]
+        return bool(factors) and all(bool(fs) and min(fs) >= math.e for fs in factors)
 
 
 def nedi_rejection_evidence(process: EvolutionProcess, windows,
                             projection_kinds=("zero", "identity"),
                             box=((0.05, 8.0), (0.0, 8.0)),
                             resolution: float = 0.05,
-                            step: float = 0.25,
-                            extra_points=()) -> RejectionEvidence:
+                            step: float = 0.25) -> RejectionEvidence:
     """Minimal kind-I constants over nested windows.
 
     windows: list of (lo, hi) intervals, strictly nested ascending.
+    projection_kinds: one or more of the trivial families "zero" (the
+    stable part) and "identity" (the unstable part).
     box: ((alpha_lo, alpha_hi), (delta_lo, delta_hi)) search box.  For
     each window and projection kind the result is the smallest
     ``ln M = max_i(y_i - delta * |s_i|)`` over the box, clipped at 0,
@@ -511,6 +511,9 @@ def nedi_rejection_evidence(process: EvolutionProcess, windows,
     """
     if process.dimension != 1:
         raise InapplicableError("rejection evidence is defined for scalar processes")
+    if not projection_kinds or any(len(_PARTS.get(k, ())) != 1 for k in projection_kinds):
+        raise ValueError("projection kinds must be one or more of 'zero' and "
+                         "'identity', got %r" % (projection_kinds,))
     for (a_lo, a_hi), (b_lo, b_hi) in zip(windows, windows[1:]):
         if not (b_lo <= a_lo and a_hi <= b_hi and (b_hi - b_lo) > (a_hi - a_lo)):
             raise ValueError("windows must be strictly nested ascending")
@@ -522,10 +525,9 @@ def nedi_rejection_evidence(process: EvolutionProcess, windows,
     minima = {kind: [] for kind in projection_kinds}
     poisoned = {kind: [] for kind in projection_kinds}
     for lo, hi in windows:
-        extras = tuple(p for p in extra_points if lo <= p <= hi)
-        spec = GridSpec(lo, hi, step, extra_points=extras)
+        spec = GridSpec(lo, hi, step)
         for kind in projection_kinds:
-            part = "stable" if kind == "zero" else "unstable"
+            (part,) = _PARTS[kind]
             sampled = sample_norm_grid(process, None, spec, part=part)
             if sampled.samples.shape[0] == 0:
                 raise DataError("every %s pair of window [%g, %g] is poisoned"
@@ -545,12 +547,11 @@ def classify(process: EvolutionProcess, projection, kind: str,
     """Fit a frontier for one part and return it with the best certificate.
 
     Convenience wrapper: samples the norm grid, runs fit_bounds, and
-    extracts the feasible entry with the largest decay rate.  Under an
-    explicit family the stable part's certificate carries the family.
-    The unstable part fits no stable pair there, so it returns no
-    certificate; the frontier still carries the fit.  Raises DataError
-    when any pair escaped: a certificate fitted around it would fail
-    :func:`check_certificate` on the same grid."""
+    takes the certificate of the feasible entry with the largest decay
+    rate from :meth:`ParetoFrontier.certificate`, or None (the frontier
+    still carries the fit).  A family that zeroes the part raises, and so
+    does DataError when any pair escaped: a certificate fitted around it
+    would fail :func:`check_certificate` on the same grid."""
     domain = domain or process.domain
     sampled = sample_norm_grid(process, projection, grid, part=part)
     if sampled.poisoned:
@@ -559,8 +560,5 @@ def classify(process: EvolutionProcess, projection, kind: str,
                         % ((len(sampled.poisoned),) + sampled.poisoned[0]))
     frontier = fit_bounds(sampled, kind, part, list(alpha_grid),
                           delta_max=delta_max, ln_m_max=ln_m_max)
-    explicit = projection is not None and projection.descriptor == "explicit"
-    cert = None
-    if frontier.entries and not (explicit and part == "unstable"):
-        cert = frontier.certificate(domain, projection)
+    cert = frontier.certificate(domain, projection) if frontier.entries else None
     return frontier, cert

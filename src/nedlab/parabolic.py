@@ -29,6 +29,7 @@ from .process import (
     ScalarCoefficientProcess,
     TimeDomain,
     _LOG_GUARD,
+    _PARTS,
     _TransposedProcess,
     _chained_anchor_matrices,
     _escaped,
@@ -51,9 +52,6 @@ __all__ = [
     "parabolic_attractor_demo",
 ]
 
-#: A separable pair ``e^L N`` is poisoned where ``L + log ||N||_F`` passes the
-#: log guard less a few ulps, so it poisons every pair ``matrix`` poisons.
-_SEPARABLE_GUARD = _LOG_GUARD - 8 * math.ulp(_LOG_GUARD)
 #: Lags per stacked ``expm``, which bounds the stack at this many n x n matrices.
 _LAG_BLOCK = 256
 #: Most negative entry a propagator or principal direction may have and
@@ -172,9 +170,9 @@ def discretize(grid: Grid1D, bc: BoundaryCondition) -> DiscreteLaplacian:
 
 def _separable_escaped(g, log_frobenius):
     """Whether a separable pair, with G difference g and ``lambda_1 d + log
-    ||e^{(A_h - lambda_1) d}||_F``, is poisoned: for a NaN g, and at
-    ``_SEPARABLE_GUARD``; so every pair ``matrix`` poisons is."""
-    return np.logical_not(g + log_frobenius <= _SEPARABLE_GUARD)
+    ||e^{(A_h - lambda_1) d}||_F``, is poisoned: for a NaN g, and past
+    ``_LOG_GUARD``, the guard of scalar exponents."""
+    return np.logical_not(g + log_frobenius <= _LOG_GUARD)
 
 
 class PDEProcess(EvolutionProcess):
@@ -492,7 +490,7 @@ def scalar_to_pde_transfer(scalar_cert: DichotomyCertificate,
     the exactly separable symmetric case, where both projections have
     norm 1 and M_sep = 1).
     """
-    if scalar_cert.projection != "zero":
+    if _PARTS[scalar_cert.projection] != ("stable",):
         raise InapplicableError("transfer starts from a zero-unstable-"
                                 "projection scalar certificate")
     lam1 = laplacian.leading_eigenvalue

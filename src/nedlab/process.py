@@ -51,8 +51,11 @@ ESCAPE_GUARD = 1e150
 _LOG_GUARD = math.log(ESCAPE_GUARD)
 #: Tolerances of the coefficient quadratures ``int_0^t f``.
 _QUAD_KWARGS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
-#: Tolerances of the integrated linear solves.
+#: Tolerances of the integrated linear solves and the attractor ensembles.
 _RTOL, _ATOL = 1e-10, 1e-12
+#: The parts of ``S(t, s)`` that each projection descriptor leaves nonzero, the
+#: one table that sampling, checking, fitting and duality read.
+_PARTS = {"zero": ("stable",), "identity": ("unstable",), "explicit": ("stable", "unstable")}
 
 
 class DomainError(ValueError):
@@ -353,6 +356,14 @@ def _log_norm_block(table: np.ndarray, block: list) -> None:
 def _log(value: float) -> float:
     """Natural log with an exact zero mapped to -inf; NaN stays NaN."""
     return -math.inf if value == 0.0 else math.log(value)
+
+
+def _exp(x):
+    """``math.exp`` of a number, or of each entry of a 1-d array: ``np.exp``
+    can differ from it by an ulp."""
+    if np.ndim(x) == 0:
+        return math.exp(x)
+    return np.array([math.exp(v) for v in x.tolist()])
 
 
 def _escaped(m: np.ndarray) -> bool:
@@ -691,7 +702,7 @@ class ScalarExponentProcess(EvolutionProcess):
                     n = tau.size
                     e = self._grid_exponents(np.append(tau, s), np.arange(n), np.full(n, n))
                     if np.all(e <= _LOG_GUARD):   # False for a NaN exponent too
-                        return np.array([math.exp(v) for v in e.tolist()]).reshape(-1, 1, 1)
+                        return _exp(e).reshape(-1, 1, 1)
             return per_time(tau)
         return path
 
@@ -905,18 +916,16 @@ _ZERO_FACTOR = object()
 
 def _projection_factor(projection: Optional[ProjectionFamily], part: str):
     """The factor P(s) of ``S(t, s) P(s)``: None for the identity (the full
-    norm; ``projection=None`` means this for both parts), ``_ZERO_FACTOR``
-    when P vanishes, else the part's map ``s -> P(s)``."""
+    norm; ``projection=None``, which projects nothing, means this for both
+    parts), ``_ZERO_FACTOR`` when P vanishes, else the part's ``s -> P(s)``."""
     if part not in ("stable", "unstable"):
         raise ValueError("part must be 'stable' or 'unstable'")
-    if projection is None:
+    parts = (part,) if projection is None else _PARTS[projection.descriptor]
+    if part not in parts:
+        return _ZERO_FACTOR
+    if len(parts) == 1:   # the part's projection is the identity
         return None
-    if projection.descriptor == "explicit":
-        return projection.stable if part == "stable" else projection.unstable
-    # The unstable factor is Pi^u, the stable one Id - Pi^u.
-    if (projection.descriptor == "zero") == (part == "stable"):
-        return None
-    return _ZERO_FACTOR
+    return projection.stable if part == "stable" else projection.unstable
 
 
 def operator_norm(process: EvolutionProcess, t: float, s: float,
@@ -1119,12 +1128,15 @@ def load_process_config(path_or_dict):
     except (KeyError, ValueError) as exc:
         raise ValueError("invalid process config: %s" % exc) from exc
 
-    if backend in ("closed-form-exponent", "piecewise-closed-form"):
+    if backend == "closed-form-exponent":
         family = cfg.get("family")
         if family is None:
             raise ValueError("closed-form configs must name a 'family'")
-        entry = gallery.make_entry(family, **cfg.get("params", {}))
-        return entry.process
+        process = gallery.make_entry(family, **cfg.get("params", {})).process
+        if "domain" in cfg and domain != process.domain:
+            raise ValueError("family %r lives on domain %r, not %r"
+                             % (family, str(process.domain), str(domain)))
+        return process
     if backend == "numerically-integrated":
         coefficient, antiderivative = named_coefficient(cfg.get("coefficient"),
                                                         cfg.get("params", {}))

@@ -32,6 +32,8 @@ from .dichotomy import (
 from .process import (
     EvolutionProcess,
     GridSpec,
+    _PARTS,
+    _exp,
     _spectral_norms,
     dual_process,
 )
@@ -273,14 +275,6 @@ def _band_sup(anchor_fn, grid: GridSpec) -> float:
     return best
 
 
-def _exp(x):
-    """``math.exp`` of a number, or of each entry of a 1-d array: ``np.exp``
-    can differ from it by an ulp."""
-    if np.ndim(x) == 0:
-        return math.exp(x)
-    return np.array([math.exp(v) for v in x.tolist()])
-
-
 def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
                           upsilon: float, grid: GridSpec) -> float:
     """sup of e^{upsilon |s|} ||S(t,s) - T(t,s)|| over 0 <= t-s <= 1.
@@ -345,6 +339,10 @@ def robust_nedii_pipeline(p: EvolutionProcess, cert: DichotomyCertificate,
     """
     if cert.kind != "II":
         raise InapplicableError("pipeline starts from a kind-II certificate")
+    claimed = [part for part, _ in cert._bounds()]
+    if len(claimed) < len(_PARTS[cert.projection]):
+        raise InapplicableError("pipeline starts from a certificate of every part "
+                                "its projection leaves")
     omega = cert.omega
     if not (0.0 <= upsilon < omega):
         raise InapplicableError(
@@ -372,11 +370,8 @@ def robust_nedii_pipeline(p: EvolutionProcess, cert: DichotomyCertificate,
         return PipelineResult(False, distance, report=report,
                               reason="no positive perturbed exponent")
     pair = ExponentPair(w_pos, 2.0 * upsilon)
-    primal_cert = DichotomyCertificate(
-        "II", cert.domain, max(big_m, 1.0), pair,
-        unstable=(pair if cert.projection != "zero" else None),
-        projection=cert.projection,
-        projection_family=cert.projection_family)
+    primal_cert = dataclasses.replace(cert, m=max(big_m, 1.0), stable=pair,
+                                      unstable=pair if "unstable" in claimed else None)
     dual_cert = dual_certificate(primal_cert)
     dual_violation = check_certificate(dual_q, dual_cert, grid)
     primal_violation = check_certificate(q, primal_cert, grid)

@@ -159,6 +159,28 @@ class TestDissipativityCertify:
             assert worst == pytest.approx(want, rel=1e-14, abs=1e-14)
             assert ok == (want <= 0.0)
 
+    @pytest.mark.parametrize("n_samples", [1, 1023, 1024, 1025, 5000])
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_blocks_change_no_bit(self, n_samples, dimension):
+        # certify calls the field in blocks of 1024 samples, which bound the
+        # memory its per-sample outputs hold; one pass gives the same bits.
+        spec = nl.DissipativitySpec(
+            field=lambda t, x: -(1.0 + 0.5 * math.sin(t)) * x - x ** 3 + math.cos(t),
+            a=lambda t: -(1.0 + math.sin(t)), b=lambda t: 1.0 + 0.1 * t * t,
+            dimension=dimension)
+        rng = np.random.default_rng(3)
+        times = rng.uniform(-3.0, 2.0, size=n_samples).tolist()
+        xs = rng.normal(size=(n_samples, dimension))
+        radii = rng.uniform(0.0, 2.5, size=n_samples)
+        xs *= (radii / np.maximum(np.linalg.norm(xs, axis=1), 1e-300))[:, None]
+        fx = np.asarray([spec.field(t, x) for t, x in zip(times, xs)],
+                        dtype=float).reshape(xs.shape)
+        a = np.array([spec.a(t) for t in times])
+        b = np.array([spec.b(t) for t in times])
+        want = float(np.max(2.0 * np.einsum("ij,ij->i", fx, xs)
+                            - (a * np.einsum("ij,ij->i", xs, xs) + b)))
+        assert spec.certify((-3.0, 2.0), 2.5, n_samples=n_samples, seed=3) == (want, want <= 0.0)
+
     def test_nan_sample_fails(self):
         spec = nl.DissipativitySpec(
             field=lambda t, x: np.full_like(x, math.nan) if t > 0 else -x,
@@ -182,14 +204,14 @@ class TestRadii:
         lam, bnorm, t = 1.0, 4.0, -2.0
         expect = math.sqrt((2.0 / (3.0 - 0.5)) * 4.0
                            * math.exp((1.0 + 1.0) * 0.5 * 2.0))
-        assert nl.pullback_radius(cert, lam, bnorm, t) == pytest.approx(expect)
+        assert nl.make_pullback_envelope(cert, lam, bnorm)(t) == pytest.approx(expect)
 
     def test_pullback_guard(self):
         cert = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0,
                                        nl.ExponentPair(1.0, 2.0),
                                        projection="zero")
         with pytest.raises(InapplicableError):
-            nl.pullback_radius(cert, 1.0, 1.0, 0.0)
+            nl.make_pullback_envelope(cert, 1.0, 1.0)(0.0)
 
     def test_pullback_envelope_is_the_root_of_the_linear_one(self):
         cert = nl.DichotomyCertificate("II", nl.FULL_LINE, 2.0,
@@ -200,7 +222,8 @@ class TestRadii:
         assert pullback.params == linear.params
         assert (pullback.norm, linear.norm) == ("euclidean", "max")
         for t in (-3.0, -0.5, 0.0):
-            assert pullback(t) == math.sqrt(linear(t)) == nl.pullback_radius(cert, 1.0, 4.0, t)
+            assert pullback(t) == math.sqrt(linear(t)) == nl.make_pullback_envelope(
+                cert, 1.0, 4.0)(t)
         # alpha <= delta * lambda is refused when the envelope is built.
         weak = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0,
                                        nl.ExponentPair(1.0, 2.0),

@@ -396,7 +396,9 @@ class TestPde:
 def _degenerate_cases():
     """(argv, exit code) of every subcommand on degenerate inputs: omega 0,
     1e-300 or +-1000; inf or nan grid, t-grid and window bounds; JSON of
-    the wrong shape; an output path that is a folder.  {data} is the CLI
+    the wrong shape; an identity certificate with no unstable pair; a
+    closed-form config on another domain than its family's; an output
+    path that is a folder.  {data} is the CLI
     data folder and {tmp} a scratch folder."""
     d = "{data}/"
     pipeline = ["--process", d + "base.json", "--perturbed", d + "perturbed.json",
@@ -437,6 +439,9 @@ def _degenerate_cases():
         (attract + ["--t-grid=-inf:0:0.5"], 2),
         (attract + ["--t-grid=-4:0:nan"], 2),
         (["pde", "--config", "{tmp}/pde.json", "--radii-out", "{tmp}/r.csv"], 2),
+        (["check", "--process", d + "growth.json", "--cert", "{tmp}/no_pair_cert.json"], 2),
+        (["check", "--process", "{tmp}/minus_factorial.json", "--cert",
+          d + "cert_ii_plus.json"], 2),
     ]
 
 
@@ -447,6 +452,10 @@ class TestDegenerateNumbers:
         # A non-finite bound is a validation failure (2); no exception escapes.
         _write(tmp_path, "nan_cert.json", _cert_dict(math.nan, m=math.inf))
         _write(tmp_path, "list_params.json", dict(CONSTANT_DECAY, params=[1]))
+        _write(tmp_path, "no_pair_cert.json", dict(_cert_dict(1.0), projection="identity"))
+        _write(tmp_path, "minus_factorial.json", {"backend": "closed-form-exponent",
+                                                  "family": "factorial-steps",
+                                                  "domain": "minus"})
         _write(tmp_path, "pde.json", {"N": 5, "g": {"name": "constant", "rate": -1.0},
                                       "scalar_certificate": _cert_dict(1.0, domain="full"),
                                       "bundle": False, "t_grid": [-math.inf, 0.0, 0.5]})

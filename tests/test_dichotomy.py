@@ -34,7 +34,7 @@ class TestCertificate:
         cert = DichotomyCertificate(
             "I", nl.HALF_LINE_PLUS, 2.5, ExponentPair(1.5, 0.25),
             unstable=ExponentPair(0.75, 0.5), projection="identity")
-        back = DichotomyCertificate.from_dict(json.loads(cert.to_json()))
+        back = DichotomyCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
         assert back == cert
 
     def test_combined_exponents(self):
@@ -48,6 +48,13 @@ class TestCertificate:
         with pytest.raises(ValueError):
             DichotomyCertificate("I", nl.FULL_LINE, 0.5,
                                  ExponentPair(1.0, 0.0))
+
+    def test_identity_certificate_needs_an_unstable_pair(self):
+        # "identity" bounds the unstable part alone: without its pair the
+        # certificate would bound nothing, and every check of it would hold.
+        with pytest.raises(ValueError, match="needs an unstable pair"):
+            DichotomyCertificate("II", nl.FULL_LINE, 1.0, ExponentPair(1.0, 0.0),
+                                 projection="identity")
 
 
 def _lexicographic_lp(anchors, heights, delta_max=8.0, ln_m_max=8.0):
@@ -501,6 +508,20 @@ class TestDualCertificate:
         assert nl.check_certificate(dual_p, dual_c, grid) <= 1e-9
 
 
+    def test_one_part_explicit_dual_is_refused(self):
+        # diag(e^{-2(t-s)}, e^{(t-s)/2}) split by P_u = diag(0, 1).  The
+        # stable fit holds, but its dual would bound the primal's unbounded
+        # unstable part with the stable pair, which fails there by 9.
+        process = nl.MatrixClosedFormProcess(
+            lambda t, s: np.diag([math.exp(-2.0 * (t - s)), math.exp(0.5 * (t - s))]), 2)
+        family = ProjectionFamily.constant(np.diag([0.0, 1.0]))
+        grid = GridSpec(-3.0, 3.0, 0.5)
+        _, cert = nl.classify(process, family, "II", grid, [1.0, 2.0])
+        assert cert.unstable is None and nl.check_certificate(process, cert, grid) <= 0.0
+        with pytest.raises(InapplicableError, match="one-part explicit"):
+            nl.dual_certificate(cert)
+
+
 class TestRejectionEvidence:
     def test_no_false_rejection_on_genuine_nedi(self):
         for rate in (-0.5, -1.5):
@@ -550,6 +571,21 @@ class TestRejectionEvidence:
         assert clean.poisoned == {"zero": [0, 0], "identity": [0, 0]}
         assert clean.rejected()
 
+    def test_one_window_is_no_evidence(self):
+        # x' = -x has a uniform kind-I dichotomy; one window has no growth
+        # factor, so nothing was defeated.
+        ev = nl.nedi_rejection_evidence(constant_scalar(-1.0), [(0.0, 10.0)])
+        assert ev.growth_factors("zero") == ev.growth_factors("identity") == []
+        assert not ev.rejected()
+
+    @pytest.mark.parametrize("kinds", [(), ("explicit",), ("zero", "stable")])
+    def test_projection_kinds_are_one_or_both_trivial_families(self, kinds):
+        with pytest.raises(ValueError, match="projection kinds"):
+            nl.nedi_rejection_evidence(constant_scalar(1.0), [(0.0, 5.0), (0.0, 10.0)],
+                                       projection_kinds=kinds)
+        # Evidence with no kind defeats no projection choice.
+        assert not nl.RejectionEvidence([(0.0, 5.0), (0.0, 10.0)], (), 0.05, {}).rejected()
+
     def test_fully_poisoned_window_raises(self):
         # Every unstable pair of [0, 1] on a 0.5 mesh has s - t >= 0.5, so
         # 1000 (s - t) passes the escape guard: no constraint is left.
@@ -588,11 +624,9 @@ class TestRejectionEvidence:
                            st.sampled_from([0.1, 0.5, 1.0])),
            widen=st.lists(st.sampled_from([0.0, 0.5, 1.5]), min_size=2,
                           max_size=4),
-           extra=st.lists(st.sampled_from([-2.6, -1.3, -0.2, 0.2, 1.3, 2.6]),
-                          max_size=4),
            step=st.sampled_from([0.25, 0.5, 1.0]), box=_box())
     def test_evidence_matches_per_alpha_reference(self, knots, inner, widen,
-                                                  extra, step, box):
+                                                  step, box):
         # Piecewise-linear log-propagator F(t) - F(s) with random slopes.
         xs = np.linspace(-6.0, 6.0, len(knots))
         fs = np.cumsum(knots)
@@ -605,12 +639,10 @@ class TestRejectionEvidence:
             windows.append((lo, hi))
         (a_box, d_box), resolution = box
         ev = nl.nedi_rejection_evidence(p, windows, box=(a_box, d_box),
-                                        resolution=resolution, step=step,
-                                        extra_points=tuple(extra))
+                                        resolution=resolution, step=step)
         alphas, deltas = _box_axes((a_box, d_box))
         for w, (lo, hi) in enumerate(windows):
-            spec = GridSpec(lo, hi, step,
-                            extra_points=tuple(x for x in extra if lo <= x <= hi))
+            spec = GridSpec(lo, hi, step)
             for kind, part in (("zero", "stable"), ("identity", "unstable")):
                 sampled = nl.sample_norm_grid(p, None, spec, part=part)
                 best = _reference_kind_one_minimum(sampled, alphas, deltas)
@@ -682,3 +714,46 @@ class TestClassify:
         assert len(nl.sample_norm_grid(burst, None, grid).poisoned) == 68
         with pytest.raises(DataError, match="68 sampled pairs escaped"):
             nl.classify(burst, None, "II", grid, [0.5, 1.0])
+
+
+#: Fit grids on each kind of domain, for the round trip below.
+_PART_RULE_GRIDS = {"full": GridSpec(-4.0, 4.0, 0.5), "plus": GridSpec(0.0, 8.0, 0.5),
+                    "minus": GridSpec(-8.0, 0.0, 0.5)}
+
+
+class TestPartRule:
+    """A certificate that classify emits claims the part it fitted and holds
+    there, and so does its dual on the dual process, or the dual is refused."""
+
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    @pytest.mark.parametrize("name, family", [
+        (name, family) for name in nl.gallery.entry_names()
+        for family in (None, "zero", "identity")] + [("planted-saddle", "explicit")])
+    def test_classify_round_trip(self, name, family, kind, part):
+        if name == "planted-saddle":
+            process, projection = TestClassify._planted_saddle()
+        else:
+            process = nl.gallery.make_entry(name).process
+            projection = family and getattr(ProjectionFamily, family)(1)
+        grid = _PART_RULE_GRIDS[process.domain.kind]
+        alphas = [0.25, 0.5, 1.0, 2.0]
+        if (family, part) in (("zero", "unstable"), ("identity", "stable")):
+            with pytest.raises(ValueError):   # the family zeroes the part
+                nl.classify(process, projection, kind, grid, alphas, part=part)
+            return
+        frontier, cert = nl.classify(process, projection, kind, grid, alphas, part=part)
+        if cert is None:
+            # Only an explicit family claims a part besides the fitted one.
+            assert family == "explicit" and part == "unstable" or not frontier.entries
+            return
+        # None projects nothing: a stable fit is "zero", an unstable one "identity".
+        assert cert.projection == (family or {"stable": "zero", "unstable": "identity"}[part])
+        assert nl.check_certificate(process, cert, grid) <= 1e-12
+        try:
+            dual = nl.dual_certificate(cert)
+        except InapplicableError:
+            # The dual's stable part is the primal's unstable part.
+            assert family == "explicit" and cert.unstable is None
+            return
+        assert nl.check_certificate(nl.dual_process(process), dual, grid) <= 1e-12

@@ -476,6 +476,7 @@ class TestTransfer:
     def test_requires_zero_projection(self, dirichlet_31):
         bad = nl.DichotomyCertificate("II", nl.FULL_LINE, 1.0,
                                       nl.ExponentPair(1.0, 0.0),
+                                      unstable=nl.ExponentPair(1.0, 0.0),
                                       projection="identity")
         with pytest.raises(InapplicableError):
             nl.scalar_to_pde_transfer(bad, dirichlet_31)

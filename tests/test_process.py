@@ -515,6 +515,16 @@ class TestConfigLoading:
             nl.load_process_config({"backend": "quantum"})
         with pytest.raises(ValueError):
             nl.load_process_config({"backend": "closed-form-exponent"})
+        with pytest.raises(ValueError, match="unknown backend"):
+            nl.load_process_config({"backend": "piecewise-closed-form",
+                                    "family": "barreira"})
+
+    def test_family_states_the_domain(self):
+        cfg = {"backend": "closed-form-exponent", "family": "factorial-steps"}
+        assert nl.load_process_config(cfg).domain == nl.HALF_LINE_PLUS
+        assert nl.load_process_config(dict(cfg, domain="plus")).domain == nl.HALF_LINE_PLUS
+        with pytest.raises(ValueError, match="lives on domain"):
+            nl.load_process_config(dict(cfg, domain="minus"))
 
 
 class PlantedIntegrated:

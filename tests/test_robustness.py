@@ -204,6 +204,17 @@ class TestPipeline:
         assert nl.check_certificate(nl.dual_process(p), expected, grid) \
             == res.dual_violation
 
+    def test_one_part_explicit_certificate_is_refused(self):
+        # An explicit certificate with no unstable pair bounds the stable part
+        # alone, so nothing about the unstable part can be transported.
+        p = nl.MatrixClosedFormProcess(
+            lambda t, s: np.diag([math.exp(-(t - s)), math.exp(t - s)]), 2)
+        cert = nl.DichotomyCertificate(
+            "II", nl.FULL_LINE, 1.0, nl.ExponentPair(1.0, 0.0), projection="explicit",
+            projection_family=nl.ProjectionFamily.constant(np.diag([0.0, 1.0])))
+        with pytest.raises(nl.InapplicableError, match="every part"):
+            nl.robust_nedii_pipeline(p, cert, p, 0.0, 0.1, GridSpec(-2.0, 2.0, 0.5))
+
     def test_distance_gate(self):
         p = constant_scalar(-1.0)
         q = constant_scalar(-2.0)  # far beyond eps
