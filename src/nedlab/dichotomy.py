@@ -30,6 +30,8 @@ from .process import (
     ProjectionFamily,
     TimeDomain,
     _PARTS,
+    _ZERO_FACTOR,
+    _projection_factor,
     _write_text,
     sample_norm_grid,
 )
@@ -105,13 +107,14 @@ class DichotomyCertificate:
 
     @property
     def upsilon(self) -> float:
-        """Anchor growth of the combined bound M(t) = M e^{upsilon |t|}."""
-        return max(p.growth for p in (self.stable, self.unstable) if p is not None)
+        """Anchor growth of the combined bound M(t) = M e^{upsilon |t|}: the
+        max growth of the pairs in :meth:`_bounds`."""
+        return max(pair.growth for _, pair in self._bounds())
 
     @property
     def omega(self) -> float:
-        """Combined exponent: min of the stable and unstable rates."""
-        return min(p.rate for p in (self.stable, self.unstable) if p is not None)
+        """Combined exponent: the min rate of the pairs in :meth:`_bounds`."""
+        return min(pair.rate for _, pair in self._bounds())
 
     def to_dict(self) -> dict:
         return {
@@ -377,7 +380,8 @@ def convert_halfline(cert: DichotomyCertificate) -> DichotomyCertificate:
     I(beta + nu, nu) <-> II(beta, nu); on R- the roles are mirrored.
     M is unchanged and the correspondence is exact pointwise algebra,
     so a certificate that holds on a grid converts to one that holds on
-    the same grid.
+    the same grid.  Only the pairs in :meth:`DichotomyCertificate._bounds`
+    convert; a pair the certificate does not bound is carried unchanged.
     """
     if not cert.domain.is_half_line:
         raise InapplicableError("conversion is defined on half-lines only")
@@ -386,11 +390,12 @@ def convert_halfline(cert: DichotomyCertificate) -> DichotomyCertificate:
     # Stable: +delta going I->II on R+ (and II->I on R-), -delta otherwise;
     # unstable shifts by nu in the opposite direction.
     sign = 1.0 if to_ii == on_plus else -1.0
-    new_stable = _shift_pair(cert.stable, sign * cert.stable.growth)
-    new_unstable = (None if cert.unstable is None
-                    else _shift_pair(cert.unstable, -sign * cert.unstable.growth))
+    signs = {"stable": sign, "unstable": -sign}
+    shifted = {part: _shift_pair(pair, signs[part] * pair.growth)
+               for part, pair in cert._bounds()}
     return dataclasses.replace(cert, kind=("II" if to_ii else "I"),
-                               stable=new_stable, unstable=new_unstable)
+                               stable=shifted.get("stable", cert.stable),
+                               unstable=shifted.get("unstable", cert.unstable))
 
 
 def unify_exponents(cert: DichotomyCertificate) -> DichotomyCertificate:
@@ -549,9 +554,13 @@ def classify(process: EvolutionProcess, projection, kind: str,
     Convenience wrapper: samples the norm grid, runs fit_bounds, and
     takes the certificate of the feasible entry with the largest decay
     rate from :meth:`ParetoFrontier.certificate`, or None (the frontier
-    still carries the fit).  A family that zeroes the part raises, and so
-    does DataError when any pair escaped: a certificate fitted around it
-    would fail :func:`check_certificate` on the same grid."""
+    still carries the fit).  A family that zeroes the part raises
+    ValueError before anything is sampled, and DataError is raised when
+    any pair escaped: a certificate fitted around it would fail
+    :func:`check_certificate` on the same grid."""
+    if _projection_factor(projection, part) is _ZERO_FACTOR:
+        raise ValueError("the %r projection family zeroes the %s part, so there "
+                         "is no %s norm to fit" % (projection.descriptor, part, part))
     domain = domain or process.domain
     sampled = sample_norm_grid(process, projection, grid, part=part)
     if sampled.poisoned:

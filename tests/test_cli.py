@@ -142,6 +142,16 @@ class TestClassify:
         assert run(["classify", "--process", cfg, "--kind", "II",
                     "--alpha-grid", "0.5:2:0.5", "--out", str(tmp_path / "f.csv")]) == 2
 
+    def test_zeroed_part_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "p.json", CONSTANT_DECAY)
+        frontier = tmp_path / "frontier.csv"
+        assert run(["classify", "--process", cfg, "--kind", "II", "--part", "unstable",
+                    "--projection", "zero", "--alpha-grid", "0.5:2:0.5",
+                    "--out", str(frontier)]) == 2
+        assert ("the 'zero' projection family zeroes the unstable part"
+                in capsys.readouterr().err)
+        assert not frontier.exists()
+
     def test_infeasible_exits_2(self, tmp_path):
         cfg = _write(tmp_path, "p.json",
                      {"backend": "numerically-integrated",

@@ -40,9 +40,21 @@ class TestCertificate:
     def test_combined_exponents(self):
         cert = DichotomyCertificate(
             "II", nl.FULL_LINE, 1.0, ExponentPair(2.0, 0.5),
-            unstable=ExponentPair(3.0, 0.75), projection="identity")
+            unstable=ExponentPair(3.0, 0.75), projection="explicit",
+            projection_family=ProjectionFamily.constant([[0.0]]))
         assert cert.omega == 2.0     # min of the rates
         assert cert.upsilon == 0.75  # max of the growths
+
+    def test_combined_exponents_skip_unbounded_pairs(self):
+        # The stable pair of an "identity" certificate is a placeholder, and
+        # a "zero" certificate does not bound its unstable pair.
+        placeholder, bound = ExponentPair(0.5, 1.0), ExponentPair(3.0, 0.25)
+        identity = DichotomyCertificate("II", nl.FULL_LINE, 1.0, placeholder,
+                                        unstable=bound, projection="identity")
+        zero = DichotomyCertificate("II", nl.FULL_LINE, 1.0, bound,
+                                    unstable=placeholder, projection="zero")
+        for cert in (identity, zero):
+            assert (cert.omega, cert.upsilon) == (3.0, 0.25)
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -454,6 +466,33 @@ class TestConversion:
         with pytest.raises(InapplicableError):
             nl.convert_halfline(decay_cert(1.0))
 
+    def test_placeholder_is_carried_unchanged(self):
+        # x' = x: ||S(t, s)|| = e^{t - s} meets the unstable bound with
+        # equality.  Shifted by its growth, the stable placeholder would
+        # read a rate of -0.5 and refuse the conversion.
+        process, grid = constant_scalar(1.0), GridSpec(0.0, 5.0, 0.5)
+        placeholder = ExponentPair(0.5, 1.0)
+        cert = DichotomyCertificate("II", nl.HALF_LINE_PLUS, 1.0, placeholder,
+                                    unstable=ExponentPair(1.0, 0.0), projection="identity")
+        assert nl.check_certificate(process, cert, grid) == 0.0
+        assert (cert.omega, cert.upsilon) == (1.0, 0.0)
+        conv = nl.convert_halfline(cert)
+        assert conv.kind == "I" and conv.stable == placeholder
+        assert conv.unstable == ExponentPair(1.0, 0.0)
+        assert nl.check_certificate(process, conv, grid) == 0.0
+        assert nl.convert_halfline(conv) == cert
+        # omega > upsilon holds once the placeholder is not read.
+        unified = nl.unify_exponents(cert)
+        assert unified.kind == "I" and unified.unstable == ExponentPair(1.0, 0.0)
+        assert nl.check_certificate(process, unified, grid) == 0.0
+
+    def test_unbounded_unstable_pair_is_carried_unchanged(self):
+        pair = ExponentPair(0.5, 1.0)
+        cert = DichotomyCertificate("I", nl.HALF_LINE_PLUS, 2.0, ExponentPair(1.0, 0.5),
+                                    unstable=pair, projection="zero")
+        conv = nl.convert_halfline(cert)
+        assert conv.stable == ExponentPair(1.5, 0.5) and conv.unstable == pair
+
     def test_nonpositive_rate_rejected(self):
         cert = DichotomyCertificate("II", nl.HALF_LINE_PLUS, 1.0,
                                     ExponentPair(1.0, 2.0), projection="zero")
@@ -700,6 +739,15 @@ class TestClassify:
                                      [0.5, 1.0], part="unstable")
         assert cert is None and frontier.entries
 
+    def test_zeroed_part_is_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a zeroed part")
+        monkeypatch.setattr(nl.dichotomy, "sample_norm_grid", no_sampling)
+        with pytest.raises(ValueError, match="'zero' projection family zeroes the "
+                                             "unstable part"):
+            nl.classify(constant_scalar(-1.0), ProjectionFamily.zero(1), "II",
+                        GridSpec(0.0, 2.0, 0.5), [0.5], part="unstable")
+
     def test_escaped_pairs_refuse_a_certificate(self):
         # x' = f(t) x with f = -1 but +1000 on (8, 8.5]: every pair across the
         # burst escapes.  Fitted around them the frontier offers M = 1,
@@ -739,7 +787,9 @@ class TestPartRule:
         grid = _PART_RULE_GRIDS[process.domain.kind]
         alphas = [0.25, 0.5, 1.0, 2.0]
         if (family, part) in (("zero", "unstable"), ("identity", "stable")):
-            with pytest.raises(ValueError):   # the family zeroes the part
+            with pytest.raises(ValueError,
+                               match="the '%s' projection family zeroes the %s part"
+                               % (family, part)):
                 nl.classify(process, projection, kind, grid, alphas, part=part)
             return
         frontier, cert = nl.classify(process, projection, kind, grid, alphas, part=part)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,55 @@ class TestStrangChain:
             p.matrix(1.0, 0.0)
 
 
+def _two_half_step_strang(process, t, s):
+    """Strang's product with both diffusion half-steps of every step,
+    ``H R_n H ... H R_1 H``: the product before its half-steps fused."""
+    n_steps = max(1, int(math.ceil((t - s) / process.dt)))
+    tau = (t - s) / n_steps
+    half = process.laplacian.expm(0.5 * tau)
+    m = np.eye(process.dimension)
+    for j in range(n_steps):
+        react = np.exp(tau * process._reaction(s + (j + 0.5) * tau))
+        m = half @ (react[:, None] * (half @ m))
+    return m
+
+
+class TestStrangFusion:
+    @staticmethod
+    def _strang(calls=None):
+        def a(t, x):
+            if calls is not None:
+                calls.append(t)
+            return -1.0 + 0.4 * math.sin(t + 1.0) * np.cos(np.pi * x)
+        return nl.pde_process(_dirichlet(31), a=a, dt=1e-3)
+
+    def test_one_step_is_bit_equal(self):
+        p = self._strang()
+        assert np.array_equal(p.matrix(0.0007, 0.0), _two_half_step_strang(p, 0.0007, 0.0))
+
+    @pytest.mark.parametrize("t, s", [(0.5003, 0.0), (3.0, 0.0), (1.25, 0.75)])
+    def test_fused_product_matches_half_steps(self, t, s):
+        p = self._strang()
+        want = _two_half_step_strang(p, t, s)
+        got = p.matrix(t, s)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_reaction_tables_are_blocked(self, monkeypatch):
+        calls = []
+        p = self._strang(calls)
+        whole = p.matrix(0.5003, 0.0)
+        midpoints = list(calls)
+        calls.clear()
+        # Three nodal rows per table: each table reads three midpoints
+        # before its first factor is used.
+        monkeypatch.setattr(nl.parabolic, "_NORM_BLOCK_BYTES", 3 * 8 * p.dimension)
+        assert np.array_equal(p.matrix(0.5003, 0.0), whole)
+        assert calls == midpoints and len(midpoints) == 501
+        calls.clear()
+        read = [len(calls) for _ in p._reaction_factors(0.0, 0.5003 / 501, 501)]
+        assert read == [3 * (j // 3 + 1) for j in range(501)]
+
+
 class TestVariationOfConstants:
     def test_residual_small(self):
         lap = _dirichlet(9)
@@ -370,6 +420,63 @@ class TestVariationOfConstants:
         p.matrix = lambda t, s: 1.01 * exact(t, s)
         wrong = nl.variation_of_constants_check(p, forcing, (0.0, 1.0), n_check=2)
         assert wrong > 1e-6
+
+    @staticmethod
+    def _separable(bc, n=31):
+        lap = nl.discretize(Grid1D(1.0, n), bc)
+        return nl.pde_process(lap, separable_g=lambda t: -1.0 - 0.5 * t * math.sin(t),
+                              g_antiderivative=lambda t: -t + 0.5 * (t * math.cos(t)
+                                                                     - math.sin(t)))
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition("dirichlet"),
+                                    BoundaryCondition("neumann"),
+                                    BoundaryCondition("robin", 1.0)])
+    def test_residual_below_docstring_claim(self, bc):
+        p = self._separable(bc)
+        residual = nl.variation_of_constants_check(
+            p, lambda t: math.exp(-t) * np.ones(p.dimension), (0.0, 1.0), n_check=3)
+        assert residual < 2e-12
+
+    def test_forcing_stays_inside_the_window(self):
+        p = self._separable(BoundaryCondition("dirichlet"), n=9)
+        seen = []
+
+        def forcing(t):
+            seen.append(t)
+            return np.ones(9)
+        assert nl.variation_of_constants_check(p, forcing, (0.0, 1.0), n_check=2) < 1e-8
+        assert max(seen) <= 1.0
+
+    def test_failed_solve_raises_with_odepack_message(self, monkeypatch):
+        # odeint's default of 500 steps per output interval is too few here.
+        monkeypatch.setattr(nl.parabolic, "_VOC_MXSTEP", 500)
+        p = self._separable(BoundaryCondition("dirichlet"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="direct integration failed: "
+                                                   "Excess work done"):
+                nl.variation_of_constants_check(
+                    p, lambda t: np.ones(p.dimension), (0.0, 1.0), n_check=1)
+        assert caught == []
+
+    def test_nan_forcing_is_not_a_pass(self):
+        # The quadrature's error estimate is NaN past t = 0.5.
+        p = nl.pde_process(_dirichlet(9), separable_g=lambda t: -1.0,
+                           g_antiderivative=lambda t: -t)
+        forcing = lambda t: np.full(9, math.nan if t > 0.5 else 1.0)
+        with pytest.raises(RuntimeError, match="quadrature failure"):
+            nl.variation_of_constants_check(p, forcing, (0.0, 1.0), n_check=2)
+
+    def test_nan_residual_is_returned(self):
+        # A NaN residual at the first check time is not hidden by a finite
+        # one at the second.
+        p = nl.pde_process(_dirichlet(5), separable_g=lambda t: -1.0,
+                           g_antiderivative=lambda t: -t)
+        exact = p.matrix
+        p.matrix = lambda t, s: exact(t, s) * (math.nan if (t, s) == (0.5, 0.0) else 1.0)
+        residual = nl.variation_of_constants_check(
+            p, lambda t: np.ones(5), (0.0, 1.0), n_check=2)
+        assert math.isnan(residual)
 
 
 class TestPrincipalBundle:
