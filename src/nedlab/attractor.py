@@ -10,10 +10,11 @@ universe D_gamma enters as such a function, whose growth
 :func:`universe_membership` measures on a sampled family.  A forward
 cloud is ``converged`` only when its last two horizon clouds agree
 within the cluster tolerance.  The simulations integrate whole seed
-clouds with Hairer's compiled DOP853 on the per-thread driver of
-nedlab.process, which the integrated linear processes share (see
-_integrate_ensemble).  A field therefore must not start another
-compiled solve, such as an IntegratedLinearProcess matrix.
+clouds with compiled LSODA, Adams steps where the field is smooth and
+BDF steps where it is stiff, on the per-thread driver of nedlab.process
+(see _integrate_ensemble).  One flag per thread guards it and the DOP853
+driver of the integrated linear processes, so a field must not start
+another compiled solve, such as an IntegratedLinearProcess matrix.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from scipy.integrate import quad
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from .dichotomy import DichotomyCertificate, InapplicableError
-from .process import (_ATOL, _RTOL, _SOLVER, FULL_LINE, GridSpec, ScalarExponentProcess,
-                      TimeDomain, _StepSizeCollapse)
+from .process import (_ATOL, _LSODA, _RTOL, FULL_LINE, GridSpec, ScalarExponentProcess,
+                      TimeDomain)
 
 __all__ = [
     "WeightedFunction",
@@ -387,48 +388,55 @@ def _check_batch_field(field, t0: float, points: np.ndarray) -> None:
                         "(does it reduce over x?); %s" % _BATCH_CONTRACT)
 
 
-def _max_abs(y: np.ndarray) -> float:
-    return np.abs(y).max()
-
-
 def _integrate_ensemble(field, t0: float, t1: float, points: np.ndarray,
                         t_eval=None):
     """Integrate x' = f(t, x) for every row of `points` as one stacked
-    system with compiled DOP853 at the linear solves' ``_RTOL, _ATOL``, calling the
-    field once per right-hand-side evaluation on the (n, k) array of all
-    states (see _BATCH_CONTRACT), through the driver's per-thread
-    closures: a float64 result with n * k entries goes to the compiled
-    wrapper as it is, any other result is converted to float, and one
-    with the wrong number of entries raises ValueError.  The ensemble
-    escapes, raising TrajectoryEscapeError, at the end of the first step
-    where some |x_i| >= _ESCAPE_RADIUS (at once for a seed that starts
-    there), and where DOP853's step collapses below the rounding floor of
-    t first, as on the way to a blow-up far from t = 0.
+    system with compiled LSODA at the linear solves' ``_RTOL, _ATOL``,
+    calling the field once per right-hand-side evaluation on the (n, k)
+    array of all states (see _BATCH_CONTRACT): a result is converted to
+    float, and one with the wrong number of entries raises ValueError.
+    The state is stored seed by seed, so the seeds' independence makes the
+    Jacobian block diagonal: LSODA forms it banded, with n - 1 diagonals
+    on each side, at 2n - 1 field calls and O(n^2 k) memory (diagonal for
+    a scalar field).
+
+    The first evaluation at each new time checks the state: one at
+    some |x_i| >= _ESCAPE_RADIUS raises TrajectoryEscapeError naming that
+    time (at once for a seed that starts there), and one that is not a
+    number raises RuntimeError.  LSODA evaluates a step's predicted
+    state first, so an escape may be reported up to one step early.
 
     Returns the final ensemble, or, when t_eval is given, the list of
     ensembles at the times t_eval, ordered from t0 toward t1 and ending
-    at t1, each reached by one solve from the previous one.  Not
-    re-entrant: a field that starts another compiled solve (another
-    ensemble, or an IntegratedLinearProcess matrix, propagate or grid
-    step) raises RuntimeError.
+    at t1, all output times of one run.  Not re-entrant: a field that
+    starts another compiled solve (another ensemble, or an
+    IntegratedLinearProcess matrix, propagate or grid step) raises
+    RuntimeError.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k, n = points.shape
     _check_batch_field(field, t0, points)
-    y, tau, states = points.T.ravel(), t0, []
-    for t in ([t1] if t_eval is None else t_eval):
-        if t != tau:
-            try:
-                reach, y, peak = _SOLVER.solve(field, tau, t, y, (n, k), _RTOL, _ATOL,
-                                               _max_abs, _ESCAPE_RADIUS)
-            except _StepSizeCollapse as exc:
-                raise TrajectoryEscapeError("ensemble from t=%r toward t=%r: %s"
-                                            % (tau, t, exc)) from exc
-            if not (peak < _ESCAPE_RADIUS):
-                raise TrajectoryEscapeError(
-                    "ensemble escaped |x| >= %g at t=%r" % (_ESCAPE_RADIUS, reach))
-        tau = t
-        states.append(y.reshape(n, k).T.copy())
+    squared, last = _ESCAPE_RADIUS ** 2, math.nan
+
+    def rhs(tau, y):
+        nonlocal last
+        if tau != last:
+            last = tau
+            # The 2-norm bounds the largest |y_i| and costs a quarter as much.
+            if not (y.dot(y) < squared):
+                peak = np.abs(y).max()
+                if peak >= _ESCAPE_RADIUS:
+                    raise TrajectoryEscapeError(
+                        "ensemble escaped |x| >= %g at t=%r" % (_ESCAPE_RADIUS, tau))
+                if not peak < _ESCAPE_RADIUS:
+                    raise RuntimeError("integration failed: the state is not a "
+                                       "number at t=%r" % tau)
+        out = field(tau, y.reshape(k, n).T)
+        return np.asarray(out, dtype=float).reshape(n, k).ravel("F")
+
+    states = _LSODA.solve(rhs, t0, [t1] if t_eval is None else t_eval,
+                          points.ravel(), _RTOL, _ATOL, band=n - 1)
+    states = [y.reshape(k, n) for y in states]
     return states[-1] if t_eval is None else states
 
 
@@ -510,7 +518,7 @@ def simulate_pullback_omega(spec, t: float, seeds, s_schedule=None,
     Integrates seed clouds (``seeds``: one (m, n) cloud, or a function
     s -> (m, n) cloud of the start time) from ever-earlier start times
     s_k = t - 2^k, k = 0, ..., 20 (or an explicit decreasing schedule) up
-    to t, each cloud as one compiled DOP853 solve (_integrate_ensemble);
+    to t, each cloud as one compiled LSODA solve (_integrate_ensemble);
     a depth whose cloud escapes |x| >= 1e8 is counted in ``poisoned`` and
     skipped.  Depth scanning stops early, ``converged``, once consecutive
     depth clouds agree within cluster_eps (horizon-doubling convergence);
@@ -556,15 +564,17 @@ def simulate_forward_omega(spec, initial_cloud, tau: float,
                            horizon_schedule=None,
                            cluster_eps: float = 1e-4) -> OmegaCloud:
     """Approximate the forward omega-limit of a bounded set B from time
-    tau: states S(tau + h, tau) B at increasing horizons h (by default
-    h = 2^k, k = 0, ..., 7), late-time half clustered.  ``converged`` is
-    True only when there are at least two horizons and the clouds of the
-    last two lie within Hausdorff distance cluster_eps of each other."""
+    tau: states S(tau + h, tau) B at increasing horizons h >= 0 (by
+    default h = 2^k, k = 0, ..., 7), all output times of one run,
+    late-time half clustered.  ``converged`` is True only when there are
+    at least two horizons and the clouds of the last two lie within
+    Hausdorff distance cluster_eps of each other."""
     field, _ = _field_of(spec)
     if horizon_schedule is None:
         horizon_schedule = [2.0 ** k for k in range(8)]
-    if any(b <= a for a, b in zip(horizon_schedule, horizon_schedule[1:])):
-        raise ValueError("horizon schedule must be strictly increasing")
+    if any(b <= a for a, b in zip(horizon_schedule, horizon_schedule[1:])) \
+            or horizon_schedule[0] < 0:
+        raise ValueError("horizon schedule must be nonnegative and strictly increasing")
     cloud = np.atleast_2d(np.asarray(initial_cloud, dtype=float))
     t_eval = [tau + h for h in horizon_schedule]
     states = _integrate_ensemble(field, tau, t_eval[-1], cloud, t_eval=t_eval)

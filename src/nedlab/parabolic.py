@@ -3,24 +3,23 @@
 Discretizes u_t = u_xx + a(t, x) u + b(t, x) on (0, L) with Dirichlet,
 Neumann, or Robin boundary conditions, builds the induced matrix
 evolution process (exponential Strang splitting with the exact
-diffusion factor), validates the variation-of-constants formula,
-extracts the principal bundle (leading positive direction, scalar
-cocycle, and separation constants), transfers scalar dichotomy
-certificates to the discretized process, and realizes the adjoint
-process that swaps the certificate kind.
+diffusion factor), validates the variation-of-constants formula against
+a direct compiled LSODA solve, extracts the principal bundle (leading
+positive direction, scalar cocycle, and separation constants), transfers
+scalar dichotomy certificates to the discretized process, and realizes
+the adjoint process that swaps the certificate kind.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Callable, Optional
 
 import numpy as np
 # quad and solve_ivp are kept bound although unused: perfbench's tracer
 # wraps nedlab.parabolic.quad and nedlab.parabolic.solve_ivp by name.
-from scipy.integrate import ODEintWarning, odeint, quad, quad_vec, solve_ivp  # noqa: F401
+from scipy.integrate import quad, quad_vec, solve_ivp  # noqa: F401
 
 from .dichotomy import DichotomyCertificate, ExponentPair, InapplicableError
 from .process import (
@@ -30,6 +29,7 @@ from .process import (
     ScalarCoefficientProcess,
     TimeDomain,
     _LOG_GUARD,
+    _LSODA,
     _NORM_BLOCK_BYTES,
     _PARTS,
     _TransposedProcess,
@@ -56,9 +56,6 @@ __all__ = [
 
 #: Lags per stacked ``expm``, which bounds the stack at this many n x n matrices.
 _LAG_BLOCK = 256
-#: Steps per output interval the direct variation-of-constants solve may
-#: take; a 31-node check on [0, 1] takes about 1,800 in all.
-_VOC_MXSTEP = 100_000
 #: Most negative entry a propagator or principal direction may have and
 #: still count as positive.
 _POSITIVITY_TOL = 1e-12
@@ -349,12 +346,11 @@ def variation_of_constants_check(process: PDEProcess, b: Callable,
     of steps per unit time for stability alone.  Implicit steps make tight
     tolerances cheap; at rtol 1e-13, atol 1e-15 the residual on 31-node
     Dirichlet, Neumann and Robin Laplacians stays below 2e-12, far under
-    the 1e-8 that criterion 10 asks.  One ``odeint`` call runs the whole
-    step loop in compiled code.  Its critical time ``tcrit = t_end`` keeps
-    every evaluation inside the window, and it may take ``_VOC_MXSTEP``
-    steps per check time; a failed solve raises RuntimeError with
-    ODEPACK's message, and so does a quadrature whose error estimate is
-    above 1e-6 or not a number.
+    the 1e-8 that criterion 10 asks.  One run of the compiled LSODA
+    driver of nedlab.process covers the window, one compiled call per
+    check time, and keeps every evaluation inside it; a failed solve
+    raises RuntimeError with ODEPACK's message, and so does a quadrature
+    whose error estimate is above 1e-6 or not a number.
     """
     s, t_end = window
     u0 = np.ones(process.dimension)
@@ -364,16 +360,10 @@ def variation_of_constants_check(process: PDEProcess, b: Callable,
     def rhs(tau, u):
         return a_h @ u + reaction(tau) * u + np.asarray(b(tau), dtype=float)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ODEintWarning)
-        try:
-            direct = odeint(rhs, u0, np.concatenate([[s], times]),
-                            Dfun=lambda tau, u: process.generator(tau), tfirst=True,
-                            rtol=1e-13, atol=1e-15, tcrit=[t_end], mxstep=_VOC_MXSTEP)
-        except ODEintWarning as failure:
-            raise RuntimeError("direct integration failed: %s" % failure) from None
+    direct = _LSODA.solve(rhs, s, times, u0, 1e-13, 1e-15,
+                          jac=lambda tau, u: process.generator(tau))
     residuals = []
-    for t, u in zip(times, direct[1:]):
+    for t, u in zip(times, direct):
         formula = process.matrix(t, s) @ u0
         if t > s:
             integral, err = quad_vec(

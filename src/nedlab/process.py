@@ -8,7 +8,10 @@ to ``t < s`` via ``S(s, t) = S(t, s)^{-1}``.
 This module provides the process backends (closed-form exponents,
 piecewise closed forms, numerically integrated coefficient matrices),
 projection families, operator-norm evaluation, and grid sampling of
-``log ||S(t, s) P(s)||`` used by the certificate machinery.
+``log ||S(t, s) P(s)||`` used by the certificate machinery.  Two
+per-thread drivers run compiled ODE solvers through scipy's private
+wrappers: DOP853 for the integrated linear processes, and LSODA for the
+attractor ensembles and the parabolic variation-of-constants check.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.integrate._dop import dopri853 as _dopri853
+from scipy.integrate._odepack import lsoda as _lsoda
 
 __all__ = [
     "DomainError",
@@ -83,43 +87,68 @@ class FiniteEscapeError(RuntimeError):
         )
 
 
-# COMPILED DOP853 ======================================================================
+# COMPILED ODE DRIVERS =================================================================
 
 _DOP853_FAILURES = {-1: "input is not consistent",
                     -2: "larger nsteps is needed",
                     -3: "step size becomes too small",
                     -4: "problem is probably stiff"}
+_LSODA_FAILURES = {-1: "Excess work done on this call",
+                   -2: "Excess accuracy requested (tolerances too small)",
+                   -3: "Illegal input detected",
+                   -4: "Repeated error test failures",
+                   -5: "Repeated convergence failures",
+                   -6: "Error weight became zero during problem",
+                   -7: "Internal workspace insufficient to finish"}
+#: Steps LSODA may take per output interval before its solve fails.
+_LSODA_MXSTEP = 100_000
 _FLOAT = np.dtype(float)
 
 
-class _StepSizeCollapse(RuntimeError):
-    """DOP853 stopped because its step fell below the rounding floor of t
-    (code -3) before the step-end norm reached the guard, as on the way to
-    a finite-time blow-up far from t = 0."""
+class _Engaged(threading.local):
+    """Whether this thread is inside a compiled solve.  Both drivers enter
+    it, so a solve started from inside a right-hand side raises instead of
+    breaking the one that is running: a nested DOP853 solve would take over
+    the thread's callback state, and a nested LSODA call makes the outer
+    solve fail with istate -3."""
+
+    busy = False
+
+    def __enter__(self):
+        if self.busy:
+            raise RuntimeError("a compiled ODE driver was re-entered from "
+                               "inside a right-hand side")
+        self.busy = True
+
+    def __exit__(self, *exc):
+        self.busy = False
+
+
+_ENGAGED = _Engaged()
 
 
 class _Run:
     """What one thread's callbacks read during a solve: the field, the
-    state's shape and size, the step-end norm, its guard and running
-    peak, and the exception the field raised, if any."""
+    state's shape and size, the running peak of the step-end norm, and
+    the exception the field raised, if any."""
 
-    __slots__ = ("field", "shape", "size", "norm", "guard", "peak", "error")
+    __slots__ = ("field", "shape", "size", "peak", "error")
 
     def __init__(self):
-        self.field = self.norm = self.error = None
+        self.field = self.error = None
 
 
 class _Dop853(threading.local):
     """One thread's driver of Hairer's compiled DOP853 (the code behind
-    ``scipy.integrate.ode("dop853")``) with the stiffness test off.  It
-    serves the integrated linear processes and the attractor ensembles.
+    ``scipy.integrate.ode("dop853")``) with the stiffness test off, at
+    ``_RTOL, _ATOL``.  It serves the integrated linear processes.
 
     The compiled wrapper keeps a reference to every callback it is
     handed, so each thread builds its two callbacks once, in
     ``__init__``, and hands the same two on every solve: ``fcn`` calls
-    the current field and ``solout`` tracks the peak norm at the step
-    ends.  They are closures over a plain :class:`_Run`, so a right-hand
-    side reads no thread-local attribute.  A field result that is a
+    the current field and ``solout`` tracks the peak Frobenius norm at
+    the step ends.  They are closures over a plain :class:`_Run`, so a
+    right-hand side reads no thread-local attribute.  A field result that is a
     float64 ``ndarray`` with as many entries as the state goes to the
     wrapper as it is (the wrapper reads any shape in C order); anything
     else is converted with ``np.asarray(..., dtype=float).reshape(size)``,
@@ -135,7 +164,6 @@ class _Dop853(threading.local):
 
     def __init__(self):
         run = self.run = _Run()
-        self.busy = False
         self.solves = 0
         self.stats = np.zeros(4, dtype=np.int64)
 
@@ -153,58 +181,135 @@ class _Dop853(threading.local):
         def solout(tau, y):
             if run.error is not None:
                 return -1
-            value = run.norm(y)
+            value = np.linalg.norm(y)
             if not (value <= run.peak):   # a NaN norm is a new peak, and stops
                 run.peak = value
-                if not (value < run.guard):
+                if not (value < ESCAPE_GUARD):
                     return -1
             return 0
 
         self.fcn, self.solout = fcn, solout
 
-    def solve(self, field, t0: float, t1: float, y: np.ndarray, shape,
-              rtol: float, atol: float, norm, guard: float):
-        """``(tau, state at tau, peak)`` for y' = field(t, y.reshape(shape))
-        from y at t0, where peak is the largest ``norm`` of the flat state
-        over the step ends, t0 included.  tau is t1 unless the run stopped
-        at the end of the first step where the peak reached ``guard``;
-        callers map that stop to their own error.  A failed run raises
-        RuntimeError, :class:`_StepSizeCollapse` for a collapsed step.  Not
-        re-entrant: a field that starts another solve on the same thread
-        raises RuntimeError."""
-        if self.busy:
-            raise RuntimeError("the compiled DOP853 driver was re-entered from "
-                               "inside a right-hand side")
+    def solve(self, field, t0: float, t1: float, y0: np.ndarray):
+        """``(tau, state at tau, peak)`` for y' = field(t, y) from y0 at t0,
+        the state keeping y0's shape, where peak is the largest Frobenius
+        norm of the state over the step ends, t0 included.  tau is t1
+        unless the run stopped at the end of the first step where the peak
+        reached ``ESCAPE_GUARD``; the caller maps that stop to its error.
+        A failed run raises RuntimeError.  Not re-entrant: a field that
+        starts another compiled solve on the same thread raises
+        RuntimeError."""
+        y = y0.ravel()
         work = np.zeros(11 * y.size + 21)
         work[1:4] = 0.9, 0.3, 6.0  # ode("dop853") defaults: safety, step limits
         iwork = np.zeros(21, dtype=np.int32)
         iwork[3] = -1  # never run the stiffness test, which stops the solve
         run = self.run
-        run.field, run.shape, run.size, run.norm, run.guard = field, shape, y.size, norm, guard
-        run.peak, self.busy = -math.inf, True
-        try:
-            # Pass the trailing tuple of extra field arguments even though
-            # it is empty: left out, the wrapper can crash the interpreter.
-            tau, y, idid = _dopri853(self.fcn, t0, y, t1, rtol, atol,
-                                     self.solout, 1, work, iwork,
-                                     np.iinfo(np.int32).max, -1, ())
-        finally:
-            error, peak = run.error, run.peak
-            run.field = run.norm = run.error = None
-            self.busy = False
-            self.solves += 1
-            self.stats += iwork[16:20]  # nfev, steps, accepted, rejected
+        with _ENGAGED:
+            run.field, run.shape, run.size, run.peak = field, y0.shape, y.size, -math.inf
+            try:
+                # Pass the trailing tuple of extra field arguments even though
+                # it is empty: left out, the wrapper can crash the interpreter.
+                tau, y, idid = _dopri853(self.fcn, t0, y, t1, _RTOL, _ATOL,
+                                         self.solout, 1, work, iwork,
+                                         np.iinfo(np.int32).max, -1, ())
+            finally:
+                error, peak = run.error, run.peak
+                run.field = run.error = None
+                self.solves += 1
+                self.stats += iwork[16:20]  # nfev, steps, accepted, rejected
         if error is not None:
             raise error
         # A stop at t0 reports idid -3, so a run that reached the guard
         # never counts as failed.
-        if idid < 0 and peak < guard:
-            raise (_StepSizeCollapse if idid == -3 else RuntimeError)(
-                "integration failed: %s" % _DOP853_FAILURES.get(idid, "code %d" % idid))
-        return tau, y, peak
+        if idid < 0 and peak < ESCAPE_GUARD:
+            raise RuntimeError("integration failed: %s"
+                               % _DOP853_FAILURES.get(idid, "code %d" % idid))
+        return tau, y.reshape(y0.shape), peak
 
 
 _SOLVER = _Dop853()
+
+
+class _Lsoda(threading.local):
+    """One thread's driver of LSODA, ODEPACK's switch between Adams steps
+    where the problem is smooth and BDF steps where it is stiff (Petzold,
+    SIAM J. Sci. Stat. Comput. 4, 1983), through the re-entrant compiled
+    wrapper ``scipy.integrate._odepack.lsoda`` that ``ode("lsoda")`` runs.
+    It serves the attractor ensembles and the variation-of-constants check.
+
+    The wrapper takes caller-owned work arrays and two arrays of solver
+    state, and keeps one reference to the work arrays on every call, so a
+    thread allocates all four once, grows them only for a larger problem,
+    and zeroes them before each solve.  Unlike DOP853's wrapper, it keeps
+    no callback and passes a callback's exception on, which stops the
+    solve.
+
+    ``solves`` counts this thread's solves; ``stats`` sums their
+    right-hand-side evaluations (those of finite-difference Jacobians
+    included), steps and Jacobian evaluations.
+    """
+
+    def __init__(self):
+        self.rwork = np.zeros(0)
+        self.iwork = np.zeros(0, dtype=np.int32)
+        self.state = np.zeros(240), np.zeros(48, dtype=np.int32)
+        self.solves = 0
+        self.stats = np.zeros(3, dtype=np.int64)
+
+    def solve(self, f, t0: float, times, y: np.ndarray, rtol: float, atol: float,
+              jac=None, band=None) -> list:
+        """The states at ``times`` of y' = f(t, y) from the flat float
+        state y at t0, the times running monotonically away from t0.  f
+        returns the flat derivative.  ``jac(t, y)`` is the exact (n, n)
+        Jacobian; without one LSODA forms it by finite differences, banded
+        with ``band`` diagonals on each side when that is given.
+
+        Each output time is one compiled call that stops exactly there
+        (``itask=4``, with the last output time as the critical time, so
+        no evaluation falls past the window), and later calls continue
+        the same run.  A call that needs more than ``_LSODA_MXSTEP`` steps,
+        or fails otherwise, raises RuntimeError with LSODA's message.  Not
+        re-entrant: a field that starts another compiled solve on the
+        same thread raises RuntimeError."""
+        n = y.size
+        if jac is not None:
+            jt, stiff = 1, 9 * n + n * n
+        elif band is None:
+            jt, stiff = 2, 9 * n + n * n
+        else:
+            jt, stiff = 5, (10 + 3 * band) * n
+        size = max(20 + 16 * n, 22 + stiff)   # Adams order 12, BDF order 5
+        if self.rwork.size < size:
+            self.rwork = np.zeros(size)
+        if self.iwork.size < 20 + n:
+            self.iwork = np.zeros(20 + n, dtype=np.int32)
+        rwork, iwork = self.rwork, self.iwork
+        for array in (rwork[:size], iwork[:20 + n]) + self.state:
+            array.fill(0)
+        rwork[0] = times[-1]
+        iwork[0] = iwork[1] = band or 0
+        iwork[5] = _LSODA_MXSTEP
+        y, tau, istate, states = np.array(y, dtype=float), t0, 1, []
+        with _ENGAGED:
+            try:
+                for t in times:
+                    # The wrapper writes the state into y and returns it.
+                    y, tau, istate = _lsoda(f, y, tau, t, rtol, atol, 4, istate, rwork,
+                                            iwork, jac, jt, (), 1, (), *self.state)
+                    if istate < 0:
+                        break
+                    states.append(y.copy())
+            finally:
+                self.solves += 1
+                self.stats += iwork[[11, 10, 12]]  # nfe, nst, nje
+        if istate < 0:
+            raise RuntimeError("integration failed: %s at t=%r"
+                               % (_LSODA_FAILURES.get(istate, "code %d" % istate), tau))
+        return states
+
+
+_LSODA = _Lsoda()
 
 
 # TIME DOMAINS =========================================================================
@@ -824,10 +929,10 @@ class IntegratedLinearProcess(EvolutionProcess):
     when ``invertible=True`` and simply integrates the ODE backward in
     time.  Grid sampling chains one step per mesh interval through
     :func:`_chained_anchor_matrices`.  These solves run on the compiled
-    DOP853 driver shared with the attractor ensembles, so a coefficient
-    must not start another such solve.  Only ``matrix_path`` runs
-    ``solve_ivp``, whose dense output serves every point of one anchor
-    from a single solve.
+    DOP853 driver, so a coefficient must not start another compiled
+    solve, on this driver or on the LSODA driver of the attractor
+    ensembles.  Only ``matrix_path`` runs ``solve_ivp``, whose dense
+    output serves every point of one anchor from a single solve.
     """
 
     def __init__(self, coefficient_matrix: Callable, dimension: int,
@@ -845,11 +950,10 @@ class IntegratedLinearProcess(EvolutionProcess):
         state at the step ends)`` from one compiled solve, which raises
         :class:`FiniteEscapeError` at the end of the first step where that
         norm reaches ``ESCAPE_GUARD``."""
-        reach, y, peak = _SOLVER.solve(self._field, s, t, y0.ravel(), y0.shape,
-                                       _RTOL, _ATOL, np.linalg.norm, ESCAPE_GUARD)
+        reach, y, peak = _SOLVER.solve(self._field, s, t, y0)
         if not (peak < ESCAPE_GUARD):
             raise FiniteEscapeError(t, s, reach)
-        return y.reshape(y0.shape), peak
+        return y, peak
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         self._check_args(t, s)
