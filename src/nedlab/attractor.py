@@ -226,7 +226,7 @@ def weighted_norm(b: WeightedFunction, grid: GridSpec) -> float:
             if b.domain.contains(r)]
     if not vals:
         raise ValueError("grid does not intersect the weight domain")
-    return max(vals)
+    return float(np.max(vals))
 
 
 def comparison_bound(scalar_process: ScalarExponentProcess, b: WeightedFunction,
@@ -258,7 +258,7 @@ def comparison_bound(scalar_process: ScalarExponentProcess, b: WeightedFunction,
     else:
         forced, abserr = quad(integrand, s, t, epsabs=1e-12, epsrel=1e-10,
                               limit=400)
-        if abserr > 1e-6 * max(1.0, abs(forced)):
+        if not abserr <= 1e-6 * np.maximum(1.0, abs(forced)):
             raise RuntimeError("comparison quadrature did not converge "
                                "(error estimate %.3g)" % abserr)
     return homogeneous * x0_norm_sq + forced
@@ -598,7 +598,7 @@ class MarginReport:
 
     @property
     def min_margin(self) -> float:
-        return min(self.margins.values())
+        return float(np.min(list(self.margins.values())))
 
     @property
     def contained(self) -> bool:
@@ -639,12 +639,9 @@ def _hausdorff_distance(a, b) -> float:
 def universe_membership(family: SetFamily, gamma: float) -> float:
     """Witness C = sup over sections of e^{-gamma |t|} max ||x||; any
     family dominated section-wise by this one inherits the witness."""
-    worst = 0.0
-    for t in family.times():
-        pts = family.section(t)
-        worst = max(worst, math.exp(-gamma * abs(t))
-                    * float(np.max(np.linalg.norm(pts, axis=1))))
-    return worst
+    return float(np.max([math.exp(-gamma * abs(t))
+                         * np.max(np.linalg.norm(family.section(t), axis=1))
+                         for t in family.times()]))
 
 
 def attractor_coincidence(spec, t_grid, gamma0: float, gammas,
@@ -673,9 +670,7 @@ def attractor_coincidence(spec, t_grid, gamma0: float, gammas,
                      for t in t_grid}
     out = {}
     for gamma in gammas:
-        worst = 0.0
-        for t in t_grid:
-            sec = simulate_pullback_omega(spec, t, universe(gamma)).section()
-            worst = max(worst, _hausdorff_distance(sec, base_sections[t]))
-        out[float(gamma)] = worst
+        out[float(gamma)] = float(np.max(
+            [_hausdorff_distance(simulate_pullback_omega(spec, t, universe(gamma)).section(),
+                                 base_sections[t]) for t in t_grid], initial=0.0))
     return out

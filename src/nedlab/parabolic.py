@@ -54,8 +54,6 @@ __all__ = [
     "parabolic_attractor_demo",
 ]
 
-#: Lags per stacked ``expm``, which bounds the stack at this many n x n matrices.
-_LAG_BLOCK = 256
 #: Most negative entry a propagator or principal direction may have and
 #: still count as positive.
 _POSITIVITY_TOL = 1e-12
@@ -240,14 +238,16 @@ class PDEProcess(EvolutionProcess):
         log ||e^{(A_h - lambda_1) d}||`` with ``d = t - s``, the lag
         :meth:`_log_matrix` reads too.  Read in the log, a pair
         whose factor ``e^{G(t) - G(s)}`` or ``e^{A_h d}`` would underflow
-        still carries its sample.  Every other grid takes the per-anchor
-        kernel, with the stacks of :meth:`_anchor_matrices`."""
+        still carries its sample.  Each lag stack holds ``_NORM_BLOCK_BYTES``
+        at most; other grids take the per-anchor kernel, with the stacks of
+        :meth:`_anchor_matrices`."""
         if factor is not None or not self.separable:
             return super()._log_norms(mesh, part, i, j, factor)
         lags, lag_of = np.unique(mesh[i] - mesh[j], return_inverse=True)
         log_norm, log_frobenius = np.empty(len(lags)), np.empty(len(lags))
-        for k in range(0, len(lags), _LAG_BLOCK):
-            block = slice(k, k + _LAG_BLOCK)
+        rows = max(1, _NORM_BLOCK_BYTES // (8 * self.dimension ** 2))
+        for k in range(0, len(lags), rows):
+            block = slice(k, k + rows)
             stack = self._shifted.expm(lags[block])
             stack[lags[block] == 0.0] = np.eye(self.dimension)   # as in _log_matrix
             log_norm[block] = np.log(_spectral_norms(stack))

@@ -261,9 +261,9 @@ class _Lsoda(threading.local):
               jac=None, band=None) -> list:
         """The states at ``times`` of y' = f(t, y) from the flat float
         state y at t0, the times running monotonically away from t0.  f
-        returns the flat derivative.  ``jac(t, y)`` is the exact (n, n)
-        Jacobian; without one LSODA forms it by finite differences, banded
-        with ``band`` diagonals on each side when that is given.
+        returns the flat derivative.  Give either ``jac(t, y)``, the exact
+        (n, n) Jacobian, or ``band``, the diagonals on each side of the
+        banded Jacobian that LSODA then forms by finite differences.
 
         Each output time is one compiled call that stops exactly there
         (``itask=4``, with the last output time as the critical time, so
@@ -275,8 +275,6 @@ class _Lsoda(threading.local):
         n = y.size
         if jac is not None:
             jt, stiff = 1, 9 * n + n * n
-        elif band is None:
-            jt, stiff = 2, 9 * n + n * n
         else:
             jt, stiff = 5, (10 + 3 * band) * n
         size = max(20 + 16 * n, 22 + stiff)   # Adams order 12, BDF order 5
@@ -441,7 +439,7 @@ def _max_norm(stack) -> float:
     return float(np.max(_spectral_norms(stack), initial=0.0))
 
 
-#: Bytes of ``N P(s)`` matrices the per-anchor kernel gathers per norm call.
+#: Bytes per stacked read: a norm call's ``N P(s)``, a separable lag stack, a Strang table.
 _NORM_BLOCK_BYTES = 1 << 20
 
 

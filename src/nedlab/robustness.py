@@ -203,7 +203,7 @@ def robustness_constants(m: float, omega: float, upsilon: float,
 # BAND SUPS ============================================================================
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: Step of the band scan in both s and t - s, and half-width of the refinements.
+#: Step of the band scan in t - s, least step of its anchors, half-width of refinements.
 _BAND_STEP = 0.01
 
 
@@ -231,7 +231,9 @@ def _golden_section_max(f, lo, hi):
 
 def _band_sup(anchor_fn, grid: GridSpec) -> float:
     """Maximize a value v(t, s) over the band 0 <= t - s <= 1 with s in
-    the grid range: coarse scan at ``_BAND_STEP`` in both s and t-s, then
+    the grid range: coarse scan of t - s in steps of ``_BAND_STEP`` and of
+    s from grid.start in steps of ``max(_BAND_STEP, grid.step)`` (so the
+    mesh's pinned stop and 0 are missed off that lattice), then
     golden-section refinement in each coordinate around the maximizer.
 
     ``anchor_fn(s, t_end)`` returns ``t -> v(t, s)`` for t from s to
@@ -280,13 +282,13 @@ def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
     """sup of e^{upsilon |s|} ||S(t,s) - T(t,s)|| over 0 <= t-s <= 1.
 
     The scan covers anchors s in [grid.start, grid.stop] and only the
-    pairs with t <= grid.stop, on a (s, t-s) grid of step ``_BAND_STEP =
-    0.01``, then refines around the grid maximizer by golden section (the
-    offset refinement may read up to one step past grid.stop).  The value
-    is therefore an estimate from below of the sup the robustness
-    theorem assumes.  Both processes are evaluated along one
-    ``matrix_path`` per anchor, and each anchor's norms are one stacked
-    :func:`~nedlab.process._spectral_norms` call.
+    pairs with t <= grid.stop, on the steps of :func:`_band_sup` (0.01 in
+    t - s, the grid step in s when that is larger), then refines around
+    the scan maximizer by golden section (the offset refinement may read
+    up to one step past grid.stop).  The value is therefore an estimate
+    from below of the sup the robustness theorem assumes.  Both processes
+    are evaluated along one ``matrix_path`` per anchor, and each anchor's
+    norms are one stacked :func:`~nedlab.process._spectral_norms` call.
     """
     if p.dimension != q.dimension:
         raise ValueError("processes have different dimensions")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 import nedlab as nl
 from nedlab import GridSpec, InapplicableError, WeightedFunction
@@ -121,6 +121,15 @@ class TestComparisonBound:
                                               antiderivative=lambda r: -r)
         with pytest.raises(nl.DomainError):
             nl.comparison_bound(witness, self.B, 1.0, -1.0, 1.0)
+
+    def test_nan_forcing_raises(self):
+        # quad returns (nan, nan) here; a NaN error estimate fails the
+        # convergence test instead of passing a NaN bound on.
+        witness = nl.ScalarCoefficientProcess(lambda r: -1.0, antiderivative=lambda r: -r)
+        b = WeightedFunction(lambda r: math.nan if r > 0.5 else 1.0, eta=0.0)
+        with pytest.warns(IntegrationWarning), \
+                pytest.raises(RuntimeError, match="did not converge"):
+            nl.comparison_bound(witness, b, 1.0, 0.0, 1.0)
 
     def test_matrix_witness_is_refused(self):
         witness = nl.MatrixClosedFormProcess(
@@ -949,6 +958,18 @@ class TestContainmentReports:
     def test_set_family_validation(self):
         with pytest.raises(ValueError):
             nl.SetFamily({})
+
+    @pytest.mark.parametrize("nan_at", [0.0, 1.0], ids=["nan-first", "nan-last"])
+    def test_a_nan_surfaces_wherever_it_sits(self, nan_at):
+        # Python's min and max pass over a NaN unless it comes first; each
+        # report reads NaN, and containment fails, in either position.
+        family = nl.SetFamily({t: [[math.nan if t == nan_at else 0.5]] for t in (0.0, 1.0)})
+        envelope = nl.RadiusEnvelope(params={}, evaluator=lambda t: 1.0, norm="max")
+        report = nl.verify_containment(family, envelope)
+        assert math.isnan(report.min_margin) and not report.contained
+        assert math.isnan(nl.universe_membership(family, 0.0))
+        b = WeightedFunction(lambda r: math.nan if r == nan_at else 1.0, eta=0.0)
+        assert math.isnan(nl.weighted_norm(b, GridSpec(0.0, 1.0, 0.5)))
 
 
 class TestCoincidence:

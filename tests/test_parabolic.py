@@ -211,6 +211,25 @@ class TestSeparableKernel:
         for lag in (75.0, 100.0):
             assert abs(nl.operator_norm(p, lag, 0.0, log=True) - rate * lag) < 1e-9
 
+    def test_lag_stacks_share_the_block_budget(self, monkeypatch):
+        # 21 distinct lags; a budget of three 9 x 9 matrices reads them in
+        # seven stacks, the default budget in one.
+        p = nl.pde_process(_dirichlet(9), separable_g=lambda t: -1.0 + math.sin(t),
+                           g_antiderivative=lambda t: -t - math.cos(t))
+        grid = GridSpec(0.0, 10.0, 0.5)
+        stacks = []
+        expm = nl.DiscreteLaplacian.expm
+        monkeypatch.setattr(nl.DiscreteLaplacian, "expm",
+                            lambda lap, d: stacks.append(np.size(d)) or expm(lap, d))
+        whole = nl.sample_norm_grid(p, None, grid)
+        assert stacks == [21]
+        stacks.clear()
+        monkeypatch.setattr(nl.parabolic, "_NORM_BLOCK_BYTES", 3 * 8 * 9 * 9)
+        blocked = nl.sample_norm_grid(p, None, grid)
+        assert stacks == [3] * 7
+        assert np.array_equal(blocked.samples, whole.samples)
+        assert blocked.poisoned == whole.poisoned == []
+
     @pytest.mark.parametrize("length, g, grid", [
         # The norm passes the guard.
         (1.0, lambda t: 50.0 + math.sin(t), GridSpec(0.0, 10.0, 0.5)),
