@@ -30,8 +30,8 @@ from scipy.integrate import quad
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from .dichotomy import DichotomyCertificate, InapplicableError
-from .process import (_ATOL, _LSODA, _RTOL, FULL_LINE, GridSpec, ScalarExponentProcess,
-                      TimeDomain)
+from .process import (_ATOL, _LSODA, _RTOL, FULL_LINE, GridSpec, ScalarCoefficientProcess,
+                      ScalarExponentProcess, TimeDomain, _guard_exponent)
 
 __all__ = [
     "WeightedFunction",
@@ -238,7 +238,9 @@ def comparison_bound(scalar_process: ScalarExponentProcess, b: WeightedFunction,
     witness coefficient a, and must be a :class:`ScalarExponentProcess`
     (such as a :class:`ScalarCoefficientProcess`): T(t, tau) is read as
     ``exp`` of its guarded exponent, with the domain check and the
-    :class:`FiniteEscapeError` guard of ``propagate``.
+    :class:`FiniteEscapeError` guard of ``propagate``.  A
+    :class:`ScalarCoefficientProcess` checks the domain at s and t and
+    reads F(t) once per call, so each quadrature node reads only F(tau).
     """
     if t < s:
         raise ValueError("comparison bound needs t >= s")
@@ -247,7 +249,17 @@ def comparison_bound(scalar_process: ScalarExponentProcess, b: WeightedFunction,
     if not isinstance(scalar_process, ScalarExponentProcess):
         raise TypeError("comparison propagator must be a ScalarExponentProcess, "
                         "not %s" % type(scalar_process).__name__)
-    exponent = scalar_process._guarded_exponent
+    if isinstance(scalar_process, ScalarCoefficientProcess):
+        # Domains are intervals: every node between s and t passes the
+        # check once s and t do.
+        scalar_process._check_args(t, s)
+        big_f = scalar_process._cumulative
+        f_t = big_f(t)
+
+        def exponent(end, tau):
+            return _guard_exponent(end, tau, f_t - big_f(tau))
+    else:
+        exponent = scalar_process._guarded_exponent
     homogeneous = math.exp(exponent(t, s))
 
     def integrand(tau):

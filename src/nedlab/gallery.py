@@ -80,18 +80,17 @@ class GalleryEntry:
         return [c.to_dict() for c in self.claims]
 
 
-def _canonical_logmax(process, domain: TimeDomain, alpha: float, delta: float,
-                      kind: str) -> float:
-    """Minimal feasible ln M for the stable bound of the given kind on
-    the canonical grid (clamped at 0 so M >= 1); inf when a canonical
-    pair escapes."""
+def _canonical_logmax(process, domain: TimeDomain, *bounds) -> list:
+    """Minimal feasible ln M for the stable bound of each ``(alpha, delta,
+    kind)`` of ``bounds`` on the canonical grid (clamped at 0 so M >= 1);
+    inf when a canonical pair escapes.  The grid is sampled once for all
+    of them."""
     lo = 0.0 if domain.kind == "plus" else -CANONICAL_HORIZON
     hi = 0.0 if domain.kind == "minus" else CANONICAL_HORIZON
-    spec = GridSpec(lo, hi, CANONICAL_STEP)
-    grid = sample_norm_grid(process, None, spec)
+    grid = sample_norm_grid(process, None, GridSpec(lo, hi, CANONICAL_STEP))
     if grid.poisoned:
-        return math.inf
-    return max(0.0, _least_ln_m(grid, kind, alpha, delta))
+        return [math.inf] * len(bounds)
+    return [max(0.0, _least_ln_m(grid, kind, alpha, delta)) for alpha, delta, kind in bounds]
 
 
 # FIXTURES =============================================================================
@@ -178,7 +177,8 @@ def make_smooth_limits(transition_scale: float, eps: float = 0.1) -> GalleryEntr
     bump = ScalarCoefficientProcess(
         lambda r: 1.0 - abs(math.tanh(r / sigma)),
         antiderivative=lambda t: t - math.copysign(sigma * _lncosh(t / sigma), t))
-    m_eps = math.exp(_canonical_logmax(bump, FULL_LINE, -eps, 0.0, "II"))
+    (log_m_eps,) = _canonical_logmax(bump, FULL_LINE, (-eps, 0.0, "II"))
+    m_eps = math.exp(log_m_eps)
 
     stable = ExponentPair(1.0 - eps, 2.0)
     claims = [
@@ -260,8 +260,8 @@ def make_piecewise_barreira(a: float, b: float, c: float, d: float) -> GalleryEn
     delta = max(2 * a, 2 * c)
     alpha2 = min(b + a, d - c)
     alpha1 = min(b - a, d + c)
-    m2 = math.exp(_canonical_logmax(process, FULL_LINE, alpha2, delta, "II"))
-    m1 = math.exp(_canonical_logmax(process, FULL_LINE, alpha1, delta, "I"))
+    m2, m1 = (math.exp(v) for v in _canonical_logmax(
+        process, FULL_LINE, (alpha2, delta, "II"), (alpha1, delta, "I")))
     claims = [
         DichotomyClaim(_cert("II", FULL_LINE, m2, alpha2, delta), True,
                        note="M computed on the canonical grid"),

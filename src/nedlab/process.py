@@ -469,6 +469,17 @@ def _exp(x):
     return np.array([math.exp(v) for v in x.tolist()])
 
 
+def _guard_exponent(t: float, s: float, e: float) -> float:
+    """``e = E(t, s)`` itself if it is at most ``_LOG_GUARD``; else, and for
+    a NaN, raise :class:`FiniteEscapeError`."""
+    if not (e <= _LOG_GUARD):
+        # The log norm grows roughly linearly over [s, t], so the guard
+        # is crossed a fraction log_guard / e of the way in.
+        escape = s + (t - s) * min(1.0, _LOG_GUARD / e) if e > 0 else t
+        raise FiniteEscapeError(t, s, escape)
+    return e
+
+
 def _escaped(m: np.ndarray) -> bool:
     """Whether a propagator has a non-finite entry or a Frobenius norm
     above ``ESCAPE_GUARD``.  The Frobenius norm bounds the spectral norm
@@ -775,13 +786,7 @@ class ScalarExponentProcess(EvolutionProcess):
         """E(t, s) for one pair; raises :class:`FiniteEscapeError` above the
         guard, and for a NaN exponent."""
         self._check_args(t, s)
-        e = float(self.exponent(t, s))
-        if not (e <= _LOG_GUARD):
-            # The log norm grows roughly linearly over [s, t], so the guard
-            # is crossed a fraction log_guard / e of the way in.
-            escape = s + (t - s) * min(1.0, _LOG_GUARD / e) if e > 0 else t
-            raise FiniteEscapeError(t, s, escape)
-        return e
+        return _guard_exponent(t, s, float(self.exponent(t, s)))
 
     def matrix(self, t: float, s: float) -> np.ndarray:
         return np.array([[math.exp(self._guarded_exponent(t, s))]])
@@ -791,23 +796,39 @@ class ScalarExponentProcess(EvolutionProcess):
             np.asarray(x, dtype=float))
 
     def matrix_path(self, s: float, t_end: float) -> Callable:
-        """Over an array of times the exponents are one
-        :meth:`_grid_exponents` read, over the times followed by s, and each
-        entry is exponentiated with ``math.exp``, as :meth:`matrix` does.
-        If a time fails the domain check or the guard, the whole array goes
-        through :meth:`matrix` one time at a time, which raises there."""
-        per_time = super().matrix_path(s, t_end)
+        """Over an array of times the exponents are one :meth:`_pair_exponents`
+        read, and each entry is exponentiated with ``math.exp``, as
+        :meth:`matrix` does.  If a time fails the domain check or the guard,
+        the times are read one at a time, which raises there; one time is
+        read through :meth:`_path_exponent`."""
+        exponent = self._path_exponent(s)
 
         def path(tau):
-            if np.ndim(tau):
-                tau = np.asarray(tau, dtype=float)
-                if self.domain.contains(s) and np.all(self.domain.contains(tau)):
-                    n = tau.size
-                    e = self._grid_exponents(np.append(tau, s), np.arange(n), np.full(n, n))
-                    if np.all(e <= _LOG_GUARD):   # False for a NaN exponent too
-                        return _exp(e).reshape(-1, 1, 1)
-            return per_time(tau)
+            if np.ndim(tau) == 0:
+                return np.array([[math.exp(exponent(tau))]])
+            tau = np.asarray(tau, dtype=float)
+            e = self._pair_exponents(tau, np.full(tau.size, s))
+            if e is None:
+                e = np.array([exponent(t) for t in tau.tolist()])
+            return _exp(e).reshape(-1, 1, 1)
         return path
+
+    def _path_exponent(self, s: float) -> Callable[[float], float]:
+        """``t -> E(t, s)`` for one time t, guarded as :meth:`matrix` is."""
+        return lambda t: self._guarded_exponent(t, s)
+
+    def _pair_exponents(self, t: np.ndarray, s: np.ndarray) -> Optional[np.ndarray]:
+        """E over the pairs ``(t[k], s[k])`` of two 1-d arrays, from one
+        :meth:`_grid_exponents` read over their distinct times, or None if
+        a time is outside the domain or an exponent fails the guard (NaN
+        included), for the caller to read the pairs one at a time.  Times
+        are told apart by their bits, so -0.0 and 0.0 are read apart."""
+        keys, index = np.unique(np.concatenate([t, s]).view(np.int64), return_inverse=True)
+        times = keys.view(float)
+        if not np.all(self.domain.contains(times)):
+            return None
+        e = self._grid_exponents(times, index[:t.size], index[t.size:])
+        return e if np.all(e <= _LOG_GUARD) else None   # False for a NaN exponent too
 
     def _grid_exponents(self, times: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """E(t, s) over the pairs ``(times[i], times[j])``, unguarded: the one
@@ -843,8 +864,9 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
     ``antiderivative`` when it is given and else from adaptive quadrature
     of the coefficient, cached per time.  F is called with one Python
     float at a time.  A grid under the identity factor reads F once per
-    mesh point, a path once per time and an array of pairs once per
-    distinct time, all through :meth:`_grid_exponents`.
+    mesh point and an array of pairs once per distinct time, both through
+    :meth:`_grid_exponents`; a path from s reads F(s) once and F(t) once
+    per time it is given.
     """
 
     def __init__(self, coefficient: Callable, domain: TimeDomain = FULL_LINE,
@@ -872,10 +894,28 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
             return self._grid_exponents(times, index[:t.size], index[t.size:]).reshape(t.shape)
         return self._cumulative(t) - self._cumulative(s)
 
+    def _path_exponent(self, s: float) -> Callable[[float], float]:
+        """``t -> F(t) - F(s)``, guarded, with F(s) read once, on the first
+        read after the domain check, where the exponent reads it."""
+        f_s = None
+
+        def exponent(t):
+            nonlocal f_s
+            self._check_args(t, s)
+            f_t = self._cumulative(t)
+            if f_s is None:
+                f_s = self._cumulative(s)
+            return _guard_exponent(t, s, f_t - f_s)
+        return exponent
+
     def _grid_exponents(self, times, i, j):
         """``F[i] - F[j]`` from one F per time; bit for bit the exponent of
         each pair."""
-        values = np.array([self._cumulative(t) for t in times.tolist()])
+        big_f = self.antiderivative
+        if big_f is None:
+            values = np.array([self._cumulative(t) for t in times.tolist()])
+        else:   # what _cumulative reads, without a call per time to get there
+            values = np.array([float(big_f(t)) for t in times.tolist()])
         with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
             return values[i] - values[j]
 
@@ -1004,8 +1044,31 @@ class IntegratedLinearProcess(EvolutionProcess):
 
     def _step(self, t: float, s: float):
         """``(S(t, s), the largest Frobenius norm of S(tau, s) at the step
-        ends)`` for one mesh interval of :func:`_chained_anchor_matrices`."""
-        return self._solve(t, s, np.eye(self.dimension))
+        ends)`` for one mesh interval of :func:`_chained_anchor_matrices`.
+
+        A solve that fails where A(tau) is not finite escapes at that tau,
+        as a solve whose state turns NaN does, so a grid poisons the pairs
+        across the interval as the other backends do; :meth:`matrix` still
+        raises the failure, and so does this for any other failure.  A
+        second solve, whose field checks A, finds that tau, so a solve
+        that succeeds pays nothing for the check."""
+        try:
+            return self._solve(t, s, np.eye(self.dimension))
+        except FiniteEscapeError:
+            raise
+        except RuntimeError as failure:
+            def checked(tau, y):
+                a = np.asarray(self.coefficient_matrix(tau), dtype=float)
+                if not np.all(np.isfinite(a)):
+                    raise FiniteEscapeError(t, s, tau)
+                return a @ y
+            try:
+                _SOLVER.solve(checked, s, t, np.eye(self.dimension))
+            except FiniteEscapeError:
+                raise
+            except RuntimeError:
+                pass
+            raise failure
 
     def _anchor_matrices(self, mesh, part):
         return _chained_anchor_matrices(self, mesh, part)

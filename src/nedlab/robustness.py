@@ -32,6 +32,8 @@ from .dichotomy import (
 from .process import (
     EvolutionProcess,
     GridSpec,
+    ScalarExponentProcess,
+    _NORM_BLOCK_BYTES,
     _PARTS,
     _exp,
     _spectral_norms,
@@ -229,7 +231,7 @@ def _golden_section_max(f, lo, hi):
     return x, f(x)
 
 
-def _band_sup(anchor_fn, grid: GridSpec) -> float:
+def _band_sup(anchor_fn, grid: GridSpec, batch_fn=None) -> float:
     """Maximize a value v(t, s) over the band 0 <= t - s <= 1 with s in
     the grid range: coarse scan of t - s in steps of ``_BAND_STEP`` and of
     s from grid.start in steps of ``max(_BAND_STEP, grid.step)`` (so the
@@ -237,30 +239,59 @@ def _band_sup(anchor_fn, grid: GridSpec) -> float:
     golden-section refinement in each coordinate around the maximizer.
 
     ``anchor_fn(s, t_end)`` returns ``t -> v(t, s)`` for t from s to
-    t_end, which takes one time or a 1-d array of times.  Each scanned
-    anchor is built once, over its whole band, and evaluated once over
-    its offsets with t <= grid.stop; it then serves the offset
-    refinement.  Only the anchor refinement builds one per point.
+    t_end, which takes one time or a 1-d array of times.  The scan keeps
+    the first maximum in scan order (anchors ascending, then offsets) and
+    skips NaN, as a strict ``v > best`` scan does.  It reads the anchors
+    in blocks whose pairs' times, t and s together, fill at most
+    ``_NORM_BLOCK_BYTES``.
+
+    ``batch_fn(s, t, a)``, when given, returns the values of a whole
+    block in one call: ``v(t[k], s[a[k]])`` over its pairs in scan order,
+    or None where a pair must be read one at a time.  A block it returns
+    None for, or raises in, is read again anchor by anchor, each anchor
+    built once over its whole band and evaluated once over its offsets
+    with t <= grid.stop, and one at a time if that raises, so an error
+    surfaces from the pair a per-point scan fails at.  The offset
+    refinement evaluates the best anchor's function; the anchor
+    refinement builds one per point.
     """
     s_lo, s_hi = grid.start, grid.stop
     s_vals = np.arange(s_lo, s_hi + _BAND_STEP / 2, max(_BAND_STEP, grid.step))
     d_vals = np.arange(0.0, 1.0 + _BAND_STEP / 2, _BAND_STEP)
     best, bs, bd, best_path = -math.inf, s_lo, 0.0, None
-    for s in s_vals:
-        path = anchor_fn(s, s + 1.0)
-        d = d_vals[grid.stop >= s + d_vals]
-        if d.size == 0:
+    per_block = max(1, _NORM_BLOCK_BYTES // (2 * d_vals.nbytes))
+    for start in range(0, s_vals.size, per_block):
+        anchors = s_vals[start:start + per_block]
+        v = None
+        if batch_fn is not None:
+            t = anchors[:, None] + d_vals
+            a, k = np.nonzero(grid.stop >= t)
+            try:
+                v = batch_fn(anchors, t[a, k], a)
+            except Exception:   # the anchor-by-anchor read raises it from its pair
+                v = None
+        if v is not None:
+            # The first maximum, NaN skipped: what a strict v > best scan keeps.
+            m = int(np.argmax(np.where(np.isnan(v), -math.inf, v))) if v.size else 0
+            if v.size and v[m] > best:
+                s = anchors[a[m]]
+                best, bs, bd = float(v[m]), float(s), float(d_vals[k[m]])
+                best_path = anchor_fn(s, s + 1.0)
             continue
-        try:
-            v = path(s + d)
-        except Exception:
-            for t in s + d:   # raise from the point a scan in order fails at
-                path(t)
-            raise
-        # The first maximum, NaN skipped: what a strict v > best scan keeps.
-        k = int(np.argmax(np.where(np.isnan(v), -math.inf, v)))
-        if v[k] > best:
-            best, bs, bd, best_path = float(v[k]), float(s), float(d[k]), path
+        for s in anchors:
+            path = anchor_fn(s, s + 1.0)
+            d = d_vals[grid.stop >= s + d_vals]
+            if d.size == 0:
+                continue
+            try:
+                v = path(s + d)
+            except Exception:
+                for t in s + d:   # raise from the point a scan in order fails at
+                    path(t)
+                raise
+            m = int(np.argmax(np.where(np.isnan(v), -math.inf, v)))
+            if v[m] > best:
+                best, bs, bd, best_path = float(v[m]), float(s), float(d[m]), path
     # Refine the offset at the best anchor, then the anchor at the best
     # offset; either refinement can only improve on the grid value.
     d_lo, d_hi = max(0.0, bd - _BAND_STEP), min(1.0, bd + _BAND_STEP)
@@ -277,6 +308,29 @@ def _band_sup(anchor_fn, grid: GridSpec) -> float:
     return best
 
 
+def _scalar_path(process: ScalarExponentProcess, s: float, t_end: float):
+    """``tau -> S(tau, s)`` of a scalar exponent process as numbers: a float
+    for one time, from its guarded exponent with no 1x1 matrix, and a 1-d
+    array for an array of times, from its ``matrix_path``."""
+    exponent = process._path_exponent(s)
+
+    def path(tau):
+        if isinstance(tau, np.ndarray):
+            return process.matrix_path(s, t_end)(tau)[:, 0, 0]
+        return math.exp(exponent(tau))
+    return path
+
+
+def _band_reads(scalar: bool):
+    """``(path, norms)`` of a band's values: ``path(process, s, t_end)`` is
+    ``tau -> S(tau, s)`` and ``norms`` the norm of what it returns, one or
+    a stack.  Scalar exponent processes read numbers and take ``abs``;
+    others read ``matrix_path`` and stacked spectral norms."""
+    if scalar:
+        return _scalar_path, abs
+    return (lambda process, s, t_end: process.matrix_path(s, t_end)), _spectral_norms
+
+
 def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
                           upsilon: float, grid: GridSpec) -> float:
     """sup of e^{upsilon |s|} ||S(t,s) - T(t,s)|| over 0 <= t-s <= 1.
@@ -286,31 +340,51 @@ def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
     t - s, the grid step in s when that is larger), then refines around
     the scan maximizer by golden section (the offset refinement may read
     up to one step past grid.stop).  The value is therefore an estimate
-    from below of the sup the robustness theorem assumes.  Both processes
-    are evaluated along one ``matrix_path`` per anchor, and each anchor's
-    norms are one stacked :func:`~nedlab.process._spectral_norms` call.
+    from below of the sup the robustness theorem assumes.  Two scalar
+    exponent processes read each block of the scan as one exponent batch
+    per process, over its distinct times, and each refinement point as
+    two floats; any other pair is read along one ``matrix_path`` per
+    anchor and process, each anchor's norms in one stacked
+    :func:`~nedlab.process._spectral_norms` call.
     """
     if p.dimension != q.dimension:
         raise ValueError("processes have different dimensions")
+    scalar = isinstance(p, ScalarExponentProcess) and isinstance(q, ScalarExponentProcess)
+    path, norms = _band_reads(scalar)
 
     def anchor(s, t_end):
-        p_path, q_path = p.matrix_path(s, t_end), q.matrix_path(s, t_end)
+        p_path, q_path = path(p, s, t_end), path(q, s, t_end)
         weight = math.exp(upsilon * abs(s))
-        return lambda t: weight * _spectral_norms(p_path(t) - q_path(t))
+        return lambda t: weight * norms(p_path(t) - q_path(t))
 
-    return _band_sup(anchor, grid)
+    def batch(s, t, a):
+        e_p = p._pair_exponents(t, s[a])
+        e_q = None if e_p is None else q._pair_exponents(t, s[a])
+        if e_q is None:
+            return None
+        return _exp(upsilon * np.abs(s))[a] * np.abs(_exp(e_p) - _exp(e_q))
+
+    return _band_sup(anchor, grid, batch if scalar else None)
 
 
 def growth_constant(p: EvolutionProcess, upsilon: float, grid: GridSpec) -> float:
     """sup of e^{-upsilon |t|} ||S(t,s)|| over 0 <= t-s <= 1, scanned and
     refined over the band :func:`perturbation_distance` states (t <=
-    grid.stop), so again an estimate from below."""
+    grid.stop), so again an estimate from below, and read the same way:
+    one exponent batch per block for a scalar exponent process, else one
+    ``matrix_path`` per anchor."""
+    scalar = isinstance(p, ScalarExponentProcess)
+    path, norms = _band_reads(scalar)
 
     def anchor(s, t_end):
-        path = p.matrix_path(s, t_end)
-        return lambda t: _exp(-upsilon * np.abs(t)) * _spectral_norms(path(t))
+        p_path = path(p, s, t_end)
+        return lambda t: _exp(-upsilon * abs(t)) * norms(p_path(t))
 
-    return _band_sup(anchor, grid)
+    def batch(s, t, a):
+        e = p._pair_exponents(t, s[a])
+        return None if e is None else _exp(-upsilon * np.abs(t)) * _exp(e)
+
+    return _band_sup(anchor, grid, batch if scalar else None)
 
 
 # DUAL-ROUTE PIPELINE ==================================================================

@@ -116,6 +116,30 @@ class TestComparisonBound:
         with pytest.raises(nl.FiniteEscapeError):
             nl.comparison_bound(witness, self.B, 1.0, 0.0, 1.0)
 
+    def test_coefficient_witness_reads_f_once_per_node(self, monkeypatch):
+        reads, nodes = [], []
+        witness = nl.ScalarCoefficientProcess(
+            lambda r: -1.0 + 0.5 * math.cos(r),
+            antiderivative=lambda r: reads.append(r) or -r + 0.5 * math.sin(r))
+
+        def b(r):
+            nodes.append(r)
+            return self.B(r)
+        got = nl.comparison_bound(witness, b, 2.0, 0.5, 1.5)
+        # F(t), F(s), then F(tau) at each quadrature node.
+        assert reads == [2.0, 0.5] + nodes
+        assert got == _propagate_bound(witness, self.B, 2.0, 0.5, 1.5)
+
+    def test_coefficient_escape_raises_as_the_exponent_does(self):
+        dip = lambda r: -400.0 * math.exp(-((r - 0.5) / 0.1) ** 2)
+        errors = []
+        for witness in (nl.ScalarExponentProcess(lambda t, s: dip(t) - dip(s)),
+                        nl.ScalarCoefficientProcess(lambda r: 0.0, antiderivative=dip)):
+            with pytest.raises(nl.FiniteEscapeError) as err:
+                nl.comparison_bound(witness, self.B, 1.0, 0.0, 1.0)
+            errors.append((err.value.t, err.value.s, err.value.escape_time))
+        assert errors[0] == errors[1]
+
     def test_pair_outside_the_domain_raises(self):
         witness = nl.ScalarCoefficientProcess(lambda r: -1.0, domain=nl.HALF_LINE_PLUS,
                                               antiderivative=lambda r: -r)

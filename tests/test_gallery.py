@@ -223,6 +223,7 @@ class TestPiecewiseBarreira:
             return np.where((t == 40.0) & (s == -40.0), 1e3, -(t - s))
         process = nl.ScalarExponentProcess(exponent)
         logmax = nl.gallery._canonical_logmax
-        assert logmax(process, nl.FULL_LINE, 1.0, 0.0, "II") == math.inf
+        assert logmax(process, nl.FULL_LINE, (1.0, 0.0, "II"), (1.0, 0.0, "I")) \
+            == [math.inf, math.inf]
         plain = nl.ScalarExponentProcess(lambda t, s: -(np.asarray(t) - np.asarray(s)))
-        assert logmax(plain, nl.FULL_LINE, 1.0, 0.0, "II") == 0.0
+        assert logmax(plain, nl.FULL_LINE, (1.0, 0.0, "II")) == [0.0]

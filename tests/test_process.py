@@ -1149,6 +1149,36 @@ class TestCompiledSolves:
         with pytest.raises(RuntimeError, match="^integration failed: "):
             process.matrix(1.0, 0.0)
 
+    @pytest.mark.parametrize("backend", ["scalar", "closed-form", "integrated",
+                                         "separable", "strang"])
+    def test_nan_coefficient_poisons_grid_pairs(self, backend):
+        # A grid surfaces a NaN coefficient as poisoned pairs on every
+        # backend; only the integrated matrix raises the solver's failure.
+        lap = nl.discretize(nl.Grid1D(1.0, 3), nl.BoundaryCondition("dirichlet"))
+        process = {
+            "scalar": lambda: nl.ScalarCoefficientProcess(
+                lambda t: 0.0, antiderivative=lambda t: math.nan if t > 0.0 else t),
+            "closed-form": lambda: nl.MatrixClosedFormProcess(
+                lambda t, s: [[math.nan if t > s else 1.0]], 1),
+            "integrated": lambda: nl.IntegratedLinearProcess(lambda t: [[math.nan]], 1),
+            "separable": lambda: nl.pde_process(
+                lap, separable_g=lambda t: 0.0,
+                g_antiderivative=lambda t: math.nan if t > 0.0 else t),
+            "strang": lambda: nl.pde_process(lap, a=lambda t, x: np.full_like(x, math.nan),
+                                             dt=0.25),
+        }[backend]()
+        sampled = nl.sample_norm_grid(process, None, GridSpec(0.0, 1.0, 0.5))
+        assert set(sampled.poisoned) >= {(0.5, 0.0), (1.0, 0.0), (1.0, 0.5)}
+        assert not np.isnan(sampled.samples).any()
+
+    def test_finite_coefficient_failure_still_raises_from_grids(self):
+        # A finite coefficient so stiff past t = 0.25 that DOP853's step
+        # underflows: a failure, not an escape.
+        process = nl.IntegratedLinearProcess(lambda t: [[-1e300 if t > 0.25 else -1.0]], 1)
+        with np.errstate(over="ignore"), \
+                pytest.raises(RuntimeError, match="^integration failed: "):
+            nl.sample_norm_grid(process, None, GridSpec(0.0, 1.0, 0.5))
+
     def test_escape_is_the_end_of_the_first_step_past_the_guard(self):
         # ||S(tau, 0)||_F = e^{500 tau} passes the guard near tau = 0.69.
         process = nl.IntegratedLinearProcess(lambda t: np.diag([500.0, -1.0]), 2)

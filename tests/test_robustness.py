@@ -315,11 +315,84 @@ class TestBandPaths:
             p, q = constant_scalar(-1.0), constant_scalar(-1.1)
             if pair == "scalar-dual":
                 p, q = nl.dual_process(p), nl.dual_process(q)
+        # The second grid is off the 0.01 lattice: its anchors and its stop
+        # fall between the offsets of other anchors.
+        for grid in (GridSpec(-2.0, 2.0, 0.5), GridSpec(-1.3, 2.05, 0.35)):
+            for upsilon in (0.0, 0.4):
+                assert nl.perturbation_distance(p, q, upsilon, grid) \
+                    == _reference_distance(p, q, upsilon, grid)
+                assert nl.growth_constant(q, upsilon, grid) == _reference_growth(q, upsilon, grid)
+
+    def test_nan_exponent_raises_as_per_point(self):
+        # The exponent is NaN for t > 1, inside the scanned band.  The guard
+        # reads a NaN exponent as an escape, so the batched scan falls back
+        # and raises from the pair a per-point scan reads first.
+        def make(rate):
+            return nl.ScalarExponentProcess(
+                lambda t, s: np.where(np.asarray(t) > 1.0, np.nan, rate * (np.asarray(t) - s)))
+        p, q = make(-1.0), make(-1.1)
+        grid = GridSpec(-1.0, 2.0, 0.5)
+        cases = [(lambda: nl.growth_constant(p, 0.2, grid),
+                  lambda: _reference_growth(p, 0.2, grid)),
+                 (lambda: nl.perturbation_distance(p, q, 0.2, grid),
+                  lambda: _reference_distance(p, q, 0.2, grid))]
+        for run, reference in cases:
+            with pytest.raises(nl.FiniteEscapeError) as got:
+                run()
+            with pytest.raises(nl.FiniteEscapeError) as want:
+                reference()
+            assert (got.value.t, got.value.s) == (want.value.t, want.value.s)
+        assert got.value.t == pytest.approx(1.01) and got.value.s == 0.5
+        # Below the NaN the band reads as per point, bit for bit.
+        low = GridSpec(-1.0, 1.0, 0.5)
+        assert nl.growth_constant(p, 0.2, low) == _reference_growth(p, 0.2, low)
+
+    def test_band_reads_the_antiderivative_once_per_scanned_time(self, monkeypatch):
+        reads = []
+
+        def antiderivative(t):
+            reads.append(t)
+            return -t + 0.3 * math.sin(t)
+        p = nl.ScalarCoefficientProcess(lambda t: -1.0 + 0.3 * math.cos(t),
+                                        antiderivative=antiderivative)
+        probes = []
+        golden = nl.robustness._golden_section_max
+
+        def counted(f, lo, hi):
+            calls = []
+            out = golden(lambda x: calls.append(x) or f(x), lo, hi)
+            probes.append(len(calls))
+            return out
+        monkeypatch.setattr(nl.robustness, "_golden_section_max", counted)
         grid = GridSpec(-2.0, 2.0, 0.5)
-        for upsilon in (0.0, 0.4):
-            assert nl.perturbation_distance(p, q, upsilon, grid) \
-                == _reference_distance(p, q, upsilon, grid)
-            assert nl.growth_constant(q, upsilon, grid) == _reference_growth(q, upsilon, grid)
+        got = nl.growth_constant(p, 0.0, grid)
+        t = np.arange(-2.0, 2.005, 0.5)[:, None] + np.arange(0.0, 1.005, 0.01)
+        scanned = np.unique(t[t <= grid.stop]).size
+        offset_probes, anchor_probes = probes
+        # The scan reads each of its distinct times once; the offset
+        # refinement reads F at its anchor once and once per probe; each
+        # anchor probe moves both times.  Reading per anchor and per probe
+        # made 936 reads of 579 distinct times; this reads 624.
+        assert scanned == 497 and len(set(reads)) == 579
+        assert len(reads) <= scanned + 1 + offset_probes + 2 * anchor_probes
+        assert got == _reference_growth(p, 0.0, grid)
+
+    def test_blocks_stay_within_the_norm_budget(self, monkeypatch):
+        p, q = constant_scalar(-1.0), constant_scalar(-1.1)
+        grid = GridSpec(-1.3, 2.05, 0.01)   # 336 anchors of up to 101 offsets
+        want = (nl.perturbation_distance(p, q, 0.4, grid), nl.growth_constant(q, 0.4, grid))
+        sizes = []
+        read = nl.ScalarExponentProcess._pair_exponents
+
+        def spy(self, t, s):
+            sizes.append(t.nbytes + s.nbytes)
+            return read(self, t, s)
+        monkeypatch.setattr(nl.ScalarExponentProcess, "_pair_exponents", spy)
+        budget = 2 * 8 * 101 * 40   # 40 anchors a block
+        monkeypatch.setattr(nl.robustness, "_NORM_BLOCK_BYTES", budget)
+        assert (nl.perturbation_distance(p, q, 0.4, grid), nl.growth_constant(q, 0.4, grid)) \
+            == want
+        assert len(sizes) == 3 * 9 and max(sizes) <= budget
 
     def test_pipeline_solves_each_anchor_once(self, ode_solves):
         res = nl.robust_nedii_pipeline(_integrated(0.0), decay_cert(1.0, m=3.0),
