@@ -188,18 +188,20 @@ class ParetoFrontier:
 
 
 def _sample_columns(grid: NormGrid, kind: str):
-    """``(anchors, t - s, log-norms)`` of a norm grid's samples, where the
-    anchor is ``|t|`` for kind II and ``|s|`` for kind I.
+    """``(anchors, t - s, log-norms)`` of a norm grid's samples, read from
+    its columns, where the anchor is ``|t|`` for kind II and ``|s|`` for
+    kind I.
 
     Raises DataError when a sample has a non-finite t, s or log-norm: a NaN
     would drop out of every maximum and certify a bound it never met.
     """
-    finite = np.isfinite(grid.samples)
+    tv, sv, logn = grid.t, grid.s, grid.log_norm
+    finite = np.isfinite(tv)
+    finite &= np.isfinite(sv)
+    finite &= np.isfinite(logn)
     if not finite.all():
-        bad = int(np.count_nonzero(~finite.all(axis=1)))
-        raise DataError("%d of %d norm samples have a non-finite t, s or "
-                        "log-norm" % (bad, grid.samples.shape[0]))
-    tv, sv, logn = grid.samples.T
+        raise DataError("%d of %d norm samples have a non-finite t, s or log-norm"
+                        % (finite.size - np.count_nonzero(finite), finite.size))
     return np.abs(tv if kind == "II" else sv), tv - sv, logn
 
 
@@ -286,7 +288,7 @@ def fit_bounds(grid: NormGrid, kind: str, part: str,
         raise ValueError("alpha grid must be finite, got %r" % (list(alpha_grid),))
     if np.any(np.diff(alphas) < 0):
         raise ValueError("alpha grid must be sorted ascending")
-    if grid.samples.shape[0] == 0:
+    if grid.log_norm.size == 0:
         if grid.poisoned:
             raise DataError("all samples poisoned; nothing to fit")
         raise ValueError("empty norm grid")
@@ -534,7 +536,7 @@ def nedi_rejection_evidence(process: EvolutionProcess, windows,
         for kind in projection_kinds:
             (part,) = _PARTS[kind]
             sampled = sample_norm_grid(process, None, spec, part=part)
-            if sampled.samples.shape[0] == 0:
+            if sampled.log_norm.size == 0:
                 raise DataError("every %s pair of window [%g, %g] is poisoned"
                                 % (part, lo, hi))
             rate = alpha_lo if part == "stable" else -alpha_lo

@@ -618,27 +618,66 @@ class GridSpec:
         return mesh, i, j
 
 
-@dataclasses.dataclass
 class NormGrid:
     """Sampled values of log ||S(t, s) P(s)|| over a grid of pairs.
 
-    samples : (n, 3) array of rows (t, s, log_norm).
+    Stored as three 1-d float columns of equal length, one entry per
+    sample: ``t``, ``s`` and ``log_norm``.  Fitting and checking read the
+    columns.  ``samples``, the (n, 3) array of rows (t, s, log_norm), is
+    derived from them on first access and kept; a grid built from such an
+    array keeps that array as its ``samples`` and views its columns.
+
     part : which projection factor was applied ("stable" or "unstable").
     poisoned : list of (t, s) pairs where propagation escaped or failed;
         these carry no log-norm value and are excluded from fitting.
     """
 
-    samples: np.ndarray
-    part: str = "stable"
-    poisoned: list = dataclasses.field(default_factory=list)
+    def __init__(self, samples, part: str = "stable", poisoned=None):
+        samples = np.asarray(samples, dtype=float)
+        if samples.ndim != 2 or samples.shape[1] != 3:
+            raise ValueError("norm samples must be an (n, 3) array of rows "
+                             "(t, s, log_norm), got shape %r" % (samples.shape,))
+        self._set(samples[:, 0], samples[:, 1], samples[:, 2], part, poisoned)
+        self._samples = samples
+
+    @classmethod
+    def from_columns(cls, t, s, log_norm, part: str = "stable",
+                     poisoned=None) -> "NormGrid":
+        """The grid of the samples ``(t[k], s[k], log_norm[k])``, holding the
+        three 1-d arrays as its columns."""
+        grid = cls.__new__(cls)
+        grid._set(*(np.asarray(c, dtype=float) for c in (t, s, log_norm)), part, poisoned)
+        grid._samples = None
+        return grid
+
+    def _set(self, t, s, log_norm, part, poisoned):
+        if not t.shape == s.shape == log_norm.shape == (log_norm.size,):
+            raise ValueError("norm-grid columns must be 1-d of one length")
+        self.t, self.s, self.log_norm = t, s, log_norm
+        self.part = part
+        self.poisoned = [] if poisoned is None else poisoned
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            self._samples = np.column_stack((self.t, self.s, self.log_norm))
+        return self._samples
+
+    def __repr__(self):
+        return "NormGrid(%d samples, part=%r, %d poisoned)" % (
+            self.log_norm.size, self.part, len(self.poisoned))
 
     def to_csv(self, path) -> None:
         _write_text(path, "".join(
             ["t,s,log_norm,part\n"]
-            + ["%.17g,%.17g,%.17g,%s\n" % (t, s, v, self.part) for t, s, v in self.samples]))
+            + ["%.17g,%.17g,%.17g,%s\n" % (t, s, v, self.part)
+               for t, s, v in zip(self.t.tolist(), self.s.tolist(), self.log_norm.tolist())]))
 
     @staticmethod
     def from_csv(path) -> "NormGrid":
+        """The grid :meth:`to_csv` wrote.  The part is read from the rows, so
+        a header-only file, the CSV of an empty grid, reads back as an empty
+        "stable" grid whatever part was written."""
         rows = []
         part = "stable"
         with open(path) as fh:
@@ -648,7 +687,7 @@ class NormGrid:
             for line in fh:
                 t, s, v, part = line.strip().split(",")
                 rows.append((float(t), float(s), float(v)))
-        return NormGrid(np.asarray(rows, dtype=float), part=part)
+        return NormGrid(np.asarray(rows, dtype=float).reshape(-1, 3), part=part)
 
 
 # PROCESSES ============================================================================
@@ -1156,7 +1195,9 @@ def sample_norm_grid(process: EvolutionProcess,
     orientation, through the backend's ``_log_norms`` on the grid's
     memoised mesh and pair indices, after one domain check.  Escaped pairs
     are recorded as poisoned rather than aborting the sweep; pairs where
-    ``S(t, s) P(s)`` vanished carry no sample."""
+    ``S(t, s) P(s)`` vanished carry no sample.  The grid's columns are
+    ``mesh[i]``, ``mesh[j]`` and the kernel's values, compressed only
+    where some value is not finite; its ``samples`` table is not built."""
     factor = _projection_factor(projection, part)
     if factor is _ZERO_FACTOR:
         # Zero operator: satisfies every bound, so no pair carries a sample.
@@ -1165,16 +1206,13 @@ def sample_norm_grid(process: EvolutionProcess,
     # Domains are intervals, and a mesh has two points or more: the outermost pair checks all.
     process._check_args(*((mesh[-1], mesh[0]) if part == "stable" else (mesh[0], mesh[-1])))
     vals = process._log_norms(mesh, part, i, j, factor)
-    poison = ~(vals < math.inf)   # escaped, overflowed or NaN: surfaced, never dropped
-    keep = ~poison & (vals > -math.inf)
-    poisoned = list(zip(mesh[i[poison]].tolist(), mesh[j[poison]].tolist()))
+    keep = np.isfinite(vals)
+    poisoned = []
     if not keep.all():
-        i, j, vals = i[keep], j[keep], vals[keep]
-    samples = np.empty((vals.size, 3))   # rows (t, s, log-norm), written in place
-    np.take(mesh, i, out=samples[:, 0])
-    np.take(mesh, j, out=samples[:, 1])
-    samples[:, 2] = vals
-    return NormGrid(samples, part=part, poisoned=poisoned)
+        poison = ~(vals < math.inf)   # escaped, overflowed or NaN: surfaced, never dropped
+        poisoned = list(zip(mesh[i[poison]].tolist(), mesh[j[poison]].tolist()))
+        i, j, vals = i[keep], j[keep], vals[keep]   # and -inf, a vanished pair
+    return NormGrid.from_columns(mesh.take(i), mesh.take(j), vals, part=part, poisoned=poisoned)
 
 
 def _chained_anchor_matrices(process: EvolutionProcess, mesh: np.ndarray, part: str):

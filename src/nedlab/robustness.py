@@ -321,6 +321,21 @@ def _scalar_path(process: ScalarExponentProcess, s: float, t_end: float):
     return path
 
 
+def _weighted(log_weight: float, values):
+    """``t -> e^log_weight * values(t)``: bit for bit that product while the
+    weight is a float, and in log space once it overflows, where a zero
+    value stays 0 and any other reads ``e^(log_weight + log value)``, +inf
+    past the float range, never ``inf * 0 = NaN``."""
+    try:
+        weight = math.exp(log_weight)
+    except OverflowError:
+        def far(t):
+            with np.errstate(divide="ignore", over="ignore"):
+                return np.exp(log_weight + np.log(values(t)))
+        return far
+    return lambda t: weight * values(t)
+
+
 def _band_reads(scalar: bool):
     """``(path, norms)`` of a band's values: ``path(process, s, t_end)`` is
     ``tau -> S(tau, s)`` and ``norms`` the norm of what it returns, one or
@@ -345,7 +360,11 @@ def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
     per process, over its distinct times, and each refinement point as
     two floats; any other pair is read along one ``matrix_path`` per
     anchor and process, each anchor's norms in one stacked
-    :func:`~nedlab.process._spectral_norms` call.
+    :func:`~nedlab.process._spectral_norms` call.  Where ``e^{upsilon |s|}``
+    overflows, the anchor's values are read in log space: an equal pair
+    of operators reads 0, any other +inf once the product passes the
+    float range.  A batch whose weight overflows raises, and the scan
+    reads its block anchor by anchor.
     """
     if p.dimension != q.dimension:
         raise ValueError("processes have different dimensions")
@@ -354,8 +373,7 @@ def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
 
     def anchor(s, t_end):
         p_path, q_path = path(p, s, t_end), path(q, s, t_end)
-        weight = math.exp(upsilon * abs(s))
-        return lambda t: weight * norms(p_path(t) - q_path(t))
+        return _weighted(upsilon * abs(s), lambda t: norms(p_path(t) - q_path(t)))
 
     def batch(s, t, a):
         e_p = p._pair_exponents(t, s[a])

@@ -15,6 +15,7 @@ from nedlab import (
     ProjectionFamily,
 )
 from nedlab.dichotomy import DataError, _AnchorEnvelope, _least_ln_m
+from nedlab.gallery import make_entry
 
 from conftest import constant_scalar, decay_cert
 
@@ -807,3 +808,71 @@ class TestPartRule:
             assert family == "explicit" and cert.unstable is None
             return
         assert nl.check_certificate(nl.dual_process(process), dual, grid) <= 1e-12
+
+
+@pytest.fixture
+def row_tables(monkeypatch):
+    """The norm grids whose (n, 3) ``samples`` table is read while the
+    fixture is active."""
+    read = []
+    table = nl.NormGrid.samples
+    monkeypatch.setattr(nl.NormGrid, "samples",
+                        property(lambda grid: read.append(grid) or table.fget(grid)))
+    return read
+
+
+class TestColumnsOnTheHotPath:
+    """Checking, fitting and rejection read a sampled grid's columns and
+    never build its row table."""
+
+    def test_check_certificate(self, row_tables):
+        entry = make_entry("barreira")
+        for claim in entry.claims:
+            nl.check_certificate(entry.process, claim.certificate, GridSpec(-4.0, 4.0, 0.25))
+        pair = ExponentPair(1.0, 0.5)
+        two_parts = DichotomyCertificate("II", nl.FULL_LINE, 2.0, pair, unstable=pair,
+                                         projection="identity")
+        nl.check_certificate(constant_scalar(1.0), two_parts, GridSpec(-2.0, 2.0, 0.5))
+        assert row_tables == []
+
+    @pytest.mark.parametrize("part", ["stable", "unstable"])
+    def test_classify_and_fit_bounds(self, row_tables, part):
+        process = make_entry("sign-switch").process
+        grid = GridSpec(-1.3, 2.05, 0.35)
+        nl.classify(process, None, "II", grid, [0.25, 0.5, 1.0], part=part)
+        sampled = nl.sample_norm_grid(process, None, grid, part=part)
+        for kind in ("I", "II"):
+            nl.fit_bounds(sampled, kind, part, [0.25, 0.5, 1.0])
+            _least_ln_m(sampled, kind, 0.5, 1.0)
+        assert row_tables == [] and sampled._samples is None
+
+    def test_rejection_evidence(self, row_tables):
+        nl.nedi_rejection_evidence(make_entry("sign-switch").process,
+                                   [(0.0, 5.0), (-10.0, 10.0)])
+        assert row_tables == []
+
+    def test_the_fixture_sees_a_read(self, row_tables):
+        sampled = nl.sample_norm_grid(constant_scalar(-1.0), None, GridSpec(0.0, 1.0, 0.5))
+        assert sampled.samples.shape == (6, 3) and row_tables == [sampled]
+
+
+class TestNonFiniteColumns:
+    @pytest.mark.parametrize("column", ["t", "s", "log_norm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_hand_built_columns_are_rejected(self, column, value):
+        mesh = np.arange(0.0, 4.25, 0.5)
+        columns = {"t": mesh.copy(), "s": mesh.copy(), "log_norm": 0.5 * mesh}
+        columns[column][3] = value
+        grid = nl.NormGrid.from_columns(**columns, part="stable")
+        with pytest.raises(DataError, match="1 of 9"):
+            nl.fit_bounds(grid, "II", "stable", [0.5])
+        with pytest.raises(DataError, match="1 of 9"):
+            _least_ln_m(grid, "I", 0.5, 1.0)
+        with pytest.raises(DataError, match="1 of 9"):
+            _AnchorEnvelope(grid, "II")
+
+    def test_every_bad_sample_is_counted_once(self):
+        grid = nl.NormGrid(np.array([[math.nan, math.inf, 0.0], [1.0, 0.0, math.nan],
+                                     [1.0, 0.0, -1.0]]))
+        with pytest.raises(DataError, match="2 of 3"):
+            _least_ln_m(grid, "II", 0.0, 0.0)

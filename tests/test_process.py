@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nedlab as nl
+from nedlab.dichotomy import _least_ln_m
 from nedlab.gallery import make_entry
 from nedlab import (
     DomainError,
@@ -19,6 +20,8 @@ from nedlab import (
     ScalarExponentProcess,
     TimeDomain,
 )
+
+from conftest import constant_scalar
 
 
 class TestTimeDomain:
@@ -1508,3 +1511,134 @@ class TestWriteText:
         short_grid.to_csv(fresh)
         assert path.read_bytes() == fresh.read_bytes()
         assert len(nl.NormGrid.from_csv(path).samples) == len(short_grid.samples)
+
+
+def _row_table(process, projection, grid, part):
+    """Reference ``(samples, poisoned, csv)`` of a sampled grid: the
+    kernel's values for every pair, poisoned where not below +inf,
+    dropped where -inf, and the rest written column by column into an
+    (n, 3) row table, with the CSV text of those rows."""
+    factor = nl.process._projection_factor(projection, part)
+    mesh, i, j = grid._pair_index(part)
+    vals = process._log_norms(mesh, part, i, j, factor)
+    poison = ~(vals < math.inf)
+    keep = ~poison & (vals > -math.inf)
+    samples = np.empty((int(keep.sum()), 3))
+    np.take(mesh, i[keep], out=samples[:, 0])
+    np.take(mesh, j[keep], out=samples[:, 1])
+    samples[:, 2] = vals[keep]
+    poisoned = list(zip(mesh[i[poison]].tolist(), mesh[j[poison]].tolist()))
+    csv = "t,s,log_norm,part\n" + "".join(
+        "%.17g,%.17g,%.17g,%s\n" % (t, s, v, part) for t, s, v in samples)
+    return samples, poisoned, csv
+
+
+def _every_kind_of_value(t, s):
+    """A log-propagator, read over arrays, that is NaN, +inf, above the
+    escape guard and -inf at the lags 0.5, 1, 1.5 and 2, and -(t - s)
+    elsewhere."""
+    lag = np.abs(np.asarray(t, dtype=float) - s)
+    return np.select([lag == 0.5, lag == 1.0, lag == 1.5, lag == 2.0],
+                     [math.nan, math.inf, nl.process._LOG_GUARD + 1.0, -math.inf], -lag)
+
+
+def _column_cases():
+    barreira = make_entry("barreira").process
+    cocycle, family = _closed_form(2, seed=2)
+    return [
+        ("two-part scalar", barreira, None, GridSpec(-4.0, 4.0, 0.25), ("stable", "unstable")),
+        ("off-lattice", make_entry("sign-switch").process, None,
+         GridSpec(-1.3, 2.05, 0.35), ("stable", "unstable")),
+        ("poisoned", ScalarExponentProcess(_every_kind_of_value), None,
+         GridSpec(-2.0, 2.0, 0.5), ("stable", "unstable")),
+        ("poisoned dual", nl.dual_process(_poisoned_coefficient()), None,
+         GridSpec(-4.0, 4.0, 0.25), ("stable", "unstable")),
+        ("explicit cocycle", cocycle, family, GridSpec(-1.3, 3.1, 0.5, extra_points=(0.45,)),
+         ("stable", "unstable")),
+        ("explicit dual cocycle", nl.dual_process(cocycle), family, GridSpec(-1.3, 3.1, 0.5),
+         ("stable",)),
+    ]
+
+
+class TestNormGridColumns:
+    """Sampled grids hold columns; the row table and CSV they derive keep
+    the layout of a table written column by column."""
+
+    @pytest.mark.parametrize("case", _column_cases(), ids=lambda case: case[0])
+    def test_rows_and_csv_match_the_row_table(self, tmp_path, case):
+        _, process, projection, grid, parts = case
+        for part in parts:
+            with np.errstate(invalid="ignore"):
+                sampled = nl.sample_norm_grid(process, projection, grid, part=part)
+                samples, poisoned, csv = _row_table(process, projection, grid, part)
+            assert sampled._samples is None
+            assert sampled.samples.shape == samples.shape
+            assert sampled.samples.flags.c_contiguous
+            assert sampled.samples.tobytes() == samples.tobytes()
+            assert sampled.samples is sampled.samples
+            assert sampled.poisoned == poisoned
+            sampled.to_csv(tmp_path / "grid.csv")
+            assert (tmp_path / "grid.csv").read_text() == csv
+
+    def test_poisoned_case_has_every_kind_of_value(self):
+        grid = GridSpec(-2.0, 2.0, 0.5)
+        process = ScalarExponentProcess(_every_kind_of_value)
+        sampled = nl.sample_norm_grid(process, None, grid)
+        # 45 stable pairs: 8 at lag 0.5, 7 at 1, 6 at 1.5 poisoned; 5 at lag 2 vanished.
+        assert len(sampled.poisoned) == 21
+        assert sampled.log_norm.size == 45 - 21 - 5
+        assert {round(t - s, 12) for t, s in sampled.poisoned} == {0.5, 1.0, 1.5}
+
+    def test_columns_of_a_sampled_grid(self, barreira):
+        grid = GridSpec(-2.0, 2.0, 0.25)
+        sampled = nl.sample_norm_grid(barreira.process, None, grid)
+        tv, sv = grid.pairs("stable")
+        assert np.array_equal(sampled.t, tv) and np.array_equal(sampled.s, sv)
+        assert all(c.ndim == 1 and c.flags.c_contiguous
+                   for c in (sampled.t, sampled.s, sampled.log_norm))
+
+    def test_a_row_table_is_kept_and_viewed(self):
+        samples = np.array([[1.0, 0.0, -1.0], [2.0, 0.5, -1.5]])
+        grid = nl.NormGrid(samples, part="stable")
+        assert grid.samples is samples
+        assert np.shares_memory(grid.log_norm, samples)
+        assert grid.t.tolist() == [1.0, 2.0] and grid.log_norm.tolist() == [-1.0, -1.5]
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            nl.NormGrid(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="1-d of one length"):
+            nl.NormGrid.from_columns(np.zeros(2), np.zeros(2), np.zeros(3))
+
+
+class TestNormGridCsvRoundTrip:
+    @staticmethod
+    def _round_trip(tmp_path, grid):
+        path = tmp_path / "grid.csv"
+        grid.to_csv(path)
+        back = nl.NormGrid.from_csv(path)
+        for got, want in zip((back.t, back.s, back.log_norm), (grid.t, grid.s, grid.log_norm)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert back.samples.tobytes() == grid.samples.tobytes()
+        return back
+
+    def test_empty_grid_reads_back_as_three_empty_columns(self, tmp_path):
+        for empty in (nl.NormGrid(np.empty((0, 3)), part="unstable"),
+                      nl.sample_norm_grid(constant_scalar(-1.0), ProjectionFamily.zero(1),
+                                          GridSpec(0.0, 1.0, 0.5), part="unstable")):
+            back = self._round_trip(tmp_path, empty)
+            assert (tmp_path / "grid.csv").read_text() == "t,s,log_norm,part\n"
+            # A header-only file carries no part: it reads back as "stable".
+            assert back.part == "stable" and back.samples.shape == (0, 3)
+            assert _least_ln_m(back, "II", 1.0, 0.5) == -math.inf
+
+    def test_one_row_unstable_grid(self, tmp_path):
+        grid = nl.NormGrid(np.array([[0.1, 0.7, -1.0 / 3.0]]), part="unstable")
+        back = self._round_trip(tmp_path, grid)
+        assert back.part == "unstable"
+        assert _least_ln_m(back, "I", -1.0, 0.25) == _least_ln_m(grid, "I", -1.0, 0.25)
+
+    def test_sampled_grid(self, tmp_path, barreira):
+        for part in ("stable", "unstable"):
+            grid = nl.sample_norm_grid(barreira.process, None, GridSpec(-2.05, 2.0, 0.35), part)
+            back = self._round_trip(tmp_path, grid)
+            assert back.part == part and back.log_norm.size > 0

@@ -1,10 +1,13 @@
+import json
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import nedlab as nl
+import nedlab.cli
 from nedlab import GridSpec
 
 from conftest import constant_scalar, decay_cert
@@ -447,3 +450,62 @@ class TestBandPaths:
         short_grid = GridSpec(0.0, 0.5, 0.5)
         assert nl.growth_constant(p, 0.0, short_grid) == pytest.approx(
             math.exp(500.0 * 0.51), rel=1e-6)
+
+
+# WEIGHTS PAST THE FLOAT RANGE =========================================================
+
+#: Anchors where e^{0.9 |s|} is at least e^{711}, past the largest float.
+FAR_GRID = GridSpec(-800.0, -790.0, 0.5)
+
+
+class TestOverflowingWeight:
+    def test_weight_reads_in_log_space(self):
+        values = np.array([0.0, math.exp(-100.0), 1.0])
+        got = nl.robustness._weighted(800.0, lambda t: values)(None)
+        assert got[0] == 0.0 and got[2] == math.inf
+        assert got[1] == pytest.approx(math.exp(700.0), rel=1e-12)
+        assert nl.robustness._weighted(800.0, abs)(-0.0) == 0.0
+        # Below the float range the product is the plain one, bit for bit.
+        assert nl.robustness._weighted(700.0, lambda t: values)(None).tolist() \
+            == (math.exp(700.0) * values).tolist()
+
+    @pytest.mark.parametrize("make", [constant_scalar, _closed_form_pair],
+                             ids=["scalar", "matrix"])
+    def test_distance_is_inf_or_zero(self, make):
+        p, q = make(-1.0), make(-1.1)
+        assert nl.perturbation_distance(p, q, 0.9, FAR_GRID) == math.inf
+        assert nl.perturbation_distance(p, p, 0.9, FAR_GRID) == 0.0
+        # The growth weight e^{-0.9 |t|} falls below the normal floats instead.
+        assert 0.0 < nl.growth_constant(p, 0.9, FAR_GRID) < 1e-300
+
+    def test_distance_is_finite_where_the_product_is(self):
+        # |e^{-1000 d} - e^{-1001 d}| peaks near d = 1e-3 at about e^{-7.9}, so
+        # the sup is about e^{711 - 7.9} although the weight passes e^{709.78}.
+        p = nl.ScalarExponentProcess(lambda t, s: -1000.0 * (t - s))
+        q = nl.ScalarExponentProcess(lambda t, s: -1001.0 * (t - s))
+        got = nl.perturbation_distance(p, q, 0.9, GridSpec(-790.0, -789.5, 0.5))
+        assert math.isfinite(got) and got > 1e300
+
+    def test_pipeline_reports_the_distance_gate(self):
+        p, q = constant_scalar(-1.0), constant_scalar(-1.1)
+        res = nl.robust_nedii_pipeline(p, decay_cert(1.0), q, 0.9, 0.1, FAR_GRID)
+        assert not res.applicable and res.distance == math.inf
+        assert res.reason == "dual perturbation distance inf >= eps 0.1"
+        res = nl.robust_nedii_pipeline(p, decay_cert(1.0), p, 0.9, 0.1, FAR_GRID)
+        assert res.applicable and res.distance == 0.0
+        assert res.primal_violation <= 0.0 and res.dual_violation <= 0.0
+
+    def test_cli_writes_strict_json(self, tmp_path):
+        data = pathlib.Path(__file__).parent / "data" / "cli"
+        out = tmp_path / "rob.json"
+        assert nl.cli.run(["robustness", "--M", "1", "--omega", "1", "--upsilon", "0.9",
+                           "--eps", "0.1", "--process", str(data / "base.json"),
+                           "--perturbed", str(data / "perturbed.json"),
+                           "--cert", str(data / "cert_ii_full.json"),
+                           "--grid=-800:-790:0.5", "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError("non-strict JSON token %s" % token)
+        pipeline = json.loads(out.read_text(), parse_constant=reject)["pipeline"]
+        assert pipeline["applicable"] is False and pipeline["distance"] is None
+        assert pipeline["reason"] == "dual perturbation distance inf >= eps 0.1"
