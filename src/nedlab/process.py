@@ -418,7 +418,9 @@ def spectral_norm(m) -> float:
 def _spectral_norms(stack) -> np.ndarray:
     """:func:`spectral_norm` of each matrix of an (m, n, n) stack, bit for
     bit, with one LAPACK call for the lot; an (n, n) matrix goes to
-    :func:`spectral_norm` itself."""
+    :func:`spectral_norm` itself, and a float's norm is its absolute value."""
+    if isinstance(stack, float):
+        return abs(stack)
     stack = np.asarray(stack, dtype=float)
     if stack.ndim == 2:
         return spectral_norm(stack)
@@ -464,9 +466,9 @@ def _log(value: float) -> float:
 def _exp(x):
     """``math.exp`` of a number, or of each entry of a 1-d array: ``np.exp``
     can differ from it by an ulp."""
-    if np.ndim(x) == 0:
-        return math.exp(x)
-    return np.array([math.exp(v) for v in x.tolist()])
+    if isinstance(x, np.ndarray):
+        return np.array([math.exp(v) for v in x.tolist()])
+    return math.exp(x)
 
 
 def _guard_exponent(t: float, s: float, e: float) -> float:
@@ -776,21 +778,24 @@ class EvolutionProcess:
                     escaped.append(k)
             yield rows, [scale for scale, _ in read], [m for _, m in read], escaped
 
-    def matrix_path(self, s: float, t_end: float) -> Callable:
-        """``tau -> S(tau, s)`` for tau between s and t_end, for callers
-        that evaluate many times from one anchor s.  A path takes one time
-        and returns the (n, n) matrix, or a 1-d array of m times and
-        returns the (m, n, n) stack.  Errors surface when a point is
-        evaluated, as they would from :meth:`matrix`; over an array, from
-        the first time in order that fails.  The default calls
-        :meth:`matrix` once per time."""
+    def _band_reader(self, anchors: np.ndarray, width: float) -> Callable:
+        """The robustness band's hook: ``read(t, a) -> (L, N)`` with
+        ``S(t, anchors[a]) = e^L N`` for pairs whose t lie within ``width``
+        of their anchor.  One pair (a float t, an int a) reads as a float and
+        an (n, n) matrix, or the number 1 for a scalar exponent; 1-d arrays
+        of pairs, which come anchor by anchor, as an (m,) array and an
+        (m, n, n) stack.  A read raises :class:`FiniteEscapeError` or
+        :class:`DomainError` from the first pair, in order, that
+        :meth:`matrix` fails at.  The default reads :meth:`_log_matrix`."""
         n = self.dimension
 
-        def path(tau):
-            if np.ndim(tau) == 0:
-                return self.matrix(tau, s)
-            return np.array([self.matrix(t, s) for t in tau], dtype=float).reshape(-1, n, n)
-        return path
+        def read(t, a):
+            if not isinstance(t, np.ndarray):
+                return self._log_matrix(t, anchors[a])
+            pairs = [read(x, b) for x, b in zip(t.tolist(), a.tolist())]
+            return (np.array([scale for scale, _ in pairs], dtype=float),
+                    np.array([m for _, m in pairs], dtype=float).reshape(-1, n, n))
+        return read
 
     def propagate(self, t: float, s: float, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -808,7 +813,7 @@ class ScalarExponentProcess(EvolutionProcess):
 
     ``exponent`` must take arrays of t and s as well as floats: a grid
     under the identity factor (``projection=None``) reads it once,
-    vectorised over every pair, and a path once over an array of times."""
+    vectorised over every pair, and a band read once over its pairs."""
 
     dimension = 1
     invertible = True
@@ -834,44 +839,40 @@ class ScalarExponentProcess(EvolutionProcess):
         return math.exp(self._guarded_exponent(t, s)) * np.atleast_1d(
             np.asarray(x, dtype=float))
 
-    def matrix_path(self, s: float, t_end: float) -> Callable:
-        """Over an array of times the exponents are one :meth:`_pair_exponents`
-        read, and each entry is exponentiated with ``math.exp``, as
-        :meth:`matrix` does.  If a time fails the domain check or the guard,
-        the times are read one at a time, which raises there; one time is
-        read through :meth:`_path_exponent`."""
-        exponent = self._path_exponent(s)
+    def _band_reader(self, anchors, width):
+        """``(E, 1)`` per pair, from :meth:`_anchored_exponents`.  An array
+        with a time outside the domain or an exponent above the guard (NaN
+        included) is read by the default, which raises at the first pair
+        that fails."""
+        per_pair = super()._band_reader(anchors, width)
+        exponents = self._anchored_exponents(anchors)
 
-        def path(tau):
-            if np.ndim(tau) == 0:
-                return np.array([[math.exp(exponent(tau))]])
-            tau = np.asarray(tau, dtype=float)
-            e = self._pair_exponents(tau, np.full(tau.size, s))
-            if e is None:
-                e = np.array([exponent(t) for t in tau.tolist()])
-            return _exp(e).reshape(-1, 1, 1)
-        return path
+        def read(t, a):
+            if not isinstance(t, np.ndarray):
+                return exponents(t, a), 1.0
+            e = exponents(t, a)
+            if e is None or not np.all(e <= _LOG_GUARD):   # False for a NaN exponent too
+                return per_pair(t, a)
+            return e, np.ones((t.size, 1, 1))
+        return read
 
-    def _path_exponent(self, s: float) -> Callable[[float], float]:
-        """``t -> E(t, s)`` for one time t, guarded as :meth:`matrix` is."""
-        return lambda t: self._guarded_exponent(t, s)
-
-    def _pair_exponents(self, t: np.ndarray, s: np.ndarray) -> Optional[np.ndarray]:
-        """E over the pairs ``(t[k], s[k])`` of two 1-d arrays, from one
-        :meth:`_grid_exponents` read over their distinct times, or None if
-        a time is outside the domain or an exponent fails the guard (NaN
-        included), for the caller to read the pairs one at a time.  Times
-        are told apart by their bits, so -0.0 and 0.0 are read apart."""
-        keys, index = np.unique(np.concatenate([t, s]).view(np.int64), return_inverse=True)
-        times = keys.view(float)
-        if not np.all(self.domain.contains(times)):
-            return None
-        e = self._grid_exponents(times, index[:t.size], index[t.size:])
-        return e if np.all(e <= _LOG_GUARD) else None   # False for a NaN exponent too
+    def _anchored_exponents(self, anchors: np.ndarray) -> Callable:
+        """``(t, a) -> E(t, anchors[a])``: for one pair guarded, as
+        :meth:`matrix` reads it; for arrays unguarded, from one
+        :meth:`_grid_exponents` read over the pairs, or None if a time is
+        outside the domain."""
+        def exponents(t, a):
+            if not isinstance(t, np.ndarray):
+                return self._guarded_exponent(t, anchors[a])
+            times = np.concatenate([t, anchors])
+            if not np.all(self.domain.contains(times)):
+                return None
+            return self._grid_exponents(times, np.arange(t.size), t.size + a)
+        return exponents
 
     def _grid_exponents(self, times: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """E(t, s) over the pairs ``(times[i], times[j])``, unguarded: the one
-        reader of a batch of exponents, behind grids and array paths.  Here
+        reader of a batch of exponents, behind grids and band reads.  Here
         one exponent call, broadcast to the pairs; a TypeError names the
         array contract if E rejects arrays."""
         tv = times[i]
@@ -879,7 +880,7 @@ class ScalarExponentProcess(EvolutionProcess):
             return np.broadcast_to(np.asarray(self.exponent(tv, times[j]), dtype=float),
                                    tv.shape)
         except (TypeError, ValueError) as exc:
-            raise TypeError("grids and paths read the exponent E(t, s) of a "
+            raise TypeError("grids and bands read the exponent E(t, s) of a "
                             "ScalarExponentProcess once over an array: it must take "
                             "arrays of t and s") from exc
 
@@ -904,8 +905,8 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
     of the coefficient, cached per time.  F is called with one Python
     float at a time.  A grid under the identity factor reads F once per
     mesh point and an array of pairs once per distinct time, both through
-    :meth:`_grid_exponents`; a path from s reads F(s) once and F(t) once
-    per time it is given.
+    :meth:`_grid_exponents`; a band read from s reads F(s) once and F(t)
+    once per distinct time it is given.
     """
 
     def __init__(self, coefficient: Callable, domain: TimeDomain = FULL_LINE,
@@ -933,28 +934,46 @@ class ScalarCoefficientProcess(ScalarExponentProcess):
             return self._grid_exponents(times, index[:t.size], index[t.size:]).reshape(t.shape)
         return self._cumulative(t) - self._cumulative(s)
 
-    def _path_exponent(self, s: float) -> Callable[[float], float]:
-        """``t -> F(t) - F(s)``, guarded, with F(s) read once, on the first
-        read after the domain check, where the exponent reads it."""
+    def _anchored_exponents(self, anchors):
+        """``F(t) - F(anchors[a])``: for one pair, guarded, from one
+        :meth:`_cumulative` call (two before the anchors are kept); for
+        arrays from one :meth:`_cumulatives` read over the distinct times.
+        The first array read reads F at the anchors too and keeps it."""
         f_s = None
 
-        def exponent(t):
+        def exponents(t, a):
             nonlocal f_s
-            self._check_args(t, s)
-            f_t = self._cumulative(t)
+            if not isinstance(t, np.ndarray):
+                s = anchors[a]
+                self._check_args(t, s)
+                f_t = self._cumulative(t)
+                f_a = self._cumulative(s) if f_s is None else float(f_s[a])
+                return _guard_exponent(t, s, f_t - f_a)
+            # Distinct times told apart by their bits, so -0.0 and 0.0 are read apart.
+            keys, index = np.unique((t if f_s is not None else np.concatenate([t, anchors]))
+                                    .view(np.int64), return_inverse=True)
+            times = keys.view(float)
+            if not np.all(self.domain.contains(times)):
+                return None
+            f = self._cumulatives(times)[index]
             if f_s is None:
-                f_s = self._cumulative(s)
-            return _guard_exponent(t, s, f_t - f_s)
-        return exponent
+                f_s = f[t.size:]
+            with np.errstate(invalid="ignore"):   # inf - inf is NaN, and escapes
+                return f[:t.size] - f_s[a]
+        return exponents
+
+    def _cumulatives(self, times: np.ndarray) -> np.ndarray:
+        """F at each of a 1-d array of times, as :meth:`_cumulative` reads it."""
+        big_f = self.antiderivative
+        if big_f is None:
+            return np.array([self._cumulative(t) for t in times.tolist()])
+        # what _cumulative reads, without a call per time to get there
+        return np.array([float(big_f(t)) for t in times.tolist()])
 
     def _grid_exponents(self, times, i, j):
         """``F[i] - F[j]`` from one F per time; bit for bit the exponent of
         each pair."""
-        big_f = self.antiderivative
-        if big_f is None:
-            values = np.array([self._cumulative(t) for t in times.tolist()])
-        else:   # what _cumulative reads, without a call per time to get there
-            values = np.array([float(big_f(t)) for t in times.tolist()])
+        values = self._cumulatives(times)
         with np.errstate(invalid="ignore"):   # inf - inf is NaN, and poisoned
             return values[i] - values[j]
 
@@ -1008,8 +1027,9 @@ class IntegratedLinearProcess(EvolutionProcess):
     :func:`_chained_anchor_matrices`.  These solves run on the compiled
     DOP853 driver, so a coefficient must not start another compiled
     solve, on this driver or on the LSODA driver of the attractor
-    ensembles.  Only ``matrix_path`` runs ``solve_ivp``, whose dense
-    output serves every point of one anchor from a single solve.
+    ensembles.  Only the robustness band's reads (:meth:`_band_reader`)
+    run ``solve_ivp``, whose dense output serves every point of one anchor
+    from a single solve.
     """
 
     def __init__(self, coefficient_matrix: Callable, dimension: int,
@@ -1039,46 +1059,65 @@ class IntegratedLinearProcess(EvolutionProcess):
             return np.eye(n)
         return self._solve(t, s, np.eye(n))[0]
 
-    def matrix_path(self, s: float, t_end: float) -> Callable[[float], np.ndarray]:
-        """One dense-output ``solve_ivp`` solve of the matrix ODE from s
-        towards t_end (clipped to the time domain), which stops where the
-        Frobenius norm reaches ``ESCAPE_GUARD``.  A point past that escape
-        time raises :class:`FiniteEscapeError`, a point outside the domain
-        :class:`DomainError`, as from :meth:`matrix`."""
+    def _band_reader(self, anchors, width):
+        """One dense-output ``solve_ivp`` solve per anchor, made on the
+        anchor's first read and serving its later ones (:meth:`_dense_path`
+        towards ``s + width``); N is the solve's matrix and L zero."""
+        paths = {}
+
+        def path(a):
+            if a not in paths:
+                s = float(anchors[a])
+                paths[a] = self._dense_path(s, s + width)
+            return paths[a]
+
+        def read(t, a):
+            if not isinstance(t, np.ndarray):
+                return 0.0, path(a)(t)
+            out = np.empty((t.size, self.dimension, self.dimension))
+            for b in dict.fromkeys(a.tolist()):   # anchor by anchor, in order
+                rows = a == b
+                out[rows] = path(b)(t[rows])
+            return np.zeros(t.size), out
+        return read
+
+    def _dense_path(self, s: float, t_end: float) -> Callable:
+        """``tau -> S(tau, s)``, one time to an (n, n) matrix and a 1-d array
+        to a stack, from one dense-output ``solve_ivp`` solve from s towards
+        t_end (clipped to the domain) that stops where the Frobenius norm
+        reaches ``ESCAPE_GUARD``.  A time past the escape raises
+        :class:`FiniteEscapeError`, any other off the solve reads
+        :meth:`matrix`; an array holding one is read time by time."""
         if not self.domain.contains(t_end):
             t_end = 0.0  # half-line domains end at 0
         self._check_args(t_end, s)
-        if t_end == s:
-            return super().matrix_path(s, t_end)
         n = self.dimension
+        lo, hi, escaped = math.inf, -math.inf, False   # no solve: every time reads matrix
+        if t_end != s:
+            def escape(tau, y):
+                return float(np.linalg.norm(y)) - ESCAPE_GUARD
+            escape.terminal = True
 
-        def escape(tau, y):
-            return float(np.linalg.norm(y)) - ESCAPE_GUARD
-        escape.terminal = True
-
-        sol = solve_ivp(lambda tau, y: self._field(tau, y.reshape(n, n)).ravel(),
-                        (s, t_end), np.eye(n).ravel(), method="DOP853",
-                        rtol=_RTOL, atol=_ATOL, events=escape,
-                        dense_output=True)
-        if sol.status == -1:
-            raise RuntimeError("integration failed: %s" % sol.message)
-        reach = float(sol.t[-1])  # t_end, or the escape time
-        lo, hi = min(s, reach), max(s, reach)
+            sol = solve_ivp(lambda tau, y: self._field(tau, y.reshape(n, n)).ravel(),
+                            (s, t_end), np.eye(n).ravel(), method="DOP853",
+                            rtol=_RTOL, atol=_ATOL, events=escape,
+                            dense_output=True)
+            if sol.status == -1:
+                raise RuntimeError("integration failed: %s" % sol.message)
+            reach = float(sol.t[-1])  # t_end, or the escape time
+            lo, hi, escaped = min(s, reach), max(s, reach), sol.status == 1
 
         def path(tau):
-            if np.ndim(tau):
-                tau = np.asarray(tau, dtype=float)
+            if isinstance(tau, np.ndarray):
                 if not np.all((lo <= tau) & (tau <= hi)):
-                    return np.array([path(t) for t in tau])  # raises at the first failure
-                if tau.size == 0:
-                    return np.empty((0, n, n))
+                    return np.array([path(x) for x in tau.tolist()]).reshape(-1, n, n)
                 return sol.sol(tau).T.reshape(-1, n, n)
-            self._check_args(tau, s)
             if lo <= tau <= hi:
                 return sol.sol(tau).reshape(n, n)
-            if sol.status == 1 and min(s, t_end) <= tau <= max(s, t_end):
+            self._check_args(tau, s)
+            if escaped and min(s, t_end) <= tau <= max(s, t_end):
                 raise FiniteEscapeError(tau, s, reach)
-            raise ValueError("tau=%g is outside the path from s=%g to %g" % (tau, s, t_end))
+            return self.matrix(tau, s)
         return path
 
     def _step(self, t: float, s: float):
@@ -1158,7 +1197,7 @@ def dual_process(process: EvolutionProcess) -> EvolutionProcess:
     ``dT/dt = -A(t)^T T``, so it solves forward and chains on grids like
     its primal.  The dual of a :class:`ScalarExponentProcess` is the
     scalar process with exponent ``E(s, t)`` (the adjoint of ``x' = a x``
-    is ``x' = -a x``), so its grids and paths read the exponent itself
+    is ``x' = -a x``), so its grids and bands read the exponent itself
     and a norm below ``e^-745`` is sampled rather than lost to underflow.
     For a :class:`ScalarCoefficientProcess` that is the coefficient
     process of ``-f`` with antiderivative ``-F``, from the primal's

@@ -32,7 +32,6 @@ from .dichotomy import (
 from .process import (
     EvolutionProcess,
     GridSpec,
-    ScalarExponentProcess,
     _NORM_BLOCK_BYTES,
     _PARTS,
     _exp,
@@ -231,119 +230,104 @@ def _golden_section_max(f, lo, hi):
     return x, f(x)
 
 
-def _band_sup(anchor_fn, grid: GridSpec, batch_fn=None) -> float:
-    """Maximize a value v(t, s) over the band 0 <= t - s <= 1 with s in
-    the grid range: coarse scan of t - s in steps of ``_BAND_STEP`` and of
-    s from grid.start in steps of ``max(_BAND_STEP, grid.step)`` (so the
-    mesh's pinned stop and 0 are missed off that lattice), then
-    golden-section refinement in each coordinate around the maximizer.
+def _band_sup(processes: tuple, log_weight, grid: GridSpec) -> float:
+    """Maximize ``v(t, s) = e^{log_weight(t, s)} ||S(t, s)||`` over the band
+    0 <= t - s <= 1 with s in the grid range, where S is the one process's
+    operator or, for two, the first's less the second's: coarse scan of
+    t - s in steps of ``_BAND_STEP`` and of s from grid.start in steps of
+    ``max(_BAND_STEP, grid.step)`` (so the mesh's pinned stop and 0 are
+    missed off that lattice), then golden-section refinement in each
+    coordinate around the maximizer.
 
-    ``anchor_fn(s, t_end)`` returns ``t -> v(t, s)`` for t from s to
-    t_end, which takes one time or a 1-d array of times.  The scan keeps
-    the first maximum in scan order (anchors ascending, then offsets) and
-    skips NaN, as a strict ``v > best`` scan does.  It reads the anchors
-    in blocks whose pairs' times, t and s together, fill at most
-    ``_NORM_BLOCK_BYTES``.
-
-    ``batch_fn(s, t, a)``, when given, returns the values of a whole
-    block in one call: ``v(t[k], s[a[k]])`` over its pairs in scan order,
-    or None where a pair must be read one at a time.  A block it returns
-    None for, or raises in, is read again anchor by anchor, each anchor
-    built once over its whole band and evaluated once over its offsets
-    with t <= grid.stop, and one at a time if that raises, so an error
-    surfaces from the pair a per-point scan fails at.  The offset
-    refinement evaluates the best anchor's function; the anchor
-    refinement builds one per point.
+    Each process reads ``S = e^L N`` through its band hook
+    (:meth:`~nedlab.process.EvolutionProcess._band_reader`), bound to a
+    block of anchors and read once for the block's pairs with t <=
+    grid.stop, which fill at most ``_NORM_BLOCK_BYTES`` in their times and
+    anchor indices together and in each N stack.  A block whose read
+    raises is read again pair by pair, the first process before the
+    second, so the error surfaces from the pair a per-point scan fails
+    at.  The scan keeps the first maximum in scan order (anchors
+    ascending, then offsets) and skips NaN, as a strict ``v > best`` scan
+    does.  The refinements read one pair at a time: the offset's through
+    the best anchor's block hooks, the anchor's through new ones.
     """
+    def values(reads, anchors, t, a):
+        return _weighted(log_weight(t, anchors[a]), _norms)(reads, t, a)
+
+    def hooks(anchors, width):
+        return [p._band_reader(anchors, width) for p in processes]
+
     s_lo, s_hi = grid.start, grid.stop
     s_vals = np.arange(s_lo, s_hi + _BAND_STEP / 2, max(_BAND_STEP, grid.step))
+    s_vals = s_vals[s_vals <= s_hi]   # an anchor past the stop has no pair
     d_vals = np.arange(0.0, 1.0 + _BAND_STEP / 2, _BAND_STEP)
-    best, bs, bd, best_path = -math.inf, s_lo, 0.0, None
-    per_block = max(1, _NORM_BLOCK_BYTES // (2 * d_vals.nbytes))
+    n = processes[0].dimension
+    per_block = max(1, _NORM_BLOCK_BYTES // (8 * max(2, n * n) * d_vals.size))
+    best, bs, bd, best_read = -math.inf, s_lo, 0.0, None
     for start in range(0, s_vals.size, per_block):
         anchors = s_vals[start:start + per_block]
-        v = None
-        if batch_fn is not None:
-            t = anchors[:, None] + d_vals
-            a, k = np.nonzero(grid.stop >= t)
-            try:
-                v = batch_fn(anchors, t[a, k], a)
-            except Exception:   # the anchor-by-anchor read raises it from its pair
-                v = None
-        if v is not None:
-            # The first maximum, NaN skipped: what a strict v > best scan keeps.
-            m = int(np.argmax(np.where(np.isnan(v), -math.inf, v))) if v.size else 0
-            if v.size and v[m] > best:
-                s = anchors[a[m]]
-                best, bs, bd = float(v[m]), float(s), float(d_vals[k[m]])
-                best_path = anchor_fn(s, s + 1.0)
-            continue
-        for s in anchors:
-            path = anchor_fn(s, s + 1.0)
-            d = d_vals[grid.stop >= s + d_vals]
-            if d.size == 0:
-                continue
-            try:
-                v = path(s + d)
-            except Exception:
-                for t in s + d:   # raise from the point a scan in order fails at
-                    path(t)
-                raise
-            m = int(np.argmax(np.where(np.isnan(v), -math.inf, v)))
-            if v[m] > best:
-                best, bs, bd, best_path = float(v[m]), float(s), float(d[m]), path
+        t = anchors[:, None] + d_vals
+        a, k = np.nonzero(s_hi >= t)
+        t, reads = t[a, k], hooks(anchors, 1.0)
+        try:
+            v = values(reads, anchors, t, a)
+        except Exception:
+            for x, b in zip(t.tolist(), a.tolist()):   # raise from the pair a scan fails at
+                values(reads, anchors, x, b)
+            raise
+        m = int(np.argmax(np.where(np.isnan(v), -math.inf, v)))
+        if v[m] > best:
+            best, bs, bd = float(v[m]), float(anchors[a[m]]), float(d_vals[k[m]])
+            best_read = (reads, anchors, int(a[m]))
     # Refine the offset at the best anchor, then the anchor at the best
     # offset; either refinement can only improve on the grid value.
     d_lo, d_hi = max(0.0, bd - _BAND_STEP), min(1.0, bd + _BAND_STEP)
     if d_hi > d_lo:
-        path = best_path or anchor_fn(bs, bs + 1.0)
-        d_ref, v = _golden_section_max(lambda d: path(bs + d), d_lo, d_hi)
+        reads, anchors, a = best_read or (hooks(np.array([bs]), 1.0), np.array([bs]), 0)
+        d_ref, v = _golden_section_max(lambda d: values(reads, anchors, bs + d, a), d_lo, d_hi)
         if v > best:
             best, bd = v, d_ref
     s_lo2, s_hi2 = max(s_lo, bs - _BAND_STEP), min(s_hi - bd, bs + _BAND_STEP)
     if s_hi2 > s_lo2:
-        s_ref, v = _golden_section_max(lambda s: anchor_fn(s, s + bd)(s + bd), s_lo2, s_hi2)
+        def at_anchor(s):
+            anchor = np.array([s])
+            return values(hooks(anchor, bd), anchor, s + bd, 0)
+        s_ref, v = _golden_section_max(at_anchor, s_lo2, s_hi2)
         if v > best:
             best = v
-    return best
+    return float(best)
 
 
-def _scalar_path(process: ScalarExponentProcess, s: float, t_end: float):
-    """``tau -> S(tau, s)`` of a scalar exponent process as numbers: a float
-    for one time, from its guarded exponent with no 1x1 matrix, and a 1-d
-    array for an array of times, from its ``matrix_path``."""
-    exponent = process._path_exponent(s)
-
-    def path(tau):
-        if isinstance(tau, np.ndarray):
-            return process.matrix_path(s, t_end)(tau)[:, 0, 0]
-        return math.exp(exponent(tau))
-    return path
-
-
-def _weighted(log_weight: float, values):
-    """``t -> e^log_weight * values(t)``: bit for bit that product while the
-    weight is a float, and in log space once it overflows, where a zero
-    value stays 0 and any other reads ``e^(log_weight + log value)``, +inf
-    past the float range, never ``inf * 0 = NaN``."""
-    try:
-        weight = math.exp(log_weight)
-    except OverflowError:
-        def far(t):
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.exp(log_weight + np.log(values(t)))
-        return far
-    return lambda t: weight * values(t)
+def _norms(reads, t, a):
+    """``||e^L N||`` at one pair (a float t and an int a) or at 1-d arrays
+    of pairs, from one read of one hook, or ``||e^{L_1} N_1 - e^{L_2}
+    N_2||`` from one read of each of two; an array's norms come from one
+    stacked :func:`~nedlab.process._spectral_norms` call."""
+    stacks = []
+    for read in reads:
+        scale, n = read(t, a)
+        weight = _exp(scale)
+        stacks.append((weight[:, None, None] if isinstance(t, np.ndarray) else weight) * n)
+    return _spectral_norms(stacks[0] if len(stacks) == 1 else stacks[0] - stacks[1])
 
 
-def _band_reads(scalar: bool):
-    """``(path, norms)`` of a band's values: ``path(process, s, t_end)`` is
-    ``tau -> S(tau, s)`` and ``norms`` the norm of what it returns, one or
-    a stack.  Scalar exponent processes read numbers and take ``abs``;
-    others read ``matrix_path`` and stacked spectral norms."""
-    if scalar:
-        return _scalar_path, abs
-    return (lambda process, s, t_end: process.matrix_path(s, t_end)), _spectral_norms
+def _weighted(log_weight, values):
+    """``(*args) -> e^log_weight * values(*args)``, entry by entry where
+    log_weight is an array: bit for bit that product where the weight is a
+    float, and in log space where it overflows, where a zero value stays 0
+    and any other reads ``e^(log_weight + log value)``, +inf past the float
+    range, never ``inf * 0 = NaN``."""
+    def weighted(*args):
+        value = values(*args)
+        try:
+            return _exp(log_weight) * value
+        except OverflowError:
+            weight = np.reshape([_ieee(math.exp, x) for x in np.ravel(log_weight).tolist()],
+                                np.shape(log_weight))
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return np.where(weight < math.inf, weight * value,
+                                np.exp(log_weight + np.log(value)))
+    return weighted
 
 
 def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
@@ -355,54 +339,24 @@ def perturbation_distance(p: EvolutionProcess, q: EvolutionProcess,
     t - s, the grid step in s when that is larger), then refines around
     the scan maximizer by golden section (the offset refinement may read
     up to one step past grid.stop).  The value is therefore an estimate
-    from below of the sup the robustness theorem assumes.  Two scalar
-    exponent processes read each block of the scan as one exponent batch
-    per process, over its distinct times, and each refinement point as
-    two floats; any other pair is read along one ``matrix_path`` per
-    anchor and process, each anchor's norms in one stacked
-    :func:`~nedlab.process._spectral_norms` call.  Where ``e^{upsilon |s|}``
-    overflows, the anchor's values are read in log space: an equal pair
-    of operators reads 0, any other +inf once the product passes the
-    float range.  A batch whose weight overflows raises, and the scan
-    reads its block anchor by anchor.
+    from below of the sup the robustness theorem assumes.  A block of the
+    scan is one hook read per process: one exponent batch for a scalar
+    exponent process, one dense solve per anchor for an integrated one,
+    one ``_log_matrix`` per pair otherwise.  Where ``e^{upsilon |s|}``
+    overflows, an equal pair of operators reads 0, any other +inf once the
+    product passes the float range.
     """
     if p.dimension != q.dimension:
         raise ValueError("processes have different dimensions")
-    scalar = isinstance(p, ScalarExponentProcess) and isinstance(q, ScalarExponentProcess)
-    path, norms = _band_reads(scalar)
-
-    def anchor(s, t_end):
-        p_path, q_path = path(p, s, t_end), path(q, s, t_end)
-        return _weighted(upsilon * abs(s), lambda t: norms(p_path(t) - q_path(t)))
-
-    def batch(s, t, a):
-        e_p = p._pair_exponents(t, s[a])
-        e_q = None if e_p is None else q._pair_exponents(t, s[a])
-        if e_q is None:
-            return None
-        return _exp(upsilon * np.abs(s))[a] * np.abs(_exp(e_p) - _exp(e_q))
-
-    return _band_sup(anchor, grid, batch if scalar else None)
+    return _band_sup((p, q), lambda t, s: upsilon * abs(s), grid)
 
 
 def growth_constant(p: EvolutionProcess, upsilon: float, grid: GridSpec) -> float:
-    """sup of e^{-upsilon |t|} ||S(t,s)|| over 0 <= t-s <= 1, scanned and
-    refined over the band :func:`perturbation_distance` states (t <=
-    grid.stop), so again an estimate from below, and read the same way:
-    one exponent batch per block for a scalar exponent process, else one
-    ``matrix_path`` per anchor."""
-    scalar = isinstance(p, ScalarExponentProcess)
-    path, norms = _band_reads(scalar)
-
-    def anchor(s, t_end):
-        p_path = path(p, s, t_end)
-        return lambda t: _exp(-upsilon * abs(t)) * norms(p_path(t))
-
-    def batch(s, t, a):
-        e = p._pair_exponents(t, s[a])
-        return None if e is None else _exp(-upsilon * np.abs(t)) * _exp(e)
-
-    return _band_sup(anchor, grid, batch if scalar else None)
+    """sup of e^{-upsilon |t|} ||S(t,s)|| over 0 <= t-s <= 1, scanned,
+    refined and read as :func:`perturbation_distance` states (t <=
+    grid.stop), so again an estimate from below, with the weight read in
+    log space where it overflows."""
+    return _band_sup((p,), lambda t, s: -upsilon * abs(t), grid)
 
 
 # DUAL-ROUTE PIPELINE ==================================================================

@@ -982,27 +982,40 @@ class TestAdjointDual:
         assert max(abs(v - rows[(t, s)]) for t, s, v in sampled.samples) < 1e-9
 
 
-class TestMatrixPath:
+def _band_read(process, s, taus, width=1.0):
+    """``S(tau, s)`` over taus from one read of the band hook bound to the
+    anchor s, as the (m, n, n) stack ``e^L N`` the band forms."""
+    taus = np.asarray(taus, dtype=float)
+    scale, n = process._band_reader(np.array([s]), width)(taus, np.zeros(taus.size, dtype=int))
+    return nl.process._exp(scale)[:, None, None] * n
+
+
+class TestBandReader:
     @pytest.mark.parametrize("s, t_end", [(0.3, 1.3), (1.3, 0.3)])
-    def test_integrated_path_matches_matrix(self, s, t_end):
+    def test_integrated_read_matches_matrix(self, s, t_end):
         process = PlantedIntegrated(invertible=True).process
-        path = process.matrix_path(s, t_end)
+        read = process._band_reader(np.array([s]), t_end - s)
         for tau in np.linspace(s, t_end, 9):
-            assert np.max(np.abs(path(tau) - process.matrix(tau, s))) < 1e-9
+            scale, n = read(np.array([tau]), np.zeros(1, dtype=int))
+            assert np.max(np.abs(math.exp(scale[0]) * n[0] - process.matrix(tau, s))) < 1e-9
 
-    def test_one_solve_per_path(self, ode_solves):
-        path = PlantedIntegrated(invertible=True).process.matrix_path(0.0, 1.0)
+    def test_one_solve_per_anchor(self, ode_solves):
+        read = PlantedIntegrated(invertible=True).process._band_reader(np.array([0.0, 0.5]), 1.0)
         for tau in np.linspace(0.0, 1.0, 11):
-            path(tau)
+            read(np.array([tau]), np.zeros(1, dtype=int))
         assert ode_solves() == 1
+        read(np.array([0.5, 1.0, 1.5]), np.array([0, 1, 1]))
+        assert ode_solves() == 2
 
-    def test_default_path_is_matrix(self, barreira):
-        path = barreira.process.matrix_path(0.5, 1.5)
-        for tau in (0.5, 0.9, 1.5):
-            assert np.array_equal(path(tau), barreira.process.matrix(tau, 0.5))
+    def test_default_read_is_matrix(self, barreira):
+        closed = nl.MatrixClosedFormProcess(PlantedIntegrated(invertible=True).matrix, 2)
+        for process in (barreira.process, closed):
+            stack = _band_read(process, 0.5, [0.5, 0.9, 1.5])
+            for tau, m in zip((0.5, 0.9, 1.5), stack):
+                assert np.array_equal(m, process.matrix(tau, 0.5))
 
     @pytest.mark.parametrize("backend", ["integrated", "scalar", "closed-form"])
-    def test_stacked_path_is_per_point(self, backend, barreira):
+    def test_stacked_read_is_per_point(self, backend, barreira):
         taus = np.linspace(0.3, 1.3, 11)
         if backend == "integrated":
             process = PlantedIntegrated(invertible=True).process
@@ -1010,43 +1023,51 @@ class TestMatrixPath:
             process = barreira.process
         else:
             process = nl.MatrixClosedFormProcess(PlantedIntegrated(invertible=True).matrix, 2)
-        path = process.matrix_path(0.3, 1.3)
-        stack = path(taus)
+        stack = _band_read(process, 0.3, taus)
         assert stack.shape == (11, process.dimension, process.dimension)
-        assert np.array_equal(stack, np.array([path(tau) for tau in taus]))
-        assert path(taus[:0]).shape == (0, process.dimension, process.dimension)
+        read = process._band_reader(np.array([0.3]), 1.0)
+        per_point = [math.exp(scale) * n for scale, n in (read(tau, 0) for tau in taus.tolist())]
+        assert np.array_equal(stack, np.reshape(per_point, stack.shape))
+        assert _band_read(process, 0.3, taus[:0]).shape == (0, process.dimension,
+                                                            process.dimension)
 
-    def test_stacked_path_raises_at_the_first_failure(self):
+    def test_stacked_read_raises_at_the_first_failure(self):
         process = ScalarExponentProcess(lambda t, s: 500.0 * (t - s))
-        path = process.matrix_path(0.0, 1.0)
         taus = np.linspace(0.0, 1.0, 11)   # the guard is passed near 0.69
         with pytest.raises(FiniteEscapeError) as err:
-            path(taus)
+            _band_read(process, 0.0, taus)
         assert err.value.t == taus[7] and err.value.s == 0.0
         half = ScalarExponentProcess(lambda t, s: -(t - s), domain=nl.HALF_LINE_MINUS)
         with pytest.raises(DomainError):
-            half.matrix_path(-0.5, 0.5)(np.array([-0.5, 0.0, 0.25]))
+            _band_read(half, -0.5, [-0.5, 0.0, 0.25])
         integrated = nl.IntegratedLinearProcess(lambda t: np.diag([500.0, -1.0]), 2)
         with pytest.raises(FiniteEscapeError) as err:
-            integrated.matrix_path(0.0, 1.0)(np.array([0.5, 0.8, 0.9]))
+            _band_read(integrated, 0.0, [0.5, 0.8, 0.9])
         assert err.value.t == 0.8
+        # Pairs come anchor by anchor: the anchor 0 fails before the anchor 0.2.
+        read = process._band_reader(np.array([0.0, 0.2]), 1.0)
+        with pytest.raises(FiniteEscapeError) as err:
+            read(np.array([0.6, 0.7, 0.3, 0.95]), np.array([0, 0, 1, 1]))
+        assert (err.value.t, err.value.s) == (0.7, 0.0)
 
     def test_scalar_only_exponent_names_the_array_contract(self):
         process = ScalarExponentProcess(lambda t, s: math.sin(t) - math.sin(s))
-        path = process.matrix_path(0.0, 1.0)
-        assert path(0.5)[0, 0] == math.exp(math.sin(0.5))
+        scale, n = process._band_reader(np.array([0.0]), 1.0)(0.5, 0)
+        assert math.exp(scale) * n == math.exp(math.sin(0.5))
         with pytest.raises(TypeError, match="must take arrays of t and s"):
-            path(np.array([0.5, 1.0]))
+            _band_read(process, 0.0, [0.5, 1.0])
         with pytest.raises(TypeError, match="must take arrays of t and s"):
             nl.perturbation_distance(process, process, 0.0, GridSpec(0.0, 2.0, 0.5))
 
     def test_escape_surfaces_past_the_escape_time(self):
         # ||S(tau, 0)|| = e^{500 tau} passes the guard near tau = 0.69.
         process = nl.IntegratedLinearProcess(lambda t: np.diag([500.0, -1.0]), 2)
-        path = process.matrix_path(0.0, 1.0)
-        assert path(0.5)[0, 0] == pytest.approx(math.exp(250.0), rel=1e-8)
+        read = process._band_reader(np.array([0.0]), 1.0)
+        first = np.zeros(1, dtype=int)
+        assert read(np.array([0.5]), first)[1][0, 0, 0] == pytest.approx(math.exp(250.0),
+                                                                       rel=1e-8)
         with pytest.raises(FiniteEscapeError) as err:
-            path(0.8)
+            read(np.array([0.8]), first)
         assert 0.6 < err.value.escape_time < 0.8
         with pytest.raises(FiniteEscapeError):
             process.matrix(0.8, 0.0)
@@ -1054,18 +1075,17 @@ class TestMatrixPath:
     def test_span_and_domain(self):
         a = np.array([[-1.0]])
         process = nl.IntegratedLinearProcess(lambda t: a, 1, domain=nl.HALF_LINE_MINUS)
-        path = process.matrix_path(-0.5, 0.5)  # clipped to the domain end 0
-        assert path(0.0)[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-9)
+        # The solve from -0.5 is clipped to the domain end 0.
+        assert _band_read(process, -0.5, [0.0])[0, 0, 0] == pytest.approx(math.exp(-0.5),
+                                                                          rel=1e-9)
         with pytest.raises(DomainError):
-            path(0.25)
+            _band_read(process, -0.5, [0.25])
         with pytest.raises(DomainError):
-            process.matrix_path(-0.5, -1.0)  # backward, not invertible
+            _band_read(process, -0.5, [-1.0], width=-0.5)  # backward, not invertible
         process.invertible = True
-        short = process.matrix_path(-0.5, -0.25)
-        for tau in (-0.75, -0.1):  # before the anchor or past t_end
-            with pytest.raises(ValueError) as err:
-                short(tau)
-            assert type(err.value) is ValueError
+        for tau in (-0.75, -0.1):  # before the anchor or past the solve's end
+            assert np.array_equal(_band_read(process, -0.5, [tau], width=0.25)[0],
+                                  process.matrix(tau, -0.5))
 
 
 class _CoefficientFailure(Exception):
@@ -1407,40 +1427,46 @@ class TestMeshRead:
 
     def test_infinite_antiderivative_pairs_are_nan_without_a_warning(self):
         # F is inf from t = 2 on: inf - inf is NaN, which the array exponent
-        # returns quietly and the path escapes through its per-time fallback.
+        # returns quietly and the band read escapes through its per-pair fallback.
         process = nl.ScalarCoefficientProcess(
             lambda t: 0.0, antiderivative=lambda t: math.inf if t >= 2.0 else t)
         times = np.array([2.6, 3.0])
         assert np.isnan([process.log_propagator(t, 2.5) for t in times.tolist()]).all()
         assert np.isnan(process.log_propagator(times, 2.5)).all()
         with pytest.raises(FiniteEscapeError):
-            process.matrix_path(2.5, 3.0)(times)
+            _band_read(process, 2.5, times)
 
     @pytest.mark.parametrize("process", [
         ScalarExponentProcess(lambda t, s: np.sin(t) - np.sin(s) - 0.3 * (t - s)),
         nl.ScalarCoefficientProcess(lambda t: math.cos(t) - 0.3),
         nl.ScalarCoefficientProcess(math.cos, antiderivative=lambda t: math.sin(t) - 0.3 * t)],
         ids=["closed-form", "quadrature", "antiderivative"])
-    def test_one_batch_read_per_grid_path_and_array_exponent(self, monkeypatch, process):
-        batches = []
-        for cls in (ScalarExponentProcess, nl.ScalarCoefficientProcess):
-            def spy(self, times, i, j, read=cls.__dict__["_grid_exponents"]):
-                batches.append(len(i))
-                return read(self, times, i, j)
-            monkeypatch.setattr(cls, "_grid_exponents", spy)
+    def test_one_batch_read_per_grid_band_read_and_array_exponent(self, monkeypatch, process):
+        batches = []   # per batch read: the closed form's pairs, or the times F is read at
+
+        def pairs(self, times, i, j, read=ScalarExponentProcess._grid_exponents):
+            batches.append(len(i))
+            return read(self, times, i, j)
+
+        def cumulatives(self, times, read=nl.ScalarCoefficientProcess._cumulatives):
+            batches.append(len(times))
+            return read(self, times)
+        monkeypatch.setattr(ScalarExponentProcess, "_grid_exponents", pairs)
+        monkeypatch.setattr(nl.ScalarCoefficientProcess, "_cumulatives", cumulatives)
+        coefficient = isinstance(process, nl.ScalarCoefficientProcess)
         grid = GridSpec(-2.0, 2.0, 0.5)
         nl.sample_norm_grid(process, None, grid)
-        assert batches == [45]
+        assert batches == [9 if coefficient else 45]   # F at the mesh, or E at the pairs
         taus = np.linspace(0.0, 1.0, 7)
-        stack = process.matrix_path(0.0, 1.0)(taus)
-        assert batches == [45, 7]
+        stack = _band_read(process, 0.0, taus)
+        assert batches[1:] == [7]
         # Bit for bit the float exponent of each time.
         want = [math.exp(process.log_propagator(t, 0.0)) for t in taus.tolist()]
         assert np.array_equal(stack[:, 0, 0], want)
-        if isinstance(process, nl.ScalarCoefficientProcess):
+        if coefficient:
             tv, sv = grid.pairs("stable")
             values = process.log_propagator(tv, sv)
-            assert batches == [45, 7, 45]
+            assert batches[2:] == [9]
             assert np.array_equal(values, [process.log_propagator(t, s)
                                            for t, s in zip(tv.tolist(), sv.tolist())])
 
@@ -1456,14 +1482,14 @@ class TestMeshRead:
         assert calls == grid.mesh().tolist()
         assert {type(t) for t in calls} == {float}
 
-    def test_math_only_antiderivative_on_grids_paths_and_single_queries(self):
+    def test_math_only_antiderivative_on_grids_band_reads_and_single_queries(self):
         process = nl.ScalarCoefficientProcess(
             math.cos, antiderivative=lambda t: math.sin(t) - 0.5 * t)
         grid = GridSpec(-2.0, 2.0, 0.5)
         for part in ("stable", "unstable"):
             assert len(nl.sample_norm_grid(process, None, grid, part=part).samples) > 0
         taus = np.linspace(0.0, 1.0, 5)
-        stack = process.matrix_path(0.0, 1.0)(taus)
+        stack = _band_read(process, 0.0, taus)
         want = [math.exp(math.sin(t) - 0.5 * t) for t in taus]
         assert np.array_equal(stack[:, 0, 0], want)
         assert nl.operator_norm(process, 1.0, 0.0, log=True) == math.sin(1.0) - 0.5

@@ -296,6 +296,32 @@ def _closed_form_pair(rate):
         lambda t, s: q @ np.diag([math.exp(-(t - s)), math.exp(rate * (t - s))]) @ q_inv, 2)
 
 
+def _spy_band_reads(monkeypatch, cls):
+    """Record ``(bytes of t and a, bytes of N)`` of every array read of the
+    band hooks ``cls._band_reader`` returns; the refinements read one pair
+    at a time."""
+    sizes = []
+    hook = cls._band_reader
+
+    def spy(self, anchors, width):
+        read = hook(self, anchors, width)
+
+        def spied(t, a):
+            scale, n = read(t, a)
+            if np.ndim(t):
+                sizes.append((t.nbytes + a.nbytes, n.nbytes))
+            return scale, n
+        return spied
+    monkeypatch.setattr(cls, "_band_reader", spy)
+    return sizes
+
+
+def _separable_pde(rate):
+    lap = nl.discretize(nl.Grid1D(1.0, 4), nl.BoundaryCondition("dirichlet"))
+    return nl.PDEProcess(lap, separable_g=lambda t: rate + 0.3 * math.cos(t),
+                         g_antiderivative=lambda t: rate * t + 0.3 * math.sin(t))
+
+
 class TestBandPaths:
     @pytest.mark.parametrize("dual", [False, True])
     def test_integrated_pair_matches_per_point(self, dual):
@@ -320,6 +346,20 @@ class TestBandPaths:
                 p, q = nl.dual_process(p), nl.dual_process(q)
         # The second grid is off the 0.01 lattice: its anchors and its stop
         # fall between the offsets of other anchors.
+        for grid in (GridSpec(-2.0, 2.0, 0.5), GridSpec(-1.3, 2.05, 0.35)):
+            for upsilon in (0.0, 0.4):
+                assert nl.perturbation_distance(p, q, upsilon, grid) \
+                    == _reference_distance(p, q, upsilon, grid)
+                assert nl.growth_constant(q, upsilon, grid) == _reference_growth(q, upsilon, grid)
+
+    @pytest.mark.parametrize("pair", ["separable-pde", "transposed"])
+    def test_default_hook_is_bit_identical(self, pair):
+        # One _log_matrix read per pair: a separable PDE keeps a scale in L,
+        # a transposing dual reads its primal's (L, N).
+        if pair == "separable-pde":
+            p, q = _separable_pde(0.4), _separable_pde(0.35)
+        else:
+            p, q = nl.dual_process(_closed_form_pair(0.5)), nl.dual_process(_closed_form_pair(0.45))
         for grid in (GridSpec(-2.0, 2.0, 0.5), GridSpec(-1.3, 2.05, 0.35)):
             for upsilon in (0.0, 0.4):
                 assert nl.perturbation_distance(p, q, upsilon, grid) \
@@ -384,18 +424,23 @@ class TestBandPaths:
         p, q = constant_scalar(-1.0), constant_scalar(-1.1)
         grid = GridSpec(-1.3, 2.05, 0.01)   # 336 anchors of up to 101 offsets
         want = (nl.perturbation_distance(p, q, 0.4, grid), nl.growth_constant(q, 0.4, grid))
-        sizes = []
-        read = nl.ScalarExponentProcess._pair_exponents
-
-        def spy(self, t, s):
-            sizes.append(t.nbytes + s.nbytes)
-            return read(self, t, s)
-        monkeypatch.setattr(nl.ScalarExponentProcess, "_pair_exponents", spy)
+        sizes = _spy_band_reads(monkeypatch, nl.ScalarExponentProcess)
         budget = 2 * 8 * 101 * 40   # 40 anchors a block
         monkeypatch.setattr(nl.robustness, "_NORM_BLOCK_BYTES", budget)
         assert (nl.perturbation_distance(p, q, 0.4, grid), nl.growth_constant(q, 0.4, grid)) \
             == want
-        assert len(sizes) == 3 * 9 and max(sizes) <= budget
+        assert len(sizes) == 3 * 9 and max(pairs for pairs, _ in sizes) <= budget
+
+    def test_matrix_blocks_stay_within_the_norm_budget(self, monkeypatch):
+        p, q = _closed_form_pair(0.5), _closed_form_pair(0.45)
+        grid = GridSpec(-1.3, 2.05, 0.05)   # 67 anchors of up to 101 offsets
+        want = (nl.perturbation_distance(p, q, 0.4, grid), nl.growth_constant(q, 0.4, grid))
+        sizes = _spy_band_reads(monkeypatch, nl.EvolutionProcess)
+        budget = 8 * 4 * 101 * 5   # each 2x2 N stack holds 5 anchors
+        monkeypatch.setattr(nl.robustness, "_NORM_BLOCK_BYTES", budget)
+        assert (nl.perturbation_distance(p, q, 0.4, grid), nl.growth_constant(q, 0.4, grid)) \
+            == want
+        assert len(sizes) == 3 * 14 and max(max(size) for size in sizes) <= budget
 
     def test_pipeline_solves_each_anchor_once(self, ode_solves):
         res = nl.robust_nedii_pipeline(_integrated(0.0), decay_cert(1.0, m=3.0),
@@ -477,6 +522,12 @@ class TestOverflowingWeight:
         assert nl.perturbation_distance(p, p, 0.9, FAR_GRID) == 0.0
         # The growth weight e^{-0.9 |t|} falls below the normal floats instead.
         assert 0.0 < nl.growth_constant(p, 0.9, FAR_GRID) < 1e-300
+
+    def test_growth_weight_past_the_float_range_reads_inf(self):
+        # A negative upsilon makes the growth weight e^{-upsilon |t|} pass e^{711}.
+        p = nl.ScalarExponentProcess(lambda t, s: -(t - s))
+        assert nl.growth_constant(p, -0.9, FAR_GRID) == math.inf
+        assert nl.growth_constant(_closed_form_pair(-1.0), -0.9, FAR_GRID) == math.inf
 
     def test_distance_is_finite_where_the_product_is(self):
         # |e^{-1000 d} - e^{-1001 d}| peaks near d = 1e-3 at about e^{-7.9}, so
